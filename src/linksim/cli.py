@@ -76,7 +76,6 @@ def _apply_overrides(cfg, args) -> tuple:
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     cfg, overrides = _apply_overrides(cfg, args)
-    cfg.validate()
     out_dir = args.out_dir or cfg.out_dir or f"{args.config.stem}_out"
     run, _ = execute_run(cfg, out_dir, overrides=overrides)
     for flow in sorted(run.throughput):
@@ -91,7 +90,6 @@ def _cmd_run(args) -> int:
 def _cmd_record(args) -> int:
     cfg = parse_config(args.config)
     cfg, _ = _apply_overrides(cfg, args)
-    cfg.validate()
     execute_record(cfg, args.output)
     print(f"trace written to {args.output}")
     return 0

@@ -47,11 +47,6 @@ class RngStream:
         return f"RngStream(root_seed={self.root_seed}, label={self.label!r})"
 
 
-def derive_stream(root_seed: int, label: str) -> RngStream:
-    """Derive the deterministic stream for (root_seed, label)."""
-    return RngStream(root_seed, label)
-
-
 class EventQueue:
     """Time-ordered event queue with a non-decreasing integer-µs clock.
 

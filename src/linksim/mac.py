@@ -284,8 +284,8 @@ class Station:
 
     def __init__(self, node: str, engine: EventQueue, medium: Medium,
                  channel: Channel, params: DcfParams, root_seed: int,
-                 rate_control=None, processing_delay_us: int = 0,
-                 event_log=None, trace_sink: Optional[Callable] = None):
+                 rate_control=None, event_log=None,
+                 trace_sink: Optional[Callable] = None):
         self.node = node
         self.engine = engine
         self.medium = medium
@@ -293,7 +293,6 @@ class Station:
         self.params = params
         self.peer: Station | None = None
         self.rate_control = rate_control or FixedRate(MODES[0])
-        self.processing_delay_us = processing_delay_us
         self.event_log = event_log
         self.trace_sink = trace_sink
         self.queue = TxQueue(params.queue_capacity)
@@ -497,7 +496,6 @@ def build_point_to_point(engine: EventQueue, channel: Channel,
                          params: DcfParams, root_seed: int,
                          node_a: str, node_b: str,
                          rate_control_factory=None,
-                         processing_delay_us: int = 0,
                          event_log=None,
                          trace_sink: Optional[Callable] = None,
                          ) -> tuple["Station", "Station", Medium]:
@@ -511,11 +509,9 @@ def build_point_to_point(engine: EventQueue, channel: Channel,
 
     st_a = Station(node_a, engine, medium, channel, params, root_seed,
                    rate_control=make_rc(node_a),
-                   processing_delay_us=processing_delay_us,
                    event_log=event_log, trace_sink=trace_sink)
     st_b = Station(node_b, engine, medium, channel, params, root_seed,
                    rate_control=make_rc(node_b),
-                   processing_delay_us=processing_delay_us,
                    event_log=event_log, trace_sink=trace_sink)
     st_a.attach_peer(st_b)
     st_b.attach_peer(st_a)

@@ -4,6 +4,10 @@ A scenario is described by an INI-style config file (sections: scenario,
 nodes, radio, propagation, traffic, mac). Runs write per-second series CSVs,
 an optional packet-level event log, a summary, and a manifest embedding the
 exact config text so any run can be reproduced bit-for-bit.
+
+Every config error is raised before a run writes its first file: parsing
+checks the keys and the rules that span sections, and ``build`` constructs
+each part of the run, whose own types check their ranges.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import __version__, metrics, phy
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
                       RadioParams)
 from .engine import EventQueue, RngStream
-from .mac import DcfParams, FixedRate, Minstrel, Station, StationStats, \
+from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
 from .traces import (DirectedLink, MobilityTrace, SnrTrace, load_mobility,
                      load_snr_trace, SNR_HEADER)
@@ -45,7 +49,6 @@ class ScenarioConfig:
     # topology: static positions or a mobility file (exactly one source)
     nodes: dict[str, tuple[float, float, float]] | None = None
     mobility_file: Path | None = None
-    mobility: MobilityTrace | None = None        # API injection
     # propagation
     model: str = FRIIS
     trace_file: Path | None = None
@@ -75,61 +78,89 @@ class ScenarioConfig:
     base_dir: Path | None = None
 
     def validate(self) -> None:
+        """Check the rules that span sections; the ranges within one section
+        are checked by the type that ``build`` constructs from it."""
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
         if self.traffic_kind not in TRAFFIC_KINDS:
             raise ConfigError(f"unknown traffic kind {self.traffic_kind!r}")
         if self.src == self.dst:
             raise ConfigError("traffic src and dst must differ")
-        if self.model not in (TRACE, FRIIS, LOGDIST):
-            raise ConfigError(f"unknown propagation model {self.model!r}")
-        if self.model == TRACE:
-            if self.trace_file is None and self.snr_trace is None:
-                raise ConfigError("trace model requires trace_file")
-            if self.nakagami_m is not None:
-                raise ConfigError("trace replay admits no fading overlay")
-        elif self.trace_file is not None or self.snr_trace is not None:
-            raise ConfigError(f"{self.model} model must not carry a trace")
-        topo_sources = sum(
-            x is not None for x in (self.nodes, self.mobility_file, self.mobility)
-        )
-        if topo_sources != 1:
-            raise ConfigError(
-                "exactly one of node positions or a mobility file is required"
-            )
+        if self.nodes is not None and self.mobility_file is not None:
+            raise ConfigError("[nodes] cannot mix mobility_file with positions")
+        if self.nodes is None and self.mobility_file is None:
+            raise ConfigError("[nodes] must define positions or mobility_file")
         if self.nodes is not None:
             for node in (self.src, self.dst):
                 if node not in self.nodes:
                     raise ConfigError(f"traffic endpoint {node!r} not in [nodes]")
-        if self.rate_control not in ("minstrel", "fixed"):
-            raise ConfigError(f"unknown rate_control {self.rate_control!r}")
-        phy.mode_for_rate(self.fixed_mode_mbps)
-        if self.stop_us is not None and self.stop_us < self.start_us:
-            raise ConfigError("traffic stop must not precede start")
+        if self.start_us < 0 or (self.stop_us is not None
+                                 and self.stop_us < self.start_us):
+            raise ConfigError("traffic window must satisfy 0 <= start <= stop")
         if self.processing_delay_us < 0:
             raise ConfigError("processing_delay_us must be >= 0")
 
-    @property
-    def effective_stop_us(self) -> int:
-        return self.stop_us if self.stop_us is not None else self.duration_s * 1_000_000
+
+def _bool(raw: str) -> bool:
+    value = raw.lower()
+    if value in ("true", "yes", "on", "1"):
+        return True
+    if value in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(raw)
 
 
-_SECTION_KEYS = {
-    "scenario": {"duration_s", "seed", "log_events", "out_dir"},
-    "radio": {"tx_power_dbm", "rf_gain_db_per_end", "bandwidth_hz",
-              "center_freq_hz", "noise_figure_db"},
-    "propagation": {"model", "trace_file", "gamma", "ref_distance_m",
-                    "nakagami_m"},
-    "traffic": {"kind", "src", "dst", "payload_bytes", "offered_load_bps",
-                "interval_us", "start_s", "stop_s", "processing_delay_us"},
-    "mac": {"rate_control", "fixed_mode_mbps", "queue_capacity",
-            "retry_limit", "ack_basic_rates"},
+def _seconds_to_us(raw: str) -> int:
+    return int(float(raw) * 1e6 + 0.5)
+
+
+def _rates(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+# (section, key) -> (ScenarioConfig field, converter from the raw string).
+# [radio] keys are RadioParams fields, collected into one RadioParams.
+# [nodes] also takes free-form "name = x,y,z" positions.
+_SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
+    ("scenario", "duration_s"): ("duration_s", int),
+    ("scenario", "seed"): ("seed", int),
+    ("scenario", "log_events"): ("log_events", _bool),
+    ("scenario", "out_dir"): ("out_dir", str),
+    ("nodes", "mobility_file"): ("mobility_file", Path),
+    ("radio", "tx_power_dbm"): ("radio", float),
+    ("radio", "rf_gain_db_per_end"): ("radio", float),
+    ("radio", "bandwidth_hz"): ("radio", float),
+    ("radio", "center_freq_hz"): ("radio", float),
+    ("radio", "noise_figure_db"): ("radio", float),
+    ("propagation", "model"): ("model", str),
+    ("propagation", "trace_file"): ("trace_file", Path),
+    ("propagation", "gamma"): ("gamma", float),
+    ("propagation", "ref_distance_m"): ("ref_distance_m", float),
+    ("propagation", "nakagami_m"): ("nakagami_m", float),
+    ("traffic", "kind"): ("traffic_kind", str),
+    ("traffic", "src"): ("src", str),
+    ("traffic", "dst"): ("dst", str),
+    ("traffic", "payload_bytes"): ("payload_bytes", int),
+    ("traffic", "offered_load_bps"): ("offered_load_bps", float),
+    ("traffic", "interval_us"): ("interval_us", int),
+    ("traffic", "start_s"): ("start_us", _seconds_to_us),
+    ("traffic", "stop_s"): ("stop_us", _seconds_to_us),
+    ("traffic", "processing_delay_us"): ("processing_delay_us", int),
+    ("mac", "rate_control"): ("rate_control", str),
+    ("mac", "fixed_mode_mbps"): ("fixed_mode_mbps", int),
+    ("mac", "queue_capacity"): ("queue_capacity", int),
+    ("mac", "retry_limit"): ("retry_limit", int),
+    ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
+_SECTIONS = {section for section, _ in _SCHEMA}
+_REQUIRED = (("propagation", "model"), ("traffic", "kind"),
+             ("traffic", "src"), ("traffic", "dst"))
 
+# [propagation] keys each model admits, and the one it requires
 _MODEL_KEYS = {
-    TRACE: {"model", "trace_file"},
-    FRIIS: {"model", "nakagami_m"},
-    LOGDIST: {"model", "gamma", "ref_distance_m", "nakagami_m"},
+    TRACE: ({"model", "trace_file"}, "trace_file"),
+    FRIIS: ({"model", "nakagami_m"}, None),
+    LOGDIST: ({"model", "gamma", "ref_distance_m", "nakagami_m"}, "gamma"),
 }
 
 
@@ -138,15 +169,6 @@ def _convert(section: str, key: str, raw: str, to: Callable):
         return to(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-
-
-def _get_bool(section: str, key: str, raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig:
@@ -159,136 +181,52 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         raise ConfigError(f"malformed config: {exc}") from None
 
     for section in parser.sections():
-        if section not in (*_SECTION_KEYS, "nodes"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        if section != "nodes":
-            allowed = _SECTION_KEYS[section]
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+    for section, key in _REQUIRED:
+        if not parser.has_option(section, key):
+            raise ConfigError(f"[{section}] must set {key}")
+    model = parser["propagation"]["model"]
+    if model not in _MODEL_KEYS:
+        raise ConfigError(f"[propagation] unknown model {model!r}")
+    admitted, required = _MODEL_KEYS[model]
+    for key in parser["propagation"]:
+        if key not in admitted:
+            raise ConfigError(
+                f"[propagation] key {key!r} not valid for model {model!r}"
+            )
+    if required is not None and required not in parser["propagation"]:
+        raise ConfigError(f"[propagation] {model} model requires {required}")
 
     cfg = ScenarioConfig(config_text=text, base_dir=base_dir)
+    radio: dict[str, float] = {}
+    positions: dict[str, tuple[float, float, float]] = {}
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            if (section, key) not in _SCHEMA:
+                if section != "nodes":
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                parts = raw.split(",")
+                if len(parts) != 3:
+                    raise ConfigError(f"[nodes] {key}: expected 'x,y,z', got {raw!r}")
+                positions[key] = tuple(
+                    _convert("nodes", key, p.strip(), float) for p in parts
+                )
+                continue
+            name, to = _SCHEMA[section, key]
+            value = _convert(section, key, raw, to)
+            if isinstance(value, Path) and base_dir is not None:
+                value = base_dir / value     # an absolute value stays as is
+            if name == "radio":
+                radio[key] = value
+            else:
+                setattr(cfg, name, value)
 
-    def resolve(raw_path: str) -> Path:
-        p = Path(raw_path)
-        if not p.is_absolute() and base_dir is not None:
-            p = base_dir / p
-        return p
-
-    if parser.has_section("scenario"):
-        s = parser["scenario"]
-        if "duration_s" in s:
-            cfg.duration_s = _convert("scenario", "duration_s", s["duration_s"], int)
-        if "seed" in s:
-            cfg.seed = _convert("scenario", "seed", s["seed"], int)
-        if "log_events" in s:
-            cfg.log_events = _get_bool("scenario", "log_events", s["log_events"])
-        if "out_dir" in s:
-            cfg.out_dir = s["out_dir"].strip()
-
-    if not parser.has_section("nodes"):
-        raise ConfigError("missing [nodes] section")
-    nodes_sec = parser["nodes"]
-    if "mobility_file" in nodes_sec:
-        if len(nodes_sec) > 1:
-            raise ConfigError("[nodes] cannot mix mobility_file with positions")
-        cfg.mobility_file = resolve(nodes_sec["mobility_file"])
-    else:
-        positions = {}
-        for node, raw in nodes_sec.items():
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"[nodes] {node}: expected 'x,y,z', got {raw!r}")
-            positions[node] = tuple(
-                _convert("nodes", node, p, float) for p in parts
-            )
-        if not positions:
-            raise ConfigError("[nodes] must define positions or mobility_file")
-        cfg.nodes = positions
-
-    if parser.has_section("radio"):
-        r = parser["radio"]
-        kwargs = {
-            key: _convert("radio", key, r[key], float) for key in r
-        }
-        try:
-            cfg.radio = RadioParams(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[radio]: {exc}") from None
-
-    if not parser.has_section("propagation"):
-        raise ConfigError("missing [propagation] section")
-    p = parser["propagation"]
-    if "model" not in p:
-        raise ConfigError("[propagation] must set model")
-    cfg.model = p["model"].strip()
-    if cfg.model not in _MODEL_KEYS:
-        raise ConfigError(f"[propagation] unknown model {cfg.model!r}")
-    for key in p:
-        if key not in _MODEL_KEYS[cfg.model]:
-            raise ConfigError(
-                f"[propagation] key {key!r} not valid for model {cfg.model!r}"
-            )
-    if "trace_file" in p:
-        cfg.trace_file = resolve(p["trace_file"])
-    if "gamma" in p:
-        cfg.gamma = _convert("propagation", "gamma", p["gamma"], float)
-    elif cfg.model == LOGDIST:
-        raise ConfigError("[propagation] logdist model requires gamma")
-    if "ref_distance_m" in p:
-        cfg.ref_distance_m = _convert("propagation", "ref_distance_m",
-                                      p["ref_distance_m"], float)
-    if "nakagami_m" in p:
-        cfg.nakagami_m = _convert("propagation", "nakagami_m",
-                                  p["nakagami_m"], float)
-
-    if not parser.has_section("traffic"):
-        raise ConfigError("missing [traffic] section")
-    t = parser["traffic"]
-    for key in ("kind", "src", "dst"):
-        if key not in t:
-            raise ConfigError(f"[traffic] must set {key}")
-    cfg.traffic_kind = t["kind"].strip()
-    cfg.src = t["src"].strip()
-    cfg.dst = t["dst"].strip()
-    if "payload_bytes" in t:
-        cfg.payload_bytes = _convert("traffic", "payload_bytes",
-                                     t["payload_bytes"], int)
-    if "offered_load_bps" in t:
-        cfg.offered_load_bps = _convert("traffic", "offered_load_bps",
-                                        t["offered_load_bps"], float)
-    if "interval_us" in t:
-        cfg.interval_us = _convert("traffic", "interval_us", t["interval_us"], int)
-    if "start_s" in t:
-        cfg.start_us = int(
-            _convert("traffic", "start_s", t["start_s"], float) * 1e6 + 0.5
-        )
-    if "stop_s" in t:
-        cfg.stop_us = int(
-            _convert("traffic", "stop_s", t["stop_s"], float) * 1e6 + 0.5
-        )
-    if "processing_delay_us" in t:
-        cfg.processing_delay_us = _convert("traffic", "processing_delay_us",
-                                           t["processing_delay_us"], int)
-
-    if parser.has_section("mac"):
-        m = parser["mac"]
-        if "rate_control" in m:
-            cfg.rate_control = m["rate_control"].strip()
-        if "fixed_mode_mbps" in m:
-            cfg.fixed_mode_mbps = _convert("mac", "fixed_mode_mbps",
-                                           m["fixed_mode_mbps"], int)
-        if "queue_capacity" in m:
-            cfg.queue_capacity = _convert("mac", "queue_capacity",
-                                          m["queue_capacity"], int)
-        if "retry_limit" in m:
-            cfg.retry_limit = _convert("mac", "retry_limit", m["retry_limit"], int)
-        if "ack_basic_rates" in m:
-            cfg.basic_rates_mbps = tuple(
-                _convert("mac", "ack_basic_rates", part.strip(), int)
-                for part in m["ack_basic_rates"].split(",")
-            )
-
+    cfg.nodes = positions or None
+    try:
+        cfg.radio = RadioParams(**radio)
+    except ValueError as exc:
+        raise ConfigError(f"[radio]: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -367,80 +305,102 @@ class SimRun:
         return st.data_attempts / st.data_frames
 
 
-def _build_mobility(cfg: ScenarioConfig) -> MobilityTrace:
-    if cfg.mobility is not None:
-        return cfg.mobility
-    if cfg.mobility_file is not None:
-        return load_mobility(cfg.mobility_file)
-    return MobilityTrace.static(cfg.nodes)
+@dataclass
+class BuiltRun:
+    """Every part of one run that a config error can stop, built up front."""
+
+    cfg: ScenarioConfig
+    channel: Channel
+    dcf: DcfParams
+    rate_control: Callable[[str], object]
+    udp_flows: list[UdpFlowConfig]
+    ping: PingConfig | None
 
 
-def _build_channel(cfg: ScenarioConfig, mobility: MobilityTrace) -> Channel:
-    if cfg.model == TRACE:
-        trace = cfg.snr_trace if cfg.snr_trace is not None \
-            else load_snr_trace(cfg.trace_file)
-        spec = PropagationSpec(TRACE, trace=trace)
-    else:
-        spec = PropagationSpec(cfg.model, gamma=cfg.gamma,
-                               ref_distance_m=cfg.ref_distance_m,
-                               nakagami_m=cfg.nakagami_m)
-    channel = Channel(spec, cfg.radio, mobility)
-    channel.bind_seed(cfg.seed)
-    return channel
+def build(cfg: ScenarioConfig) -> BuiltRun:
+    """Check cfg, load its input files and construct each part of the run.
 
-
-def run_scenario(cfg: ScenarioConfig, event_log=None,
-                 trace_sink=None) -> SimRun:
-    """Build and execute one simulation instance, returning its metrics."""
+    Writes nothing, so a run that fails here leaves no artifact behind.
+    """
     cfg.validate()
-    mobility = _build_mobility(cfg)
+    if cfg.mobility_file is not None:
+        mobility = load_mobility(cfg.mobility_file)
+    else:
+        mobility = MobilityTrace.static(cfg.nodes)
     for node in (cfg.src, cfg.dst):
         if node not in mobility.nodes():
             raise ConfigError(f"traffic endpoint {node!r} has no mobility data")
-    channel = _build_channel(cfg, mobility)
+    trace = cfg.snr_trace
+    if trace is None and cfg.trace_file is not None:
+        trace = load_snr_trace(cfg.trace_file)
+    spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
+                           ref_distance_m=cfg.ref_distance_m,
+                           nakagami_m=cfg.nakagami_m)
+    if trace is not None:
+        # data goes one way and ACKs the other, so both directions are used
+        for link in (DirectedLink(cfg.src, cfg.dst),
+                     DirectedLink(cfg.dst, cfg.src)):
+            if link not in trace.links():
+                raise ConfigError(f"SNR trace has no samples for link {link}")
+    channel = Channel(spec, cfg.radio, mobility)
+    channel.bind_seed(cfg.seed)
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
                     basic_rates_mbps=cfg.basic_rates_mbps)
-    engine = EventQueue()
 
+    fixed_mode = phy.mode_for_rate(cfg.fixed_mode_mbps)
     if cfg.rate_control == "minstrel":
-        def rc_factory(node: str):
+        def rate_control(node: str):
             return Minstrel(dcf, RngStream(cfg.seed, f"minstrel.{node}"))
-    else:
-        fixed_mode = phy.mode_for_rate(cfg.fixed_mode_mbps)
-
-        def rc_factory(node: str):
+    elif cfg.rate_control == "fixed":
+        def rate_control(node: str):
             return FixedRate(fixed_mode)
+    else:
+        raise ConfigError(f"unknown rate_control {cfg.rate_control!r}")
 
+    end_us = cfg.duration_s * 1_000_000
+    if cfg.stop_us is not None:
+        end_us = min(cfg.stop_us, end_us)
+    window = dict(payload_bytes=cfg.payload_bytes, start_us=cfg.start_us,
+                  stop_us=end_us)
+    udp_flows = []
+    ping = None
+    if cfg.traffic_kind == PING:
+        ping = PingConfig(cfg.src, cfg.dst, interval_us=cfg.interval_us,
+                          **window)
+    else:
+        directions = [(cfg.src, cfg.dst)]
+        if cfg.traffic_kind == UDP_BIDI:
+            directions.append((cfg.dst, cfg.src))
+        udp_flows = [
+            UdpFlowConfig(src, dst, offered_load_bps=cfg.offered_load_bps,
+                          **window)
+            for src, dst in directions
+        ]
+    return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping)
+
+
+def simulate(built: BuiltRun, event_log=None, trace_sink=None) -> SimRun:
+    """Execute one built simulation instance, returning its metrics."""
+    cfg = built.cfg
+    engine = EventQueue()
     st_src, st_dst, _ = build_point_to_point(
-        engine, channel, dcf, cfg.seed, cfg.src, cfg.dst,
-        rate_control_factory=rc_factory,
-        processing_delay_us=cfg.processing_delay_us,
+        engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
+        rate_control_factory=built.rate_control,
         event_log=event_log, trace_sink=trace_sink,
     )
-
-    stop_us = min(cfg.effective_stop_us, cfg.duration_s * 1_000_000)
+    stations = {st.node: st for st in (st_src, st_dst)}
     sinks: dict[str, UdpSink] = {}
     ping_app = None
-    if cfg.traffic_kind == PING:
-        ping_app = PingApp(engine, st_src, st_dst, PingConfig(
-            src=cfg.src, dst=cfg.dst, interval_us=cfg.interval_us,
-            payload_bytes=cfg.payload_bytes, start_us=cfg.start_us,
-            stop_us=stop_us,
-        ), flow=f"ping.{cfg.src}->{cfg.dst}")
-    else:
-        directions = [(st_src, st_dst)]
-        if cfg.traffic_kind == UDP_BIDI:
-            directions.append((st_dst, st_src))
-        for sender, receiver in directions:
-            flow = f"udp.{sender.node}->{receiver.node}"
-            UdpSource(engine, sender, UdpFlowConfig(
-                src=sender.node, dst=receiver.node,
-                offered_load_bps=cfg.offered_load_bps,
-                payload_bytes=cfg.payload_bytes,
-                start_us=cfg.start_us, stop_us=stop_us,
-            ), flow)
-            sinks[flow] = UdpSink(receiver, flow)
+    if built.ping is not None:
+        ping_app = PingApp(engine, st_src, st_dst, built.ping,
+                           flow=f"ping.{cfg.src}->{cfg.dst}",
+                           processing_delay_us=cfg.processing_delay_us)
+    for flow_cfg in built.udp_flows:
+        flow = f"udp.{flow_cfg.src}->{flow_cfg.dst}"
+        UdpSource(engine, stations[flow_cfg.src], flow_cfg, flow)
+        sinks[flow] = UdpSink(stations[flow_cfg.dst], flow,
+                              processing_delay_us=cfg.processing_delay_us)
 
     engine.run_until(cfg.duration_s * 1_000_000)
 
@@ -462,6 +422,12 @@ def run_scenario(cfg: ScenarioConfig, event_log=None,
     )
 
 
+def run_scenario(cfg: ScenarioConfig, event_log=None,
+                 trace_sink=None) -> SimRun:
+    """Build and execute one simulation instance, returning its metrics."""
+    return simulate(build(cfg), event_log=event_log, trace_sink=trace_sink)
+
+
 def _label(flow: str) -> str:
     return flow.replace("->", ">")
 
@@ -473,6 +439,7 @@ def _file_label(flow: str) -> str:
 def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
                 overrides: dict | None = None) -> tuple[SimRun, dict]:
     """Run a scenario and write its artifacts; returns (run, manifest)."""
+    built = build(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
@@ -483,7 +450,7 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
         event_log = CsvEventLog(log_fh)
         outputs.append("events.csv")
     try:
-        run = run_scenario(cfg, event_log=event_log)
+        run = simulate(built, event_log=event_log)
     finally:
         if log_fh is not None:
             log_fh.close()
@@ -541,15 +508,13 @@ def _input_hashes(cfg: ScenarioConfig) -> dict[str, str]:
 
 def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
     """Run an analytic scenario while recording per-reception SNR samples."""
-    cfg.validate()
     if cfg.model == TRACE:
         raise ConfigError("cannot record a trace from a trace-replay run")
+    built = build(cfg)
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        recorder = TraceCsvRecorder(fh)
-        run = run_scenario(cfg, trace_sink=recorder)
-    return run
+        return simulate(built, trace_sink=TraceCsvRecorder(fh))
 
 
 def rerun_from_manifest(manifest_path: str | Path,
@@ -562,5 +527,4 @@ def rerun_from_manifest(manifest_path: str | Path,
     cfg = parse_config_text(doc["config_text"], base_dir=base)
     for key, value in doc.get("overrides", {}).items():
         cfg = replace(cfg, **{key: value})
-    cfg.validate()
     return execute_run(cfg, out_dir, overrides=doc.get("overrides", {}))

@@ -18,7 +18,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 logger = logging.getLogger(__name__)
 
@@ -49,10 +48,6 @@ class DirectedLink:
 
     def __str__(self) -> str:
         return f"{self.tx}->{self.rx}"
-
-    @property
-    def reverse(self) -> "DirectedLink":
-        return DirectedLink(self.rx, self.tx)
 
 
 @dataclass(frozen=True)
@@ -330,15 +325,3 @@ def serialize_mobility(trace: MobilityTrace) -> str:
 
 def load_mobility(path: str | Path) -> MobilityTrace:
     return parse_mobility(Path(path).read_bytes())
-
-
-def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def iter_link_pairs(nodes: Iterable[str]) -> list[DirectedLink]:
-    """All ordered pairs among nodes (both directions of every link)."""
-    nodes = list(nodes)
-    return [
-        DirectedLink(a, b) for a in nodes for b in nodes if a != b
-    ]

@@ -111,12 +111,13 @@ class UdpSource:
 class UdpSink:
     """Records (rx_time_us, payload_bytes, seq) per delivered packet.
 
-    Receive timestamps include the node's processing delay.
+    Receive timestamps include the receiving node's processing delay.
     """
 
-    def __init__(self, station: Station, flow: str):
+    def __init__(self, station: Station, flow: str,
+                 processing_delay_us: int = 0):
         self.flow = flow
-        self._delay_us = station.processing_delay_us
+        self._delay_us = processing_delay_us
         self.rx_t_us: list[int] = []
         self.rx_bytes: list[int] = []
         self.rx_seq: list[int] = []
@@ -140,12 +141,14 @@ class PingApp:
 
     One request per interval; a delivered request is answered immediately
     with an equal-size reply, and unanswered requests produce no sample.
-    Each node's processing delay enters the RTT as additive latency (the
-    per-node stack traversal cost), leaving MAC timing untouched.
+    The per-node processing delay (the stack traversal cost) enters the RTT
+    once at each of the two nodes as additive latency, leaving MAC timing
+    untouched.
     """
 
     def __init__(self, engine: EventQueue, requester: Station,
-                 responder: Station, cfg: PingConfig, flow: str):
+                 responder: Station, cfg: PingConfig, flow: str,
+                 processing_delay_us: int = 0):
         self.engine = engine
         self.requester = requester
         self.responder = responder
@@ -154,8 +157,7 @@ class PingApp:
         self.next_seq = 0
         self.outstanding: dict[int, int] = {}
         self.samples: list[tuple[int, int]] = []   # (send_t_us, rtt_us)
-        self._extra_delay_us = (requester.processing_delay_us
-                                + responder.processing_delay_us)
+        self._extra_delay_us = 2 * processing_delay_us
         requester.rx_handlers.append(self._on_reply)
         responder.rx_handlers.append(self._on_request)
         if cfg.stop_us > cfg.start_us:

@@ -12,7 +12,7 @@ import pytest
 from linksim import phy
 from linksim.channel import (apply_nakagami, friis_path_loss,
                              log_distance_path_loss)
-from linksim.engine import derive_stream
+from linksim.engine import RngStream
 from linksim.mac import DcfParams, ack_mode_for
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              accuracy_gain, compare_runs)
@@ -67,7 +67,7 @@ def test_criterion_02_log_distance_gamma2_equals_friis():
 
 
 def test_criterion_03_nakagami_mean_preservation():
-    rng = derive_stream(9, "fading.acceptance")
+    rng = RngStream(9, "fading.acceptance")
     n = 1_000_000
     total = 0.0
     total_sq = 0.0
@@ -185,7 +185,7 @@ def test_criterion_07_error_model_properties():
     for mode, target in ((MODES[2], 0.3), (MODES[4], 0.7), (MODES[7], 0.95)):
         snr_db = snr_for(mode, target)
         p = frame_success_probability(snr_db, mode, 1472)
-        rng = derive_stream(13, f"phy.rx.acc.{mode.id}")
+        rng = RngStream(13, f"phy.rx.acc.{mode.id}")
         hits = sum(phy.receive(1472, mode, snr_db, rng) == phy.DELIVERED
                    for _ in range(trials))
         bound = 3 * math.sqrt(p * (1 - p) / trials)

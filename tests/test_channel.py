@@ -8,7 +8,7 @@ from linksim.channel import (Channel, PropagationSpec, RadioParams,
                              apply_nakagami, dbm_to_w, friis_path_loss,
                              link_snr, log_distance_path_loss,
                              noise_power_dbm, w_to_dbm)
-from linksim.engine import derive_stream
+from linksim.engine import RngStream
 from linksim.traces import DirectedLink, MobilityTrace, parse_snr_trace
 
 AB = DirectedLink("A", "B")
@@ -61,12 +61,12 @@ def test_noise_power_values():
 
 
 def test_nakagami_zero_power():
-    rng = derive_stream(1, "fading.t")
+    rng = RngStream(1, "fading.t")
     assert all(apply_nakagami(0.0, 1.25, rng) == 0.0 for _ in range(10))
 
 
 def test_nakagami_mean_and_variance():
-    rng = derive_stream(2, "fading.mc")
+    rng = RngStream(2, "fading.mc")
     n = 200_000
     for m in (0.5, 1.25, 5.0):
         total = 0.0
@@ -82,7 +82,7 @@ def test_nakagami_mean_and_variance():
 
 
 def test_nakagami_large_m_is_nearly_deterministic():
-    rng = derive_stream(3, "fading.large")
+    rng = RngStream(3, "fading.large")
     n = 20_000
     draws = [apply_nakagami(2.5, 1e4, rng) for _ in range(n)]
     mean = sum(draws) / n
@@ -91,7 +91,7 @@ def test_nakagami_large_m_is_nearly_deterministic():
 
 
 def test_nakagami_validation():
-    rng = derive_stream(4, "fading.v")
+    rng = RngStream(4, "fading.v")
     with pytest.raises(ValueError):
         apply_nakagami(-1.0, 1.25, rng)
     with pytest.raises(ValueError):
@@ -154,7 +154,7 @@ def test_link_snr_fading_preserves_mean_linear_snr():
     params = RadioParams()
     mob = static_mobility(6.0)
     base = link_snr(PropagationSpec("friis"), params, AB, mob, 0)
-    rng = derive_stream(11, "fading.A->B")
+    rng = RngStream(11, "fading.A->B")
     n = 200_000
     total = 0.0
     for _ in range(n):

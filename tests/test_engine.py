@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from linksim.engine import EventQueue, RngStream, SchedulingError, derive_stream
+from linksim.engine import EventQueue, RngStream, SchedulingError
 
 
 def test_fifo_tie_break():
@@ -98,28 +98,28 @@ def test_clock_monotone_and_insertion_order_property():
 
 
 def test_stream_determinism():
-    a = derive_stream(42, "phy.rx.A->B")
-    b = derive_stream(42, "phy.rx.A->B")
+    a = RngStream(42, "phy.rx.A->B")
+    b = RngStream(42, "phy.rx.A->B")
     assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
 
 
 def test_stream_label_separation():
-    x = derive_stream(42, "x")
-    y = derive_stream(42, "y")
+    x = RngStream(42, "x")
+    y = RngStream(42, "y")
     assert [x.random() for _ in range(10)] != [y.random() for _ in range(10)]
 
 
 def test_stream_seed_separation():
-    x = derive_stream(42, "x")
-    y = derive_stream(43, "x")
+    x = RngStream(42, "x")
+    y = RngStream(43, "x")
     assert [x.random() for _ in range(10)] != [y.random() for _ in range(10)]
 
 
 def test_stream_consumers_do_not_perturb_each_other():
-    first = derive_stream(9, "mac.backoff.A")
+    first = RngStream(9, "mac.backoff.A")
     ref = [first.random() for _ in range(20)]
-    again = derive_stream(9, "mac.backoff.A")
-    other = derive_stream(9, "mac.backoff.B")
+    again = RngStream(9, "mac.backoff.A")
+    other = RngStream(9, "mac.backoff.B")
     interleaved = []
     for _ in range(20):
         other.random()
@@ -133,6 +133,6 @@ def test_stream_requires_label():
 
 
 def test_randint_bounds():
-    rng = derive_stream(3, "bounds")
+    rng = RngStream(3, "bounds")
     draws = {rng.randint(0, 3) for _ in range(200)}
     assert draws == {0, 1, 2, 3}

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from linksim.channel import Channel, PropagationSpec, RadioParams
-from linksim.engine import EventQueue, derive_stream
+from linksim.engine import EventQueue, RngStream
 from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
                          Minstrel, TxQueue, ack_mode_for, backoff_slots,
                          build_point_to_point)
@@ -74,7 +74,7 @@ def test_queue_fifo_and_tail_drop():
 
 
 def test_backoff_uniform_mean():
-    rng = derive_stream(2, "mac.backoff.t")
+    rng = RngStream(2, "mac.backoff.t")
     n = 100_000
     draws = [backoff_slots(15, rng) for _ in range(n)]
     assert set(draws) <= set(range(16))
@@ -82,10 +82,10 @@ def test_backoff_uniform_mean():
 
 
 def test_backoff_zero_window_and_determinism():
-    rng = derive_stream(3, "mac.backoff.z")
+    rng = RngStream(3, "mac.backoff.z")
     assert all(backoff_slots(0, rng) == 0 for _ in range(50))
-    a = derive_stream(4, "mac.backoff.d")
-    b = derive_stream(4, "mac.backoff.d")
+    a = RngStream(4, "mac.backoff.d")
+    b = RngStream(4, "mac.backoff.d")
     assert [backoff_slots(1023, a) for _ in range(100)] \
         == [backoff_slots(1023, b) for _ in range(100)]
 
@@ -283,7 +283,7 @@ def test_phy_attempts_bounded_per_frame():
 
 
 def fresh_minstrel(seed=1, modes=MODES):
-    return Minstrel(DCF, derive_stream(seed, "minstrel.t"), modes=modes)
+    return Minstrel(DCF, RngStream(seed, "minstrel.t"), modes=modes)
 
 
 def test_minstrel_ewma_arithmetic():

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import erfc
 
 from linksim import phy
-from linksim.engine import derive_stream
+from linksim.engine import RngStream
 from linksim.phy import (MODES, Modulation, bit_error_rate, frame_duration_us,
                          frame_success_probability, mode_for_rate, receive)
 
@@ -151,7 +151,7 @@ def test_rate_ordering_at_crossings():
 
 
 def test_receive_deterministic_regimes():
-    rng = derive_stream(1, "phy.rx.t")
+    rng = RngStream(1, "phy.rx.t")
     for _ in range(200):
         assert receive(1472, mode_for_rate(54), 60.0, rng) == phy.DELIVERED
     for _ in range(200):
@@ -161,7 +161,7 @@ def test_receive_deterministic_regimes():
 def test_receive_reproducible():
     outcomes = []
     for _ in range(2):
-        rng = derive_stream(77, "phy.rx.A->B")
+        rng = RngStream(77, "phy.rx.A->B")
         outcomes.append([receive(1472, MODES[4], 12.9, rng) for _ in range(500)])
     assert outcomes[0] == outcomes[1]
 
@@ -171,7 +171,7 @@ def test_receive_empirical_rate_matches_probability():
     for mode, snr_db in [(MODES[4], 12.92), (MODES[7], 22.0), (MODES[2], 6.5)]:
         p = frame_success_probability(snr_db, mode, 1472)
         assert 0.05 < p < 0.999
-        rng = derive_stream(5, f"phy.rx.mc.{mode.id}")
+        rng = RngStream(5, f"phy.rx.mc.{mode.id}")
         hits = sum(receive(1472, mode, snr_db, rng) == phy.DELIVERED
                    for _ in range(trials))
         sigma = math.sqrt(p * (1 - p) / trials)

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from linksim import cli
 from linksim.metrics import PerSecondSeries
-from linksim.scenario import (ConfigError, ScenarioConfig, execute_record,
-                              execute_run, parse_config, parse_config_text,
-                              rerun_from_manifest, run_scenario)
+from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
+                              execute_record, execute_run, parse_config,
+                              parse_config_text, rerun_from_manifest,
+                              run_scenario)
 from linksim.traces import load_snr_trace, parse_snr_trace
 
 
@@ -83,6 +86,8 @@ dst = ClientA
 
 
 CONST_35 = "t_us,tx,rx,snr_db\n0,Master,ClientA,35.0\n0,ClientA,Master,35.0\n"
+ONE_WAY_35 = "t_us,tx,rx,snr_db\n0,Master,ClientA,35.0\n"
+REPO = Path(__file__).resolve().parent.parent
 
 
 # -- config parsing ----------------------------------------------------------
@@ -133,6 +138,25 @@ def test_nodes_positions_or_mobility_file():
         parse_config_text(bad)
     with pytest.raises(ConfigError, match="x,y,z"):
         parse_config_text(BASE.replace("Master = 0,0,0", "Master = 0,0"))
+
+
+def test_bundled_scenarios_and_readme_match_the_schema():
+    for path in sorted((REPO / "scenarios").glob("*.ini")):
+        build(parse_config(path))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = set()
+    section = None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+            continue
+        entry = re.match(r";?\s*(\w+)\s*=\s*([^;]*)", line)
+        # "name = x,y,z" node positions are free-form, not schema keys
+        if entry and not (section == "nodes" and "," in entry.group(2)):
+            documented.add((section, entry.group(1)))
+    assert documented == set(_SCHEMA)
 
 
 def test_mac_section_round_trip():
@@ -242,6 +266,46 @@ def test_run_scenario_with_injected_trace():
     )
     run = run_scenario(cfg)
     assert run.mean_throughput_mbps("udp.Master->ClientA") > 20.0
+
+
+def _config(text):
+    return lambda tmp_path: write_config(tmp_path, text)
+
+
+# One invalid value for each part that build() constructs, plus the traffic
+# window; every one must exit 1 before any output file exists.
+LATE_CONFIG_ERRORS = {
+    "gamma": (_config(BASE.replace(
+        "model = friis", "model = logdist\ngamma = -1")), "gamma must be > 0"),
+    "nakagami_m": (_config(BASE.replace(
+        "model = friis", "model = friis\nnakagami_m = 0.3")), "nakagami_m"),
+    "retry_limit": (_config(BASE + "\n[mac]\nretry_limit = 0\n"),
+                    "retry_limit"),
+    "queue_capacity": (_config(BASE + "\n[mac]\nqueue_capacity = 0\n"),
+                       "queue_capacity"),
+    "ack_basic_rates": (_config(BASE + "\n[mac]\nack_basic_rates = 7\n"),
+                        "no 802.11a mode at 7"),
+    "payload_bytes": (_config(BASE + "payload_bytes = 5000\n"),
+                      "payload_bytes"),
+    "start_s": (_config(BASE + "start_s = -1\n"), "0 <= start"),
+    "ping_interval_us": (_config(PING + "interval_us = 0\n"), "interval_us"),
+    "one_way_trace": (lambda tmp_path: trace_config(tmp_path, ONE_WAY_35),
+                      "link ClientA->Master"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_CONFIG_ERRORS))
+def test_config_error_writes_no_file(tmp_path, capsys, case):
+    make_config, message = LATE_CONFIG_ERRORS[case]
+    cfg_path = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert cli.main(["record-trace", str(cfg_path),
+                     "-o", str(out / "trace.csv")]) == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from linksim.traffic import (PingApp, PingConfig, UdpFlowConfig, UdpSink,
                              UdpSource, udp_arrival_times)
 
 
-def make_pair(snr_db=60.0, seed=1, rate_mbps=54, processing_delay_us=0):
+def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
     trace = parse_snr_trace(
         f"t_us,tx,rx,snr_db\n0,A,B,{snr_db}\n0,B,A,{snr_db}\n"
     )
@@ -23,7 +23,6 @@ def make_pair(snr_db=60.0, seed=1, rate_mbps=54, processing_delay_us=0):
     st_a, st_b, _ = build_point_to_point(
         engine, channel, DcfParams(), seed, "A", "B",
         rate_control_factory=lambda node: FixedRate(mode),
-        processing_delay_us=processing_delay_us,
     )
     return engine, st_a, st_b
 
@@ -110,9 +109,10 @@ def test_ping_rtt_floor_and_samples():
 def test_ping_processing_delay_shifts_rtt_exactly():
     base = []
     for delay in (0, 300):
-        engine, st_a, st_b = make_pair(processing_delay_us=delay)
+        engine, st_a, st_b = make_pair()
         app = PingApp(engine, st_a, st_b,
-                      PingConfig("A", "B", stop_us=5_000_000), "ping.A->B")
+                      PingConfig("A", "B", stop_us=5_000_000), "ping.A->B",
+                      processing_delay_us=delay)
         engine.run_until(6_000_000)
         base.append(app.samples)
     assert len(base[0]) == len(base[1])
