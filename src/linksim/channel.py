@@ -121,6 +121,18 @@ def w_to_dbm(w: float) -> float:
     return 10.0 * math.log10(max(w, 1e-300)) + 30.0
 
 
+def mean_rx_power_dbm(spec: PropagationSpec, params: RadioParams,
+                      d_m: float) -> float:
+    """Received power in dBm at distance d_m before any fading draw."""
+    if spec.model == FRIIS:
+        loss_db = friis_path_loss(d_m, params.center_freq_hz)
+    else:
+        loss_db = log_distance_path_loss(
+            d_m, spec.gamma, spec.ref_distance_m, params.center_freq_hz
+        )
+    return params.tx_power_dbm + 2.0 * params.rf_gain_db_per_end - loss_db
+
+
 def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
              mobility: MobilityTrace, t_us: int,
              fading_rng: RngStream | None = None) -> float:
@@ -134,13 +146,7 @@ def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
         assert spec.trace is not None
         return spec.trace.snr_at(link, t_us)
     d_m = mobility.link_distance(link.tx, link.rx, t_us)
-    if spec.model == FRIIS:
-        loss_db = friis_path_loss(d_m, params.center_freq_hz)
-    else:
-        loss_db = log_distance_path_loss(
-            d_m, spec.gamma, spec.ref_distance_m, params.center_freq_hz
-        )
-    rx_dbm = params.tx_power_dbm + 2.0 * params.rf_gain_db_per_end - loss_db
+    rx_dbm = mean_rx_power_dbm(spec, params, d_m)
     if spec.nakagami_m is not None:
         if fading_rng is None:
             raise ValueError("fading configured but no fading stream supplied")
@@ -155,22 +161,58 @@ class Channel:
 
     Owns the per-link fading streams so that replaying a recorded trace
     consumes exactly the same non-fading streams as the original run.
+    A link prepared while both its nodes are static (one waypoint each)
+    keeps its mean received power, so each frame on it costs at most one
+    fading draw; every other link is computed per frame by ``link_snr``.
     """
 
     spec: PropagationSpec
     params: RadioParams
     mobility: MobilityTrace
-    _fading: dict[DirectedLink, RngStream] = field(default_factory=dict)
+    # Both tables are keyed by (tx, rx): a tuple of two strings hashes and
+    # compares far faster than a DirectedLink, and snr() runs per frame.
+    _fading: dict[tuple[str, str], RngStream] = field(default_factory=dict)
     _root_seed: int = 0
+    # static link -> (SNR in dB without fading, mean rx power in W)
+    _static: dict[tuple[str, str], tuple[float, float]] = field(
+        default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._noise_dbm = noise_power_dbm(self.params.bandwidth_hz,
+                                          self.params.noise_figure_db)
 
     def bind_seed(self, root_seed: int) -> None:
         self._root_seed = root_seed
 
+    def prepare(self, link: DirectedLink) -> None:
+        """Compute the link budget once if both ends of link never move.
+
+        Raises ValueError when the nodes are closer than the path loss
+        model admits, which per-frame evaluation would only find at the
+        first frame.
+        """
+        mobility = self.mobility
+        if (self.spec.model == TRACE or not mobility.is_static(link.tx)
+                or not mobility.is_static(link.rx)):
+            return
+        d_m = mobility.link_distance(link.tx, link.rx, 0)
+        rx_dbm = mean_rx_power_dbm(self.spec, self.params, d_m)
+        self._static[link.tx, link.rx] = (rx_dbm - self._noise_dbm,
+                                          dbm_to_w(rx_dbm))
+
     def snr(self, link: DirectedLink, t_us: int) -> float:
+        key = (link.tx, link.rx)
+        m = self.spec.nakagami_m
         rng = None
-        if self.spec.nakagami_m is not None:
-            rng = self._fading.get(link)
+        if m is not None:
+            rng = self._fading.get(key)
             if rng is None:
                 rng = RngStream(self._root_seed, f"fading.{link}")
-                self._fading[link] = rng
-        return link_snr(self.spec, self.params, link, self.mobility, t_us, rng)
+                self._fading[key] = rng
+        static = self._static.get(key)
+        if static is None:
+            return link_snr(self.spec, self.params, link, self.mobility, t_us,
+                            rng)
+        if rng is None:
+            return static[0]
+        return w_to_dbm(apply_nakagami(static[1], m, rng)) - self._noise_dbm

@@ -67,6 +67,40 @@ def ack_mode_for(data_mode: PhyMode, params: DcfParams) -> PhyMode:
     return phy.mode_for_rate(rate)
 
 
+class Airtime:
+    """Medium time of one DATA+ACK exchange at one MPDU size and data mode."""
+
+    __slots__ = ("data_us", "ack_mode", "ack_us", "expected_us")
+
+    def __init__(self, mpdu_bytes: int, mode: PhyMode, params: DcfParams):
+        self.data_us = frame_duration_us(mpdu_bytes, mode)
+        self.ack_mode = ack_mode_for(mode, params)
+        self.ack_us = frame_duration_us(params.ack_bytes, self.ack_mode)
+        # DIFS + mean backoff + DATA + SIFS + ACK
+        self.expected_us = (params.difs_us + params.slot_us * params.cw_min / 2.0
+                            + params.sifs_us + self.data_us + self.ack_us)
+
+
+class AirtimeTable:
+    """Airtime of every mode at each MPDU size, computed once per size.
+
+    ``rows(mpdu_bytes)[i]`` belongs to ``modes[i]``; with the default MODES
+    that index is the mode id.
+    """
+
+    def __init__(self, params: DcfParams, modes: tuple[PhyMode, ...] = MODES):
+        self.params = params
+        self.modes = modes
+        self._rows: dict[int, list[Airtime]] = {}
+
+    def rows(self, mpdu_bytes: int) -> list[Airtime]:
+        rows = self._rows.get(mpdu_bytes)
+        if rows is None:
+            rows = [Airtime(mpdu_bytes, m, self.params) for m in self.modes]
+            self._rows[mpdu_bytes] = rows
+        return rows
+
+
 def backoff_slots(cw: int, rng: RngStream) -> int:
     """Uniform backoff draw in [0, cw] slots."""
     if cw < 0:
@@ -140,22 +174,7 @@ class Minstrel:
         self.probed_this_interval = [False] * n
         self.frame_count = 0
         self._next_update_us = self.UPDATE_INTERVAL_US
-        self._ett_cache: dict[int, list[float]] = {}
-
-    def _tx_times(self, mpdu_bytes: int) -> list[float]:
-        """Expected medium time per mode: DIFS + mean backoff + DATA + SIFS + ACK."""
-        cached = self._ett_cache.get(mpdu_bytes)
-        if cached is None:
-            p = self.params
-            base = p.difs_us + p.slot_us * p.cw_min / 2.0 + p.sifs_us
-            cached = [
-                base
-                + frame_duration_us(mpdu_bytes, m)
-                + frame_duration_us(p.ack_bytes, ack_mode_for(m, p))
-                for m in self.modes
-            ]
-            self._ett_cache[mpdu_bytes] = cached
-        return cached
+        self.airtime = AirtimeTable(params, modes)
 
     def update_window(self, mode_id: int, attempts: int, successes: int) -> None:
         """Fold one interval's counters for one mode into its EWMA."""
@@ -179,12 +198,12 @@ class Minstrel:
         self._next_update_us = now_us - (now_us % interval) + interval
 
     def _argmax_tput(self, mpdu_bytes: int) -> tuple[int, float]:
-        ett = self._tx_times(mpdu_bytes)
+        rows = self.airtime.rows(mpdu_bytes)
         bits = 8 * mpdu_bytes
         best = 0
         best_tput = -1.0
         for i, e in enumerate(self.ewma):
-            tput = e * bits / ett[i]
+            tput = e * bits / rows[i].expected_us
             if tput > best_tput:
                 best_tput = tput
                 best = i
@@ -209,8 +228,8 @@ class Minstrel:
         if n > 1 and self.frame_count % self.PROBE_PERIOD == 0:
             r = self.rng.randint(0, n - 2)
             cand = r if r < best else r + 1
-            ett = self._tx_times(mpdu_bytes)
-            if (8 * mpdu_bytes / ett[cand] > best_tput
+            expected_us = self.airtime.rows(mpdu_bytes)[cand].expected_us
+            if (8 * mpdu_bytes / expected_us > best_tput
                     or not self.probed_this_interval[cand]):
                 self.probed_this_interval[cand] = True
                 return self.modes[cand]
@@ -226,18 +245,18 @@ class Minstrel:
 class _Exchange:
     """One in-flight DATA(+ACK) exchange owned by its sender."""
 
-    __slots__ = ("sender", "frame", "mode", "t_start", "data_end",
-                 "reservation_end", "ack_dur_us", "collided")
+    __slots__ = ("sender", "frame", "mode", "airtime", "t_start", "data_end",
+                 "reservation_end", "collided")
 
-    def __init__(self, sender, frame, mode, t_start, data_end,
-                 reservation_end, ack_dur_us):
+    def __init__(self, sender, frame, mode, airtime, t_start, data_end,
+                 reservation_end):
         self.sender = sender
         self.frame = frame
         self.mode = mode
+        self.airtime = airtime
         self.t_start = t_start
         self.data_end = data_end
         self.reservation_end = reservation_end
-        self.ack_dur_us = ack_dur_us
         self.collided = False
 
 
@@ -298,7 +317,10 @@ class Station:
         self.queue = TxQueue(params.queue_capacity)
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
-        self._rx_rng: RngStream | None = None   # for frames this station receives
+        # reception draws and FER memo for frames this station receives
+        self._rx_rng: RngStream | None = None
+        self._rx_memo: dict = {}
+        self.airtime = AirtimeTable(params)
         self._root_seed = root_seed
         self.rx_handlers: list[Callable] = []
         self.cw = params.cw_min
@@ -378,12 +400,10 @@ class Station:
         frame = self._frame
         mode = self._mode
         self._attempts += 1
-        data_dur = frame_duration_us(frame.mpdu_bytes, mode)
-        ack_dur = frame_duration_us(self.params.ack_bytes,
-                                    ack_mode_for(mode, self.params))
-        data_end = now + data_dur
-        exchange = _Exchange(self, frame, mode, now, data_end,
-                             data_end + self.params.sifs_us + ack_dur, ack_dur)
+        airtime = self.airtime.rows(frame.mpdu_bytes)[mode.id]
+        data_end = now + airtime.data_us
+        exchange = _Exchange(self, frame, mode, airtime, now, data_end,
+                             data_end + self.params.sifs_us + airtime.ack_us)
         partners = self.medium.begin_tx(exchange)
         if partners:
             exchange.collided = True
@@ -393,7 +413,7 @@ class Station:
         if self.event_log is not None:
             self.event_log.tx(now, self.node, "data", self._tx_link,
                               mode.data_rate_mbps, frame.seq, self._attempts,
-                              data_dur)
+                              airtime.data_us)
         self.engine.schedule(data_end, self._on_data_end)
 
     def _on_data_end(self) -> None:
@@ -410,7 +430,8 @@ class Station:
                                   self._attempts, None, COLLIDED)
         else:
             snr_db = self.channel.snr(self._tx_link, t)
-            outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng)
+            outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng,
+                                  peer._rx_memo)
             if self.event_log is not None:
                 self.event_log.rx(t, peer.node, "data", self._tx_link,
                                   mode.data_rate_mbps, frame.seq,
@@ -426,19 +447,18 @@ class Station:
     def _handle_ack(self, exchange: _Exchange) -> None:
         """Receiver ACKs after SIFS; the ACK itself crosses the reverse link."""
         peer = self.peer
-        mode = exchange.mode
         ack_start = exchange.data_end + self.params.sifs_us
         ack_end = exchange.reservation_end
-        ack_mode = ack_mode_for(mode, self.params)
+        ack_mode = exchange.airtime.ack_mode
         peer.stats.acks_sent += 1
         snr_db = self.channel.snr(self._rx_link, ack_end)
         outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
-                              self._rx_rng)
+                              self._rx_rng, self._rx_memo)
         if self.event_log is not None:
             frame = exchange.frame
             self.event_log.tx(ack_start, peer.node, "ack", self._rx_link,
                               ack_mode.data_rate_mbps, frame.seq,
-                              self._attempts, exchange.ack_dur_us)
+                              self._attempts, exchange.airtime.ack_us)
             self.event_log.rx(ack_end, self.node, "ack", self._rx_link,
                               ack_mode.data_rate_mbps, frame.seq,
                               self._attempts, snr_db, outcome)
@@ -451,7 +471,8 @@ class Station:
 
     def _handle_failure(self, exchange: _Exchange) -> None:
         p = self.params
-        timeout_at = exchange.data_end + p.sifs_us + exchange.ack_dur_us + p.slot_us
+        timeout_at = (exchange.data_end + p.sifs_us + exchange.airtime.ack_us
+                      + p.slot_us)
         if self._attempts > p.retry_limit:
             if self.event_log is not None:
                 self.event_log.drop(exchange.data_end, self.node,

@@ -128,7 +128,23 @@ DELIVERED = "delivered"
 CORRUPTED = "corrupted"
 
 
-def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng) -> str:
-    """Stochastic reception decision: DELIVERED iff the stream draw < p(success)."""
-    p = frame_success_probability(snr_db, mode, frame_bytes)
+def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng,
+            memo: dict | None = None) -> str:
+    """Stochastic reception decision: DELIVERED iff the stream draw < p(success).
+
+    memo, when given, maps (mode id, frame_bytes) to the last SNR seen for
+    that pair and its success probability, so a repeated SNR skips the
+    error model. It holds one entry per pair however many SNRs pass through
+    it. Exactly one draw is taken from rng either way.
+    """
+    if memo is None:
+        p = frame_success_probability(snr_db, mode, frame_bytes)
+    else:
+        key = (mode.id, frame_bytes)
+        last = memo.get(key)
+        if last is not None and last[0] == snr_db:
+            p = last[1]
+        else:
+            p = frame_success_probability(snr_db, mode, frame_bytes)
+            memo[key] = (snr_db, p)
     return DELIVERED if rng.random() < p else CORRUPTED

@@ -336,14 +336,16 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
                            ref_distance_m=cfg.ref_distance_m,
                            nakagami_m=cfg.nakagami_m)
-    if trace is not None:
-        # data goes one way and ACKs the other, so both directions are used
-        for link in (DirectedLink(cfg.src, cfg.dst),
-                     DirectedLink(cfg.dst, cfg.src)):
-            if link not in trace.links():
-                raise ConfigError(f"SNR trace has no samples for link {link}")
     channel = Channel(spec, cfg.radio, mobility)
     channel.bind_seed(cfg.seed)
+    # data goes one way and ACKs the other, so both directions are used
+    for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):
+        if trace is not None and link not in trace.links():
+            raise ConfigError(f"SNR trace has no samples for link {link}")
+        try:
+            channel.prepare(link)
+        except ValueError as exc:
+            raise ConfigError(f"link {link}: {exc}") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
                     basic_rates_mbps=cfg.basic_rates_mbps)

@@ -244,6 +244,11 @@ class MobilityTrace:
     def nodes(self) -> list[str]:
         return list(self._waypoints)
 
+    def is_static(self, node: str) -> bool:
+        """True when node has exactly one waypoint, so it never moves."""
+        self._require(node)
+        return len(self._waypoints[node]) == 1
+
     def waypoints(self, node: str) -> list[Waypoint]:
         self._require(node)
         return list(self._waypoints[node])

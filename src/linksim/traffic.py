@@ -92,6 +92,8 @@ class UdpSource:
         self.cfg = cfg
         self.flow = flow
         self.next_seq = 0
+        self._gap_us = cfg.gap_us
+        self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
 
@@ -99,11 +101,11 @@ class UdpSource:
         now = self.engine.clock_us
         cfg = self.cfg
         self.station.enqueue_packet(Packet(
-            UDP_DATA, self.next_seq, cfg.payload_bytes,
-            cfg.payload_bytes + cfg.header_overhead_bytes, now, self.flow,
+            UDP_DATA, self.next_seq, cfg.payload_bytes, self._mpdu_bytes, now,
+            self.flow,
         ))
         self.next_seq += 1
-        next_t = now + cfg.gap_us
+        next_t = now + self._gap_us
         if next_t < cfg.stop_us:
             self.engine.schedule(next_t, self._emit)
 
@@ -158,6 +160,7 @@ class PingApp:
         self.outstanding: dict[int, int] = {}
         self.samples: list[tuple[int, int]] = []   # (send_t_us, rtt_us)
         self._extra_delay_us = 2 * processing_delay_us
+        self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
         requester.rx_handlers.append(self._on_reply)
         responder.rx_handlers.append(self._on_request)
         if cfg.stop_us > cfg.start_us:
@@ -168,8 +171,8 @@ class PingApp:
         cfg = self.cfg
         self.outstanding[self.next_seq] = now
         self.requester.enqueue_packet(Packet(
-            ECHO_REQUEST, self.next_seq, cfg.payload_bytes,
-            cfg.payload_bytes + cfg.header_overhead_bytes, now, self.flow,
+            ECHO_REQUEST, self.next_seq, cfg.payload_bytes, self._mpdu_bytes,
+            now, self.flow,
         ))
         self.next_seq += 1
         next_t = now + cfg.interval_us

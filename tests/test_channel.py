@@ -9,9 +9,11 @@ from linksim.channel import (Channel, PropagationSpec, RadioParams,
                              link_snr, log_distance_path_loss,
                              noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
-from linksim.traces import DirectedLink, MobilityTrace, parse_snr_trace
+from linksim.traces import (DirectedLink, MobilityTrace, Waypoint,
+                            parse_snr_trace)
 
 AB = DirectedLink("A", "B")
+BA = DirectedLink("B", "A")
 F = 5.22e9
 
 
@@ -172,6 +174,56 @@ def test_channel_fading_stream_is_per_link_and_seeded():
 
     assert draws(1) == draws(1)
     assert draws(1) != draws(2)
+
+
+@pytest.mark.parametrize("spec", [
+    PropagationSpec("friis"),
+    PropagationSpec("logdist", gamma=3.1, ref_distance_m=2.0),
+    PropagationSpec("logdist", gamma=3.1, ref_distance_m=2.0, nakagami_m=1.25),
+], ids=["friis", "logdist", "logdist_fading"])
+def test_static_link_snr_is_link_snr_bit_for_bit(spec):
+    params = RadioParams()
+    mobility = static_mobility(6.0)
+    lookups = []
+    distance = mobility.link_distance
+    mobility.link_distance = lambda *args: lookups.append(args) or distance(*args)
+    ch = Channel(spec, params, mobility)
+    ch.bind_seed(5)
+    for link in (AB, BA):
+        ch.prepare(link)
+    times = range(0, 1_000_000, 1000)
+    fast = {link: [ch.snr(link, t) for t in times] for link in (AB, BA)}
+    assert len(lookups) == 2    # one per link, in prepare
+    for link in (AB, BA):
+        reference = RngStream(5, f"fading.{link}")
+        slow = [link_snr(spec, params, link, mobility, t, reference)
+                for t in times]
+        assert [x.hex() for x in fast[link]] == [x.hex() for x in slow]
+        assert len(set(slow)) == (1 if spec.nakagami_m is None else len(times))
+
+
+def test_moving_node_snr_changes_over_time():
+    mobility = MobilityTrace({
+        "A": [Waypoint(0, 0.0, 0.0, 0.0)],
+        "B": [Waypoint(0, 6.0, 0.0, 0.0), Waypoint(1_000_000, 60.0, 0.0, 0.0)],
+    })
+    spec = PropagationSpec("friis")
+    ch = Channel(spec, RadioParams(), mobility)
+    ch.prepare(AB)
+    snrs = [ch.snr(AB, t) for t in (0, 500_000, 1_000_000)]
+    assert snrs[0] > snrs[1] > snrs[2]
+    assert snrs == [link_snr(spec, RadioParams(), AB, mobility, t)
+                    for t in (0, 500_000, 1_000_000)]
+
+
+@pytest.mark.parametrize("spec, d_m", [
+    (PropagationSpec("friis"), 0.3),
+    (PropagationSpec("logdist", gamma=3.0, ref_distance_m=10.0), 6.0),
+])
+def test_prepare_rejects_static_nodes_too_close(spec, d_m):
+    ch = Channel(spec, RadioParams(), static_mobility(d_m))
+    with pytest.raises(ValueError, match="below reference distance"):
+        ch.prepare(AB)
 
 
 def test_dbm_w_round_trip():

@@ -1,0 +1,88 @@
+"""Golden outputs: every bundled scenario reproduces its pinned artifacts.
+
+Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
+and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
+match the values below. A speed-up that changes one byte of output fails
+here. ``manifest.json`` is left out because it records the absolute
+``base_dir`` of the config. Re-pin only for a deliberate output change, and
+say so in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from linksim import cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DURATION_S = "2"
+
+GOLDEN = {
+    "logdist_fading": {
+        "events.csv":
+            "2ed722f58530969fcb007fcb975c3f611486d93ac9c4da0baa4031af3936fb6c",
+        "summary.json":
+            "c49b30ff800e40d93420a36ea97301434b70829b33291cc98222ba0a24e30bec",
+        "throughput_ClientA_to_Master.csv":
+            "b8c49b3da6f527e49218e2b8b511d3b6cd0c11759ed025860b34eb6b746eeed1",
+    },
+    "ping_idle_link": {
+        "events.csv":
+            "26cbca20b9a5ac4ee9a291fa913e2a7ed8bd7badf1d20b677b015c51650134e3",
+        "rtt_Master_to_ClientA.csv":
+            "60917860c7a2f8ffee7b470f6b854ab4eddcfe60f52933c25e63b2f1530db6b1",
+        "summary.json":
+            "9682d20c8ff6bf854dd5c596f9a2a3b0e2961ad88c0fe4a683cd67b7a2025e8c",
+    },
+    "replay_asymmetric": {
+        "events.csv":
+            "641d2080ff4164061ec0e03d851f128520314af9b2c93b84c7852d5778e5acaa",
+        "summary.json":
+            "9e238c647f3e0f98115aa03257f2deac73951df0dd282e93075a45a509ccbaea",
+        "throughput_Master_to_ClientA.csv":
+            "87ee6baf6c7895b1ff493609ec5835a0f7a6c145cfb83b3e0bbe536fa5c98788",
+    },
+    "replay_constant": {
+        "events.csv":
+            "018da1f4bd835c2dd68a0ac7ac139518d0a8d0fea8b6a601bc0321c2a6bd1c6e",
+        "summary.json":
+            "9e238c647f3e0f98115aa03257f2deac73951df0dd282e93075a45a509ccbaea",
+        "throughput_Master_to_ClientA.csv":
+            "87ee6baf6c7895b1ff493609ec5835a0f7a6c145cfb83b3e0bbe536fa5c98788",
+    },
+    "udp_bidirectional": {
+        "events.csv":
+            "d7c9047caa26ae2e808e5703d523e4dbe6ebf9dfb23e6034b052d0d0d6817599",
+        "summary.json":
+            "346bc4370612517ba672891b17304c2bcf0335e3974d0eeb8a531032a5795434",
+        "throughput_ClientA_to_Master.csv":
+            "43b645231989c25a43248088f8cbaaa949c75f5c3e71033027e8776bf2c26ed2",
+        "throughput_Master_to_ClientA.csv":
+            "8d191ac67bce7d7fd638a71638cffcdc427816e46b56193ad7fe1641ff97b38a",
+    },
+    "udp_unidirectional": {
+        "events.csv":
+            "7e11f3a9ecfa137bb17486f58e66dd0c2400433a73a7e49b53f9446cc7372d22",
+        "summary.json":
+            "3671ca0fc8eba6d7384ee3f76380980b4a6a526215d9df64dbc4aea41699d544",
+        "throughput_ClientA_to_Master.csv":
+            "dfb0cda5865e31d2440e7d87c79dd3df38c20071d6bc071c78c46f91a75a4163",
+    },
+}
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, scenario):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(SCENARIOS / f"{scenario}.ini"),
+                     "--out-dir", str(out), "--duration", DURATION_S]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir()) if path.name != "manifest.json"
+    }
+    assert digests == GOLDEN[scenario]

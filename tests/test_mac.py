@@ -7,9 +7,9 @@ import pytest
 
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue, RngStream
-from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
-                         Minstrel, TxQueue, ack_mode_for, backoff_slots,
-                         build_point_to_point)
+from linksim.mac import (ACCEPTED, DROPPED_FULL, AirtimeTable, DcfParams,
+                         FixedRate, Minstrel, TxQueue, ack_mode_for,
+                         backoff_slots, build_point_to_point)
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
 from linksim.scenario import CsvEventLog
 from linksim.traces import MobilityTrace, parse_snr_trace
@@ -97,6 +97,23 @@ def test_ack_mode_rule():
     assert ack_mode_for(mode_for_rate(9), multi).data_rate_mbps == 6
     assert ack_mode_for(mode_for_rate(54), DCF).data_rate_mbps == 6
 
+
+
+@pytest.mark.parametrize("basic_rates", [(6,), (6, 12, 24)])
+def test_airtime_table_equals_per_frame_airtime(basic_rates):
+    params = DcfParams(basic_rates_mbps=basic_rates)
+    table = AirtimeTable(params)
+    # stations index the rows of the default mode table by mode id
+    assert [m.id for m in MODES] == list(range(len(MODES)))
+    for mpdu_bytes in (14, 1528, 2328):
+        rows = table.rows(mpdu_bytes)
+        assert table.rows(mpdu_bytes) is rows
+        assert len(rows) == len(MODES)
+        for mode, row in zip(MODES, rows):
+            assert row.data_us == frame_duration_us(mpdu_bytes, mode)
+            assert row.ack_mode == ack_mode_for(mode, params)
+            assert row.ack_us == frame_duration_us(params.ack_bytes,
+                                                   ack_mode_for(mode, params))
 
 # -- single-frame exchange ----------------------------------------------
 

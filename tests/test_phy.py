@@ -178,6 +178,35 @@ def test_receive_empirical_rate_matches_probability():
         assert abs(hits / trials - p) < 3 * sigma + 1e-9
 
 
+
+def test_fer_memo_gives_the_unmemoized_outcomes():
+    # SNRs that repeat and change, at modes and sizes where p is in between
+    snrs = [12.92, 12.92, 12.92, 13.4, 13.4, 12.92, 22.0, 6.5, 6.5, 12.92]
+    pairs = [(MODES[4], 1472), (MODES[7], 1472), (MODES[2], 14),
+             (MODES[4], 1528)]
+    memo: dict = {}
+    memoized = RngStream(9, "phy.rx.memo")
+    plain = RngStream(9, "phy.rx.memo")
+    outcomes = set()
+    for i in range(2000):
+        mode, nbytes = pairs[i // 7 % len(pairs)]
+        snr_db = snrs[i % len(snrs)]
+        p = frame_success_probability(snr_db, mode, nbytes)
+        want = phy.DELIVERED if plain.random() < p else phy.CORRUPTED
+        assert receive(nbytes, mode, snr_db, memoized, memo) == want
+        outcomes.add(want)
+    assert outcomes == {phy.DELIVERED, phy.CORRUPTED}
+    assert memoized.random() == plain.random()   # one draw per reception
+    assert len(memo) == len(pairs)
+
+
+def test_fer_memo_stays_bounded_when_snr_never_repeats():
+    memo: dict = {}
+    rng = RngStream(4, "phy.rx.fading")
+    for i in range(5000):
+        receive(1528, MODES[i % 2], 5.0 + i * 1e-3, rng, memo)
+    assert len(memo) == 2
+
 # -- exact trellis enumeration of the K=7 (133, 171) code -------------------
 
 _PUNCTURE = {

@@ -291,6 +291,12 @@ LATE_CONFIG_ERRORS = {
     "ping_interval_us": (_config(PING + "interval_us = 0\n"), "interval_us"),
     "one_way_trace": (lambda tmp_path: trace_config(tmp_path, ONE_WAY_35),
                       "link ClientA->Master"),
+    "friis_too_close": (_config(BASE.replace("ClientA = 6,0,0",
+                                             "ClientA = 0.3,0,0")),
+                        "link Master->ClientA: below reference distance"),
+    "logdist_inside_ref": (_config(BASE.replace(
+        "model = friis", "model = logdist\ngamma = 3\nref_distance_m = 10")),
+        "link Master->ClientA: below reference distance"),
 }
 
 
