@@ -169,12 +169,10 @@ class Channel:
     spec: PropagationSpec
     params: RadioParams
     mobility: MobilityTrace
-    # Both tables are keyed by (tx, rx): a tuple of two strings hashes and
-    # compares far faster than a DirectedLink, and snr() runs per frame.
-    _fading: dict[tuple[str, str], RngStream] = field(default_factory=dict)
+    _fading: dict[DirectedLink, RngStream] = field(default_factory=dict)
     _root_seed: int = 0
     # static link -> (SNR in dB without fading, mean rx power in W)
-    _static: dict[tuple[str, str], tuple[float, float]] = field(
+    _static: dict[DirectedLink, tuple[float, float]] = field(
         default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -197,19 +195,17 @@ class Channel:
             return
         d_m = mobility.link_distance(link.tx, link.rx, 0)
         rx_dbm = mean_rx_power_dbm(self.spec, self.params, d_m)
-        self._static[link.tx, link.rx] = (rx_dbm - self._noise_dbm,
-                                          dbm_to_w(rx_dbm))
+        self._static[link] = (rx_dbm - self._noise_dbm, dbm_to_w(rx_dbm))
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
-        key = (link.tx, link.rx)
         m = self.spec.nakagami_m
         rng = None
         if m is not None:
-            rng = self._fading.get(key)
+            rng = self._fading.get(link)
             if rng is None:
                 rng = RngStream(self._root_seed, f"fading.{link}")
-                self._fading[key] = rng
-        static = self._static.get(key)
+                self._fading[link] = rng
+        static = self._static.get(link)
         if static is None:
             return link_snr(self.spec, self.params, link, self.mobility, t_us,
                             rng)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import phy
 from .channel import Channel
@@ -116,14 +116,12 @@ class TxQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._frames: deque = deque()
-        self.drops = 0
 
     def __len__(self) -> int:
         return len(self._frames)
 
     def enqueue(self, frame) -> str:
         if len(self._frames) >= self.capacity:
-            self.drops += 1
             return DROPPED_FULL
         self._frames.append(frame)
         return ACCEPTED
@@ -303,8 +301,7 @@ class Station:
 
     def __init__(self, node: str, engine: EventQueue, medium: Medium,
                  channel: Channel, params: DcfParams, root_seed: int,
-                 rate_control=None, event_log=None,
-                 trace_sink: Optional[Callable] = None):
+                 rate_control=None, event_log=None):
         self.node = node
         self.engine = engine
         self.medium = medium
@@ -313,7 +310,6 @@ class Station:
         self.peer: Station | None = None
         self.rate_control = rate_control or FixedRate(MODES[0])
         self.event_log = event_log
-        self.trace_sink = trace_sink
         self.queue = TxQueue(params.queue_capacity)
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
@@ -436,8 +432,6 @@ class Station:
                 self.event_log.rx(t, peer.node, "data", self._tx_link,
                                   mode.data_rate_mbps, frame.seq,
                                   self._attempts, snr_db, outcome)
-            if self.trace_sink is not None:
-                self.trace_sink(t, self._tx_link, snr_db)
         if outcome == DELIVERED:
             peer._deliver(frame, self._mac_seq, t)
             self._handle_ack(exchange)
@@ -462,8 +456,6 @@ class Station:
             self.event_log.rx(ack_end, self.node, "ack", self._rx_link,
                               ack_mode.data_rate_mbps, frame.seq,
                               self._attempts, snr_db, outcome)
-        if self.trace_sink is not None:
-            self.trace_sink(ack_end, self._rx_link, snr_db)
         if outcome == DELIVERED:
             self._complete(success=True, next_floor_us=ack_end)
         else:
@@ -516,9 +508,7 @@ class Station:
 def build_point_to_point(engine: EventQueue, channel: Channel,
                          params: DcfParams, root_seed: int,
                          node_a: str, node_b: str,
-                         rate_control_factory=None,
-                         event_log=None,
-                         trace_sink: Optional[Callable] = None,
+                         rate_control_factory=None, event_log=None,
                          ) -> tuple["Station", "Station", Medium]:
     """Wire two stations onto one medium with symmetric configuration."""
     medium = Medium()
@@ -529,11 +519,9 @@ def build_point_to_point(engine: EventQueue, channel: Channel,
         return rate_control_factory(node)
 
     st_a = Station(node_a, engine, medium, channel, params, root_seed,
-                   rate_control=make_rc(node_a),
-                   event_log=event_log, trace_sink=trace_sink)
+                   rate_control=make_rc(node_a), event_log=event_log)
     st_b = Station(node_b, engine, medium, channel, params, root_seed,
-                   rate_control=make_rc(node_b),
-                   event_log=event_log, trace_sink=trace_sink)
+                   rate_control=make_rc(node_b), event_log=event_log)
     st_a.attach_peer(st_b)
     st_b.attach_peer(st_a)
     return st_a, st_b, medium

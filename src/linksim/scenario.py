@@ -22,12 +22,12 @@ from typing import Callable
 
 from . import __version__, metrics, phy
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
-                      RadioParams)
+                      RadioParams, mean_rx_power_dbm)
 from .engine import EventQueue, RngStream
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
-from .traces import (DirectedLink, MobilityTrace, SnrTrace, load_mobility,
-                     load_snr_trace, SNR_HEADER)
+from .traces import (DirectedLink, MobilityTrace, SnrTrace,
+                     TraceCsvRecorder, load_mobility, load_snr_trace)
 from .traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
 PING = "ping"
@@ -263,19 +263,6 @@ class CsvEventLog:
         self._write(f"{t},{node},drop,data,,,{seq},{attempts},,,{reason}\n")
 
 
-class TraceCsvRecorder:
-    """Collects one SNR sample per PHY reception in the canonical trace format."""
-
-    def __init__(self, fh: io.TextIOBase):
-        self._write = fh.write
-        self._write(SNR_HEADER + "\n")
-        self.rows = 0
-
-    def __call__(self, t_us: int, link: DirectedLink, snr_db: float) -> None:
-        self._write(f"{t_us},{link.tx},{link.rx},{snr_db!r}\n")
-        self.rows += 1
-
-
 @dataclass
 class SimRun:
     """Results of one simulation execution."""
@@ -338,12 +325,16 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
                            nakagami_m=cfg.nakagami_m)
     channel = Channel(spec, cfg.radio, mobility)
     channel.bind_seed(cfg.seed)
+    run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):
         if trace is not None and link not in trace.links():
             raise ConfigError(f"SNR trace has no samples for link {link}")
         try:
             channel.prepare(link)
+            if trace is None:   # the path loss model must admit every distance
+                mean_rx_power_dbm(spec, cfg.radio, mobility.min_distance(
+                    link.tx, link.rx, 0, run_end_us))
         except ValueError as exc:
             raise ConfigError(f"link {link}: {exc}") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
@@ -360,7 +351,7 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     else:
         raise ConfigError(f"unknown rate_control {cfg.rate_control!r}")
 
-    end_us = cfg.duration_s * 1_000_000
+    end_us = run_end_us
     if cfg.stop_us is not None:
         end_us = min(cfg.stop_us, end_us)
     window = dict(payload_bytes=cfg.payload_bytes, start_us=cfg.start_us,
@@ -382,15 +373,13 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping)
 
 
-def simulate(built: BuiltRun, event_log=None, trace_sink=None) -> SimRun:
+def simulate(built: BuiltRun, event_log=None) -> SimRun:
     """Execute one built simulation instance, returning its metrics."""
     cfg = built.cfg
     engine = EventQueue()
     st_src, st_dst, _ = build_point_to_point(
         engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
-        rate_control_factory=built.rate_control,
-        event_log=event_log, trace_sink=trace_sink,
-    )
+        rate_control_factory=built.rate_control, event_log=event_log)
     stations = {st.node: st for st in (st_src, st_dst)}
     sinks: dict[str, UdpSink] = {}
     ping_app = None
@@ -424,10 +413,9 @@ def simulate(built: BuiltRun, event_log=None, trace_sink=None) -> SimRun:
     )
 
 
-def run_scenario(cfg: ScenarioConfig, event_log=None,
-                 trace_sink=None) -> SimRun:
+def run_scenario(cfg: ScenarioConfig, event_log=None) -> SimRun:
     """Build and execute one simulation instance, returning its metrics."""
-    return simulate(build(cfg), event_log=event_log, trace_sink=trace_sink)
+    return simulate(build(cfg), event_log=event_log)
 
 
 def _label(flow: str) -> str:
@@ -516,7 +504,7 @@ def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        return simulate(built, trace_sink=TraceCsvRecorder(fh))
+        return simulate(built, event_log=TraceCsvRecorder(fh))
 
 
 def rerun_from_manifest(manifest_path: str | Path,

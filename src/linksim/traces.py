@@ -17,6 +17,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -35,25 +36,27 @@ class TraceFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DirectedLink:
-    """One direction of a radio link; (A,B) and (B,A) are distinct keys."""
+class DirectedLink(tuple):
+    """One direction of a radio link, the tuple ``(tx, rx)``.
 
-    tx: str
-    rx: str
+    (A,B) and (B,A) are distinct keys; being a plain tuple underneath, a
+    link hashes and compares at C speed wherever it keys a per-frame table.
+    """
 
-    def __post_init__(self) -> None:
-        if self.tx == self.rx:
-            raise ValueError(f"link endpoints must differ, got {self.tx!r} twice")
+    __slots__ = ()
+    tx = property(itemgetter(0))
+    rx = property(itemgetter(1))
+
+    def __new__(cls, tx: str, rx: str) -> "DirectedLink":
+        if tx == rx:
+            raise ValueError(f"link endpoints must differ, got {tx!r} twice")
+        return tuple.__new__(cls, (tx, rx))
+
+    def __getnewargs__(self) -> tuple[str, str]:   # pickle and copy
+        return tuple(self)
 
     def __str__(self) -> str:
-        return f"{self.tx}->{self.rx}"
-
-
-@dataclass(frozen=True)
-class SnrSample:
-    t_us: int
-    snr_db: float
+        return f"{self[0]}->{self[1]}"
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,6 @@ def _validate_node_id(line_no: int, node_id: str) -> str:
     return node_id
 
 
-def _parse_int(line_no: int, field: str, what: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise TraceFormatError(line_no, f"malformed {what}: {field!r}") from None
-
-
 def _parse_float(line_no: int, field: str, what: str) -> float:
     try:
         value = float(field)
@@ -93,64 +89,90 @@ def _parse_float(line_no: int, field: str, what: str) -> float:
     return value
 
 
-def _lines(data: str | bytes) -> list[str]:
+def _rows(data: str | bytes, header: str, n_fields: int, what: str):
+    """Yield (line_no, t_us, fields) for each non-blank row of a trace CSV.
+
+    Checks what both trace kinds share: the header, the field count and a
+    non-negative integer timestamp in the first field. Raises when the file
+    holds no row, naming the rows as ``what``.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data.splitlines()
+    lines = data.splitlines()
+    if not lines:
+        raise TraceFormatError(1, "empty file")
+    if lines[0].strip() != header:
+        raise TraceFormatError(1, f"expected header {header!r}")
+    found = False
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != n_fields:
+            raise TraceFormatError(
+                line_no, f"expected {n_fields} fields, got {len(fields)}")
+        try:
+            t_us = int(fields[0])
+        except ValueError:
+            raise TraceFormatError(
+                line_no, f"malformed timestamp: {fields[0]!r}") from None
+        if t_us < 0:
+            raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
+        found = True
+        yield line_no, t_us, fields
+    if not found:
+        raise TraceFormatError(len(lines), f"no {what} in file")
+
+
+def _snr_row(t_us: int, link: DirectedLink, snr_db: float) -> str:
+    """One line of the SNR trace CSV; repr keeps the value bit-exact."""
+    return f"{t_us},{link[0]},{link[1]},{snr_db!r}\n"
 
 
 class SnrTrace:
     """Per-frame receiver SNR samples keyed by directed link.
 
-    Lookups hold the last observed value; queries before the first sample
-    clamp to it. Instances are immutable after construction.
+    Each link holds one ``(times, values)`` pair of parallel lists. Lookups
+    hold the last observed value; queries before the first sample clamp to
+    it. Instances are immutable after construction.
     """
 
-    def __init__(self, samples: dict[DirectedLink, list[SnrSample]]):
-        if not samples:
+    def __init__(self, series: dict[DirectedLink, tuple[list[int], list[float]]]):
+        if not series:
             raise ValueError("trace must contain at least one link")
-        self._times: dict[DirectedLink, list[int]] = {}
-        self._values: dict[DirectedLink, list[float]] = {}
-        for link, seq in samples.items():
-            if not seq:
+        for link, (times, values) in series.items():
+            if not times:
                 raise ValueError(f"link {link} has no samples")
-            times = [s.t_us for s in seq]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError(f"link {link} samples not strictly increasing")
-            self._times[link] = times
-            self._values[link] = [s.snr_db for s in seq]
+        self._series = series
 
     def links(self) -> list[DirectedLink]:
-        return list(self._times)
+        return list(self._series)
 
-    def samples(self, link: DirectedLink) -> list[SnrSample]:
-        self._require(link)
-        return [
-            SnrSample(t, v)
-            for t, v in zip(self._times[link], self._values[link])
-        ]
+    def samples(self, link: DirectedLink) -> list[tuple[int, float]]:
+        """(t_us, snr_db) of every sample on link, in time order."""
+        return list(zip(*self._get(link)))
 
     def snr_at(self, link: DirectedLink, t_us: int) -> float:
         """SNR in dB at t_us: last sample at or before t_us, clamped to the first."""
-        self._require(link)
-        idx = bisect_right(self._times[link], t_us) - 1
-        return self._values[link][max(idx, 0)]
+        times, values = self._get(link)
+        return values[max(bisect_right(times, t_us) - 1, 0)]
 
     def max_gap_us(self, link: DirectedLink) -> int:
-        self._require(link)
-        times = self._times[link]
-        if len(times) < 2:
-            return 0
-        return max(b - a for a, b in zip(times, times[1:]))
+        times = self._get(link)[0]
+        return max((b - a for a, b in zip(times, times[1:])), default=0)
 
-    def _require(self, link: DirectedLink) -> None:
-        if link not in self._times:
-            raise KeyError(f"no trace for link {link}")
+    def _get(self, link: DirectedLink) -> tuple[list[int], list[float]]:
+        try:
+            return self._series[link]
+        except KeyError:
+            raise KeyError(f"no trace for link {link}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SnrTrace):
             return NotImplemented
-        return self._times == other._times and self._values == other._values
+        return self._series == other._series
 
 
 def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
@@ -160,41 +182,28 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
     order. Per-link gaps longer than gap_warning_s trigger a logged warning
     (hold-last lookup still applies across the gap).
     """
-    lines = _lines(data)
-    if not lines:
-        raise TraceFormatError(1, "empty file")
-    if lines[0].strip() != SNR_HEADER:
-        raise TraceFormatError(1, f"expected header {SNR_HEADER!r}")
     # (t, file order) per link, so last-wins collapse is well defined
-    raw: dict[DirectedLink, list[tuple[int, int, float]]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise TraceFormatError(line_no, f"expected 4 fields, got {len(fields)}")
-        t_us = _parse_int(line_no, fields[0], "timestamp")
-        if t_us < 0:
-            raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
+    raw: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
+    for line_no, t_us, fields in _rows(data, SNR_HEADER, 4, "samples"):
         tx = _validate_node_id(line_no, fields[1])
         rx = _validate_node_id(line_no, fields[2])
         if tx == rx:
             raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
         snr_db = _parse_float(line_no, fields[3], "snr_db")
-        raw.setdefault(DirectedLink(tx, rx), []).append((t_us, line_no, snr_db))
-    if not raw:
-        raise TraceFormatError(len(lines), "no samples in file")
-    samples: dict[DirectedLink, list[SnrSample]] = {}
-    for link, rows in raw.items():
+        raw.setdefault((tx, rx), []).append((t_us, line_no, snr_db))
+    series = {}
+    for (tx, rx), rows in raw.items():
         rows.sort()
-        collapsed: list[SnrSample] = []
+        times: list[int] = []
+        values: list[float] = []
         for t_us, _, snr_db in rows:
-            if collapsed and collapsed[-1].t_us == t_us:
-                collapsed[-1] = SnrSample(t_us, snr_db)
+            if times and times[-1] == t_us:
+                values[-1] = snr_db
             else:
-                collapsed.append(SnrSample(t_us, snr_db))
-        samples[link] = collapsed
-    trace = SnrTrace(samples)
+                times.append(t_us)
+                values.append(snr_db)
+        series[DirectedLink(tx, rx)] = (times, values)
+    trace = SnrTrace(series)
     gap_limit = int(gap_warning_s * 1_000_000)
     for link in trace.links():
         gap = trace.max_gap_us(link)
@@ -208,11 +217,34 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
 
 def serialize_snr_trace(trace: SnrTrace) -> str:
     """Canonical CSV form; parse(serialize(t)) == t bit-exactly."""
-    out = [SNR_HEADER]
-    for link in sorted(trace.links(), key=lambda l: (l.tx, l.rx)):
-        for s in trace.samples(link):
-            out.append(f"{s.t_us},{link.tx},{link.rx},{s.snr_db!r}")
-    return "\n".join(out) + "\n"
+    return SNR_HEADER + "\n" + "".join(
+        _snr_row(t_us, link, snr_db)
+        for link in sorted(trace.links())
+        for t_us, snr_db in trace.samples(link)
+    )
+
+
+class TraceCsvRecorder:
+    """Event-log observer that records received SNR as an SNR trace.
+
+    Writes one trace row per reception that has an SNR, in dispatch order;
+    collided receptions, transmissions and drops write nothing. Replaying
+    the file with the same config and seed reproduces the run's event log.
+    """
+
+    def __init__(self, fh):
+        self._write = fh.write
+        self._write(SNR_HEADER + "\n")
+
+    def tx(self, t, node, kind, link, mode_mbps, seq, attempt, dur_us):
+        pass
+
+    def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
+        if snr_db is not None:
+            self._write(_snr_row(t, link, snr_db))
+
+    def drop(self, t, node, seq, attempts, reason):
+        pass
 
 
 def load_snr_trace(path: str | Path, gap_warning_s: float = 1.0) -> SnrTrace:
@@ -277,6 +309,34 @@ class MobilityTrace:
         bx, by, bz = self.position_at(b, t_us)
         return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
 
+    def min_distance(self, a: str, b: str, t0_us: int, t1_us: int) -> float:
+        """Smallest distance in meters between two nodes over [t0_us, t1_us].
+
+        Between the merged waypoint times both positions are linear, so on
+        each such segment the squared distance is a quadratic in time and its
+        minimum has a closed form.
+        """
+        for node in (a, b):
+            self._require(node)
+        inner = {t for t in self._times[a] + self._times[b] if t0_us < t < t1_us}
+        cuts = sorted(inner | {t0_us, t1_us})
+
+        def offset(t_us: int) -> tuple[float, ...]:
+            pa, pb = self.position_at(a, t_us), self.position_at(b, t_us)
+            return tuple(x - y for x, y in zip(pa, pb))
+
+        p = offset(cuts[0])
+        best = math.hypot(*p)
+        for t_us in cuts[1:]:
+            q = offset(t_us)
+            v = [y - x for x, y in zip(p, q)]
+            vv = sum(c * c for c in v)
+            if vv > 0.0:
+                s = min(max(-sum(x * c for x, c in zip(p, v)) / vv, 0.0), 1.0)
+                best = min(best, math.hypot(*(x + s * c for x, c in zip(p, v))))
+            p = q
+        return best
+
     def _require(self, node: str) -> None:
         if node not in self._waypoints:
             raise KeyError(f"no mobility data for node {node!r}")
@@ -289,22 +349,9 @@ class MobilityTrace:
 
 def parse_mobility(data: str | bytes) -> MobilityTrace:
     """Parse the canonical mobility CSV. Duplicate (node, t) pairs are errors."""
-    lines = _lines(data)
-    if not lines:
-        raise TraceFormatError(1, "empty file")
-    if lines[0].strip() != MOBILITY_HEADER:
-        raise TraceFormatError(1, f"expected header {MOBILITY_HEADER!r}")
     per_node: dict[str, list[Waypoint]] = {}
     seen: set[tuple[str, int]] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 5:
-            raise TraceFormatError(line_no, f"expected 5 fields, got {len(fields)}")
-        t_us = _parse_int(line_no, fields[0], "timestamp")
-        if t_us < 0:
-            raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
+    for line_no, t_us, fields in _rows(data, MOBILITY_HEADER, 5, "waypoints"):
         node = _validate_node_id(line_no, fields[1])
         if (node, t_us) in seen:
             raise TraceFormatError(line_no, f"duplicate waypoint for {node!r} at {t_us} µs")
@@ -313,8 +360,6 @@ def parse_mobility(data: str | bytes) -> MobilityTrace:
         y = _parse_float(line_no, fields[3], "y_m")
         z = _parse_float(line_no, fields[4], "z_m")
         per_node.setdefault(node, []).append(Waypoint(t_us, x, y, z))
-    if not per_node:
-        raise TraceFormatError(len(lines), "no waypoints in file")
     for seq in per_node.values():
         seq.sort(key=lambda w: w.t_us)
     return MobilityTrace(per_node)

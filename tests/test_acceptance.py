@@ -17,9 +17,8 @@ from linksim.mac import DcfParams, ack_mode_for
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              accuracy_gain, compare_runs)
 from linksim.phy import MODES, frame_duration_us, frame_success_probability
-from linksim.scenario import (CsvEventLog, ScenarioConfig, TraceCsvRecorder,
-                              run_scenario)
-from linksim.traces import parse_snr_trace
+from linksim.scenario import CsvEventLog, ScenarioConfig, run_scenario
+from linksim.traces import TraceCsvRecorder, parse_snr_trace
 
 NODES = {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
 
@@ -38,6 +37,25 @@ def trace_cfg(trace_text: str, **kw) -> ScenarioConfig:
     return ScenarioConfig(nodes=dict(NODES), model="trace",
                           snr_trace=parse_snr_trace(trace_text),
                           src="Master", dst="ClientA", **kw)
+
+
+class Tee:
+    """Event log that forwards each call to every log it holds."""
+
+    def __init__(self, *logs):
+        self.logs = logs
+
+    def tx(self, *args):
+        for log in self.logs:
+            log.tx(*args)
+
+    def rx(self, *args):
+        for log in self.logs:
+            log.rx(*args)
+
+    def drop(self, *args):
+        for log in self.logs:
+            log.drop(*args)
 
 
 def test_criterion_01_published_gain_arithmetic():
@@ -91,8 +109,8 @@ def test_criterion_04_record_replay_fidelity():
     friis_cfg = ScenarioConfig(nodes=dict(NODES), model="friis", **base)
     log_record = io.StringIO()
     trace_buf = io.StringIO()
-    run_scenario(friis_cfg, event_log=CsvEventLog(log_record),
-                 trace_sink=TraceCsvRecorder(trace_buf))
+    run_scenario(friis_cfg, event_log=Tee(CsvEventLog(log_record),
+                                          TraceCsvRecorder(trace_buf)))
 
     trace_text = trace_buf.getvalue()
     trace = parse_snr_trace(trace_text)

@@ -2,7 +2,8 @@
 
 Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
 and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
-match the values below. A speed-up that changes one byte of output fails
+match the values below; each analytic scenario's ``record-trace`` file is
+pinned the same way. A speed-up that changes one byte of output fails
 here. ``manifest.json`` is left out because it records the absolute
 ``base_dir`` of the config. Re-pin only for a deliberate output change, and
 say so in CHANGES.md.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from linksim import cli
+from linksim.scenario import parse_config
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DURATION_S = "2"
@@ -71,9 +73,25 @@ GOLDEN = {
     },
 }
 
+# sha256 of the SNR trace that ``record-trace`` writes for each analytic
+# scenario (replay scenarios cannot be recorded)
+RECORDED = {
+    "logdist_fading":
+        "c9ac192406bdb586aadfbd6aff85c08c0adf0f91cc656e92887db92c9eeadb2c",
+    "ping_idle_link":
+        "2fd50a4e99ecfd7fce3f712af756f9a8982c5ff739ba8b503f5a7d3b8e704c7d",
+    "udp_bidirectional":
+        "375cf913b740013254c5db8da4b771b239a85bc4d1134fb0e170eea7eb7ac9db",
+    "udp_unidirectional":
+        "49f9d2e64bd319a75c842c9a884fce49105eca0db2398250556b9d140c18ac76",
+}
+
 
 def test_every_bundled_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN)
+    analytic = [p.stem for p in SCENARIOS.glob("*.ini")
+                if parse_config(p).model != "trace"]
+    assert sorted(analytic) == sorted(RECORDED)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
@@ -86,3 +104,11 @@ def test_golden_outputs(tmp_path, scenario):
         for path in sorted(out.iterdir()) if path.name != "manifest.json"
     }
     assert digests == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(RECORDED))
+def test_golden_recorded_trace(tmp_path, scenario):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["record-trace", str(SCENARIOS / f"{scenario}.ini"),
+                     "-o", str(out), "--duration", DURATION_S]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED[scenario]

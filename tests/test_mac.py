@@ -63,7 +63,6 @@ def test_queue_fifo_and_tail_drop():
     for i in range(2):
         q.enqueue(i)
     assert q.enqueue("overflow") == DROPPED_FULL
-    assert q.drops == 1
     assert q.dequeue() == "x"
     assert q.enqueue("y") == ACCEPTED
     assert [q.dequeue() for _ in range(3)] == [0, 1, "y"]

@@ -246,7 +246,7 @@ def test_record_trace_and_replay_round_trip(tmp_path):
     assert len(trace.links()) == 2
     # every reception used the friis-composed SNR for its link
     for link in trace.links():
-        values = {s.snr_db for s in trace.samples(link)}
+        values = {snr_db for _, snr_db in trace.samples(link)}
         assert len(values) == 1                    # static nodes, no fading
     assert run.stats["Master"].data_frames > 0
 
@@ -270,6 +270,27 @@ def test_run_scenario_with_injected_trace():
 
 def _config(text):
     return lambda tmp_path: write_config(tmp_path, text)
+
+
+def _moving_config(waypoints):
+    def make(tmp_path):
+        (tmp_path / "mob.csv").write_text(
+            "t_us,node,x_m,y_m,z_m\n" + waypoints, encoding="utf-8")
+        return write_config(tmp_path, BASE.replace(
+            "Master = 0,0,0\nClientA = 6,0,0", "mobility_file = mob.csv"))
+    return make
+
+
+# ClientA passes through Master, from 6 m to -6 m over the 2 s run
+CROSSING = "0,Master,0,0,0\n0,ClientA,6,0,0\n2000000,ClientA,-6,0,0\n"
+# ClientA passes Master at 0.5 m, the closest distance Friis admits
+GRAZING = "0,Master,0,0,0\n0,ClientA,6,0.5,0\n2000000,ClientA,-6,0.5,0\n"
+
+
+def test_moving_nodes_at_an_admitted_distance_build(tmp_path):
+    built = build(parse_config(_moving_config(GRAZING)(tmp_path)))
+    assert built.channel.mobility.min_distance("Master", "ClientA",
+                                               0, 2_000_000) == 0.5
 
 
 # One invalid value for each part that build() constructs, plus the traffic
@@ -297,6 +318,8 @@ LATE_CONFIG_ERRORS = {
     "logdist_inside_ref": (_config(BASE.replace(
         "model = friis", "model = logdist\ngamma = 3\nref_distance_m = 10")),
         "link Master->ClientA: below reference distance"),
+    "mobility_too_close": (_moving_config(CROSSING),
+                           "link Master->ClientA: below reference distance"),
 }
 
 

@@ -1,11 +1,14 @@
 """Trace parsing, lookup semantics, and round-trip fidelity."""
 
+import copy
+import io
 import logging
+import pickle
 import random
 
 import pytest
 
-from linksim.traces import (DirectedLink, MobilityTrace, SnrSample,
+from linksim.traces import (DirectedLink, MobilityTrace, TraceCsvRecorder,
                             TraceFormatError, Waypoint, parse_mobility,
                             parse_snr_trace, serialize_mobility,
                             serialize_snr_trace)
@@ -16,20 +19,26 @@ BA = DirectedLink("B", "A")
 
 def test_directed_link_is_directional():
     assert AB != BA
-    with pytest.raises(ValueError):
+    assert AB == ("A", "B") and hash(AB) == hash(("A", "B"))
+    assert {("A", "B"): 1}[AB] == 1
+    assert (AB.tx, AB.rx) == ("A", "B")
+    assert str(AB) == "A->B" and f"{BA}" == "B->A"
+    for copied in (pickle.loads(pickle.dumps(AB)), copy.deepcopy(AB)):
+        assert copied == AB and type(copied) is DirectedLink
+    with pytest.raises(ValueError, match="must differ"):
         DirectedLink("A", "A")
 
 
 def test_parse_single_sample():
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n1000000,A,B,23.5\n")
     assert trace.links() == [AB]
-    assert trace.samples(AB) == [SnrSample(1_000_000, 23.5)]
+    assert trace.samples(AB) == [(1_000_000, 23.5)]
 
 
 def test_parse_duplicate_timestamp_last_wins():
     text = "t_us,tx,rx,snr_db\n5,A,B,20.0\n5,A,B,21.0\n"
     trace = parse_snr_trace(text)
-    assert trace.samples(AB) == [SnrSample(5, 21.0)]
+    assert trace.samples(AB) == [(5, 21.0)]
 
 
 def test_parse_malformed_timestamp_reports_line():
@@ -87,6 +96,7 @@ def test_snr_round_trip():
     # serialization is canonical: serialize(parse(serialize(x))) is stable
     once = serialize_snr_trace(trace)
     assert serialize_snr_trace(parse_snr_trace(once)) == once
+    assert once == "t_us,tx,rx,snr_db\n1,A,B,23.5\n2,A,B,24.125\n3,B,A,10.25\n"
 
 
 def test_gap_warning_logged(caplog):
@@ -166,3 +176,65 @@ def test_mobility_rejects_malformed():
         parse_mobility("t_us,node,x_m,y_m,z_m\n0,A,1,2\n")
     with pytest.raises(TraceFormatError):
         parse_mobility("")
+
+
+@pytest.mark.parametrize("parse, header, row", [
+    (parse_snr_trace, "t_us,tx,rx,snr_db", "A,B,20.0"),
+    (parse_mobility, "t_us,node,x_m,y_m,z_m", "A,0,0,0"),
+])
+def test_both_formats_share_row_checks(parse, header, row):
+    cases = {
+        "": "line 1: empty file",
+        "x\n": f"line 1: expected header '{header}'",
+        f"{header}\n\n": "line 2: no ",
+        f"{header}\n1,{row},9\n": "line 2: expected ",
+        f"{header}\n\n1.5,{row}\n": "line 3: malformed timestamp: '1.5'",
+        f"{header}\n-1,{row}\n": "line 2: negative timestamp: -1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(TraceFormatError) as info:
+            parse(text)
+        assert str(info.value).startswith(message)
+
+
+def test_min_distance_matches_dense_sampling():
+    rng = random.Random(3)
+    for _ in range(20):
+        trace = MobilityTrace({
+            node: [Waypoint(t, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
+                   for t in sorted(rng.sample(range(0, 10_000), 4))]
+            for node in ("A", "B")
+        })
+        t0, t1 = sorted(rng.sample(range(0, 12_000), 2))
+        dense = min(trace.link_distance("A", "B", t)
+                    for t in range(t0, t1 + 1))
+        closed = trace.min_distance("A", "B", t0, t1)
+        assert closed <= dense + 1e-9
+        assert closed == pytest.approx(dense, abs=0.02)
+
+
+def test_min_distance_of_crossing_and_static_nodes():
+    crossing = MobilityTrace({
+        "M": [Waypoint(0, 0, 0, 0)],
+        "C": [Waypoint(0, 6, 0, 0), Waypoint(2_000_000, -6, 0, 0)],
+    })
+    assert crossing.min_distance("M", "C", 0, 2_000_000) == 0.0
+    assert crossing.min_distance("M", "C", 0, 500_000) == pytest.approx(3.0)
+    assert crossing.min_distance("M", "C", 0, 0) == 6.0
+    static = MobilityTrace.static({"M": (0, 0, 0), "C": (3, 4, 0)})
+    assert static.min_distance("M", "C", 0, 10**9) == 5.0
+
+
+def test_recorder_writes_one_row_per_snr_reception():
+    buf = io.StringIO()
+    rec = TraceCsvRecorder(buf)
+    rec.tx(5, "A", "data", AB, 54, 1, 1, 200)
+    rec.rx(205, "B", "data", AB, 54, 1, 1, None, "collided")
+    rec.rx(405, "B", "data", AB, 54, 1, 2, 23.5, "delivered")
+    rec.drop(600, "A", 2, 0, "queue_full")
+    rec.rx(700, "A", "ack", BA, 6, 1, 2, 0.1 + 0.2, "delivered")
+    text = buf.getvalue()
+    assert text == ("t_us,tx,rx,snr_db\n405,A,B,23.5\n"
+                    "700,B,A,0.30000000000000004\n")
+    trace = parse_snr_trace(text)
+    assert parse_snr_trace(serialize_snr_trace(trace)) == trace
