@@ -180,7 +180,9 @@ class Channel:
                                           self.params.noise_figure_db)
 
     def bind_seed(self, root_seed: int) -> None:
+        """Start every fading stream afresh from root_seed."""
         self._root_seed = root_seed
+        self._fading.clear()
 
     def prepare(self, link: DirectedLink) -> None:
         """Compute the link budget once if both ends of link never move.

@@ -172,6 +172,9 @@ class Minstrel:
         self.probed_this_interval = [False] * n
         self.frame_count = 0
         self._next_update_us = self.UPDATE_INTERVAL_US
+        self._all_tried = False
+        # mpdu_bytes -> _argmax_tput(mpdu_bytes), valid until the EWMA changes
+        self._ranking: dict[int, tuple[int, float]] = {}
         self.airtime = AirtimeTable(params, modes)
 
     def update_window(self, mode_id: int, attempts: int, successes: int) -> None:
@@ -183,10 +186,9 @@ class Minstrel:
         sample = successes / attempts
         w = self.EWMA_WEIGHT
         self.ewma[mode_id] = (1.0 - w) * sample + w * self.ewma[mode_id]
+        self._ranking.clear()
 
-    def _maybe_update(self, now_us: int) -> None:
-        if now_us < self._next_update_us:
-            return
+    def _close_interval(self, now_us: int) -> None:
         for i in range(len(self.modes)):
             self.update_window(i, self.window_attempts[i], self.window_successes[i])
             self.window_attempts[i] = 0
@@ -213,12 +215,18 @@ class Minstrel:
         return self.modes[best if best_tput > 0.0 else 0]
 
     def select(self, mpdu_bytes: int, now_us: int) -> PhyMode:
-        self._maybe_update(now_us)
-        for i, total in enumerate(self.total_attempts):
-            if total == 0:
-                self.probed_this_interval[i] = True
-                return self.modes[i]
-        best, best_tput = self._argmax_tput(mpdu_bytes)
+        if now_us >= self._next_update_us:
+            self._close_interval(now_us)
+        if not self._all_tried:
+            for i, total in enumerate(self.total_attempts):
+                if total == 0:
+                    self.probed_this_interval[i] = True
+                    return self.modes[i]
+            self._all_tried = True
+        ranking = self._ranking.get(mpdu_bytes)
+        if ranking is None:
+            ranking = self._ranking[mpdu_bytes] = self._argmax_tput(mpdu_bytes)
+        best, best_tput = ranking
         if best_tput <= 0.0:
             return self.modes[0]
         self.frame_count += 1
@@ -319,6 +327,11 @@ class Station:
         self.airtime = AirtimeTable(params)
         self._root_seed = root_seed
         self.rx_handlers: list[Callable] = []
+        # traffic sources and apps that enqueue into this station's queue
+        self.producers = 0
+        # the only producer, holding back arrivals until the next dequeue
+        # (traffic.UdpSource)
+        self.parked = None
         self.cw = params.cw_min
         self._frame = None
         self._mode: PhyMode | None = None
@@ -362,6 +375,12 @@ class Station:
         self._mode = self.rate_control.select(frame.mpdu_bytes,
                                               self.engine.clock_us)
         self._arm_access(idle_floor_us, backoff_slots(self.cw, self.backoff_rng))
+        if self.parked is not None:
+            # a source parks only on a full queue, so this dequeue ends the
+            # exchange self._exchange at the current clock
+            source, self.parked = self.parked, None
+            source.on_dequeue(self.engine.clock_us,
+                              self._exchange.airtime.data_us)
 
     def _arm_access(self, idle_floor_us: int, slots: int) -> None:
         p = self.params

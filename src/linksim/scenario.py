@@ -324,7 +324,6 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
                            ref_distance_m=cfg.ref_distance_m,
                            nakagami_m=cfg.nakagami_m)
     channel = Channel(spec, cfg.radio, mobility)
-    channel.bind_seed(cfg.seed)
     run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):
@@ -376,6 +375,7 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
 def simulate(built: BuiltRun, event_log=None) -> SimRun:
     """Execute one built simulation instance, returning its metrics."""
     cfg = built.cfg
+    built.channel.bind_seed(cfg.seed)   # one built run simulates the same each time
     engine = EventQueue()
     st_src, st_dst, _ = build_point_to_point(
         engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,

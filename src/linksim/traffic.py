@@ -83,7 +83,18 @@ def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
 
 
 class UdpSource:
-    """Constant-bit-rate generator feeding one station's queue."""
+    """Constant-bit-rate generator feeding one station's queue.
+
+    With no event log, the source stops scheduling arrivals once one leaves
+    the queue full, and the station hands it the next dequeue; the arrivals
+    it skipped are counted then as the tail drops they would have been, with
+    the sequence numbers they would have taken, and those still owed at
+    stop_us by one event at that time. Parking needs the source to be the
+    station's only producer and no per-drop event log (its rows stay in time
+    order), and it stays off when the gap equals a data airtime, where a
+    dequeue and an arrival in the same µs could not be ordered without the
+    skipped events (see ``_parking_is_exact``).
+    """
 
     def __init__(self, engine: EventQueue, station: Station,
                  cfg: UdpFlowConfig, flow: str):
@@ -94,20 +105,75 @@ class UdpSource:
         self.next_seq = 0
         self._gap_us = cfg.gap_us
         self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
+        self._next_us = cfg.start_us   # first arrival not yet accounted for
+        station.producers += 1
+        self._park = station.event_log is None and self._parking_is_exact()
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
+            if self._park:
+                engine.schedule(cfg.stop_us, self._settle)
+
+    def _parking_is_exact(self) -> bool:
+        """Whether every arrival the source skips has a known outcome.
+
+        A skipped arrival due at dequeue time T was scheduled at T - gap and
+        the dequeue at T - data_us, so the earlier of the two ran first;
+        equal times would need the skipped event's place in the heap. The
+        arrival then scheduled at T in place of the skipped ones finds a
+        free slot, so only its order against a peer access grant in its µs
+        could matter, and only if the station has drained and gone idle by
+        then. To drain, the station sent after T, and that transmission
+        rescheduled any peer access grant scheduled by T, so both paths run
+        such a grant after the arrival.
+        """
+        data_us = [row.data_us
+                   for row in self.station.airtime.rows(self._mpdu_bytes)]
+        return self._gap_us not in data_us
 
     def _emit(self) -> None:
         now = self.engine.clock_us
-        cfg = self.cfg
-        self.station.enqueue_packet(Packet(
-            UDP_DATA, self.next_seq, cfg.payload_bytes, self._mpdu_bytes, now,
-            self.flow,
+        station = self.station
+        station.enqueue_packet(Packet(
+            UDP_DATA, self.next_seq, self.cfg.payload_bytes, self._mpdu_bytes,
+            now, self.flow,
         ))
         self.next_seq += 1
-        next_t = now + self._gap_us
-        if next_t < cfg.stop_us:
-            self.engine.schedule(next_t, self._emit)
+        next_t = self._next_us = now + self._gap_us
+        if next_t < self.cfg.stop_us:
+            if (self._park and len(station.queue) >= station.queue.capacity
+                    and station.producers == 1):
+                station.parked = self
+            else:
+                self.engine.schedule(next_t, self._emit)
+
+    def _drop_before(self, end_us: int) -> None:
+        """Count the skipped arrivals before end_us as tail drops."""
+        t = self._next_us
+        if t < end_us:
+            missed = -((t - end_us) // self._gap_us)
+            self.next_seq += missed
+            self.station.stats.queue_drops += missed
+            self._next_us = t + missed * self._gap_us
+
+    def on_dequeue(self, now_us: int, data_us: int) -> None:
+        """Resolve the skipped arrivals up to a dequeue at now_us.
+
+        data_us is the data airtime of the exchange that ended at now_us.
+        """
+        stop = self.cfg.stop_us
+        self._drop_before(min(now_us, stop))   # they met the full queue
+        if self._next_us == now_us < stop:
+            if self._gap_us < data_us:   # runs after the dequeue, refills the queue
+                self._emit()
+                return
+            self._drop_before(now_us + 1)   # ran before it, on the full queue
+        if self._next_us < stop:   # the queue has a free slot until then
+            self.engine.schedule(self._next_us, self._emit)
+
+    def _settle(self) -> None:
+        """Count the arrivals a still parked source skipped before stop_us."""
+        if self.station.parked is self:
+            self._drop_before(self.cfg.stop_us)
 
 
 class UdpSink:
@@ -161,6 +227,8 @@ class PingApp:
         self.samples: list[tuple[int, int]] = []   # (send_t_us, rtt_us)
         self._extra_delay_us = 2 * processing_delay_us
         self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
+        requester.producers += 1
+        responder.producers += 1
         requester.rx_handlers.append(self._on_reply)
         responder.rx_handlers.append(self._on_request)
         if cfg.stop_us > cfg.start_us:

@@ -1,0 +1,232 @@
+"""Parked CBR sources: a log-off run that skips full-queue arrivals must
+match the per-arrival run exactly.
+
+An event log forces every arrival to be dispatched (its drop rows stay in
+time order), so each config runs twice from one build: once with no log,
+where sources park, and once with an observer that discards every row.
+Log-off artifacts carry no sequence numbers, so the sinks' received
+``(rx_t_us, seq)`` lists are compared as well as the stats and series.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from linksim import scenario, traffic
+from linksim.channel import Channel, PropagationSpec, RadioParams
+from linksim.engine import EventQueue
+from linksim.mac import DcfParams, build_point_to_point
+from linksim.scenario import UDP_BIDI, build, parse_config, simulate
+from linksim.traces import MobilityTrace, parse_snr_trace
+from linksim.traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = sorted(p.stem for p in SCENARIOS.glob("*.ini"))
+
+
+class DiscardLog:
+    def tx(self, *row):
+        pass
+
+    def rx(self, *row):
+        pass
+
+    def drop(self, *row):
+        pass
+
+
+def bundled(name, **overrides):
+    return replace(parse_config(SCENARIOS / f"{name}.ini"), duration_s=2,
+                   **overrides)
+
+
+def run(built, event_log, monkeypatch):
+    """simulate() plus every sink's received (rx_t_us, seq) lists, the
+    number of events run_until dispatched and the number of sources that
+    park."""
+    sinks = []
+    sources = []
+    dispatched = []
+
+    class RecordingSink(traffic.UdpSink):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sinks.append(self)
+
+    class RecordingSource(traffic.UdpSource):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sources.append(self)
+
+    run_until = EventQueue.run_until
+
+    def counting_run_until(self, t_end_us):
+        dispatched.append(run_until(self, t_end_us))
+        return dispatched[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "UdpSink", RecordingSink)
+        m.setattr(scenario, "UdpSource", RecordingSource)
+        m.setattr(EventQueue, "run_until", counting_run_until)
+        result = simulate(built, event_log=event_log)
+    received = {s.flow: (s.rx_t_us, s.rx_seq) for s in sinks}
+    parking = sum(s._park for s in sources)
+    return result, received, sum(dispatched), parking
+
+
+def assert_parking_exact(cfg, monkeypatch):
+    """Both paths agree, and the parked run dispatches no arrival that is
+    dropped: every drop is one event fewer (an arrival enqueued at a tie is
+    one more), and each parking source adds one event at its stop time.
+    Returns the queue drops and the number of parking sources."""
+    built = build(cfg)
+    parked, parked_rx, parked_events, parking = run(built, None, monkeypatch)
+    full, full_rx, full_events, full_parking = run(built, DiscardLog(),
+                                                   monkeypatch)
+    assert full_parking == 0
+    assert parked.stats == full.stats
+    assert parked.throughput == full.throughput
+    assert (parked.rtt, parked.rtt_samples) == (full.rtt, full.rtt_samples)
+    assert parked_rx == full_rx
+    drops = sum(st.queue_drops for st in parked.stats.values())
+    if parking:
+        assert full_events - parked_events >= drops - parking
+    else:
+        assert full_events == parked_events
+    return drops, parking
+
+
+def count_ties(monkeypatch):
+    """Count dequeues that coincide with a skipped arrival, by outcome."""
+    ties = {"dropped": 0, "enqueued": 0}
+    on_dequeue = traffic.UdpSource.on_dequeue
+
+    def counting(self, now_us, data_us):
+        t, gap = self._next_us, self._gap_us
+        if t < now_us:
+            t += -((t - now_us) // gap) * gap
+        if t == now_us < self.cfg.stop_us:
+            ties["dropped" if gap > data_us else "enqueued"] += 1
+        on_dequeue(self, now_us, data_us)
+
+    monkeypatch.setattr(traffic.UdpSource, "on_dequeue", counting)
+    return ties
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_park_exactly(name, monkeypatch):
+    assert_parking_exact(bundled(name), monkeypatch)
+
+
+def test_tie_with_gap_above_data_airtime_drops(monkeypatch):
+    # 294 µs gap; the 54 Mbit/s arrival is scheduled before the dequeue
+    ties = count_ties(monkeypatch)
+    assert_parking_exact(bundled("udp_bidirectional", offered_load_bps=40e6),
+                         monkeypatch)
+    assert ties["dropped"] > 0
+
+
+def test_tie_with_gap_below_data_airtime_enqueues(monkeypatch):
+    # 218 µs gap; the dequeue is scheduled first and frees the slot
+    ties = count_ties(monkeypatch)
+    assert_parking_exact(bundled("udp_unidirectional", offered_load_bps=54e6),
+                         monkeypatch)
+    assert ties["enqueued"] > 0
+
+
+def test_gap_equal_to_a_data_airtime_keeps_every_arrival(monkeypatch):
+    cfg = bundled("udp_unidirectional", offered_load_bps=47.4838709677e6)
+    assert build(cfg).udp_flows[0].gap_us == 248   # the 54 Mbit/s airtime
+    drops, parking = assert_parking_exact(cfg, monkeypatch)
+    assert drops > 0 and parking == 0
+
+
+@pytest.mark.parametrize("name", ["udp_unidirectional", "udp_bidirectional"])
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_small_queues_park_exactly(name, capacity, monkeypatch):
+    drops, parking = assert_parking_exact(
+        bundled(name, queue_capacity=capacity), monkeypatch)
+    assert drops > 0 and parking > 0
+
+
+def test_fixed_low_rate_parks_exactly(monkeypatch):
+    cfg = bundled("udp_bidirectional", rate_control="fixed", fixed_mode_mbps=6)
+    drops, parking = assert_parking_exact(cfg, monkeypatch)
+    assert drops > 0 and parking > 0
+
+
+def test_faded_lossy_link_parks_exactly(monkeypatch):
+    # 30 m of log-distance loss with Nakagami fading: retries and
+    # retry-limit drops end exchanges at every data airtime
+    cfg = bundled("logdist_fading", traffic_kind=UDP_BIDI, gamma=3.0,
+                  nodes={"Master": (0.0, 0.0, 0.0), "ClientA": (30.0, 0.0, 0.0)})
+    drops, parking = assert_parking_exact(cfg, monkeypatch)
+    assert drops > 0 and parking > 0
+    stats = simulate(build(cfg)).stats["ClientA"]
+    assert stats.data_attempts > stats.data_frames
+
+
+def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):
+    built = build(bundled("udp_unidirectional"))
+    met_full_queue = []
+    emit = traffic.UdpSource._emit
+
+    def checking_emit(self):
+        queue = self.station.queue
+        met_full_queue.append(len(queue) >= queue.capacity)
+        emit(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(traffic.UdpSource, "_emit", checking_emit)
+        parked, _, parked_events, parking = run(built, None, monkeypatch)
+    _, _, full_events, _ = run(built, DiscardLog(), monkeypatch)
+    drops = parked.stats["ClientA"].queue_drops
+    assert drops > 0 and met_full_queue
+    assert not any(met_full_queue)
+    assert parking == 1
+    assert full_events - parked_events >= drops - 1   # plus the stop event
+
+
+def pair(event_log):
+    trace = parse_snr_trace("t_us,tx,rx,snr_db\n0,A,B,60\n0,B,A,60\n")
+    channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
+                      MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}))
+    channel.bind_seed(1)
+    engine = EventQueue()
+    st_a, st_b, _ = build_point_to_point(
+        engine, channel, DcfParams(queue_capacity=2), 1, "A", "B",
+        event_log=event_log)
+    return engine, st_a, st_b
+
+
+def two_sources_one_queue(event_log, with_ping):
+    engine, st_a, st_b = pair(event_log)
+    sinks = []
+    udp_sources = 0
+    for flow in ("udp.A->B.1", "udp.A->B.2"):
+        UdpSource(engine, st_a, UdpFlowConfig("A", "B", stop_us=200_000),
+                  flow)
+        sinks.append(UdpSink(st_b, flow))
+        udp_sources += 1
+        if with_ping:   # the second producer is a ping requester
+            app = PingApp(engine, st_a, st_b,
+                          PingConfig("A", "B", interval_us=997,
+                                     stop_us=200_000), "ping.A->B")
+            break
+    dispatched = engine.run_until(200_000)
+    received = [(s.rx_t_us, s.rx_seq) for s in sinks]
+    if with_ping:
+        received.append(app.samples)
+    return st_a.stats, received, dispatched, udp_sources
+
+
+@pytest.mark.parametrize("with_ping", [False, True])
+def test_a_second_producer_keeps_every_arrival(with_ping):
+    # with the log off each source schedules its stop event and nothing less
+    stats, received, dispatched, udp_sources = two_sources_one_queue(
+        None, with_ping)
+    logged = two_sources_one_queue(DiscardLog(), with_ping)
+    assert stats.queue_drops > 0
+    assert (stats, received) == logged[:2]
+    assert dispatched == logged[2] + udp_sources

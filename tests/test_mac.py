@@ -1,6 +1,8 @@
 """DCF contention, retransmissions, ACKs, and Minstrel rate control."""
 
+import collections
 import io
+import random
 import statistics
 
 import pytest
@@ -395,6 +397,53 @@ def test_minstrel_converges_after_channel_flip():
         if pick.id == high:
             break
     assert pick.id == high and flips <= 10
+
+
+def test_minstrel_select_sees_a_direct_update_window():
+    m = fresh_minstrel()
+    m.total_attempts = [10] * 8
+    m.ewma = [1.0] * 8
+    assert m.select(1528, 0).id == 7
+    m.update_window(7, 10, 0)           # 54 Mbit/s at 0.75 now loses to 48
+    assert m.best_mode(1528).id == 6
+    assert m.select(1528, 0).id == 6
+
+
+class UncachedMinstrel(Minstrel):
+    """Reference: ranks the modes and scans for untried ones on every call."""
+
+    def select(self, mpdu_bytes, now_us):
+        self._ranking.clear()
+        self._all_tried = False
+        return super().select(mpdu_bytes, now_us)
+
+
+def most_chosen(picks):
+    return collections.Counter(picks).most_common(1)[0][0]
+
+
+def test_minstrel_cached_ranking_matches_per_frame_ranking():
+    cached, reference = fresh_minstrel(seed=3), UncachedMinstrel(
+        DCF, RngStream(3, "minstrel.t"))
+    channel = random.Random(11)
+    t_us = 0
+    picks = []
+    for frame in range(4000):           # 1.2 s: twelve update intervals
+        t_us += 300
+        mpdu = 1528 if frame % 3 else 200
+        mode = cached.select(mpdu, t_us)
+        assert reference.select(mpdu, t_us) is mode
+        assert cached.rng._rng.getstate() == reference.rng._rng.getstate()
+        # high modes fail more often after the first 0.6 s
+        p_ok = 0.95 - mode.id * (0.02 if t_us < 600_000 else 0.11)
+        ok = int(channel.random() < p_ok)
+        cached.report(mode, 1, ok)
+        reference.report(mode, 1, ok)
+        picks.append(mode.id)
+    assert cached.ewma == reference.ewma
+    assert set(picks) == set(range(len(MODES)))
+    # the ranking moved with the channel
+    assert most_chosen(picks[:2000]) != most_chosen(picks[2000:])
 
 
 def test_dcf_params_validation():

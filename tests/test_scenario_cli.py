@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from linksim.metrics import PerSecondSeries
 from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
                               execute_record, execute_run, parse_config,
                               parse_config_text, rerun_from_manifest,
-                              run_scenario)
+                              run_scenario, simulate)
 from linksim.traces import load_snr_trace, parse_snr_trace
 
 
@@ -266,6 +267,14 @@ def test_run_scenario_with_injected_trace():
     )
     run = run_scenario(cfg)
     assert run.mean_throughput_mbps("udp.Master->ClientA") > 20.0
+
+
+def test_one_built_run_simulates_the_same_twice():
+    # fading streams restart from the seed on each simulate
+    cfg = replace(parse_config(REPO / "scenarios" / "logdist_fading.ini"),
+                  duration_s=1)
+    built = build(cfg)
+    assert simulate(built) == simulate(built)
 
 
 def _config(text):
