@@ -174,6 +174,9 @@ class Channel:
     # static link -> (SNR in dB without fading, mean rx power in W)
     _static: dict[DirectedLink, tuple[float, float]] = field(
         default_factory=dict)
+    # faded static link -> (its stream's gamma draw, m, power_w / m, noise
+    # in dBm), filled at the link's first frame after bind_seed
+    _draws: dict[DirectedLink, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._noise_dbm = noise_power_dbm(self.params.bandwidth_hz,
@@ -183,6 +186,7 @@ class Channel:
         """Start every fading stream afresh from root_seed."""
         self._root_seed = root_seed
         self._fading.clear()
+        self._draws.clear()
 
     def prepare(self, link: DirectedLink) -> None:
         """Compute the link budget once if both ends of link never move.
@@ -200,6 +204,12 @@ class Channel:
         self._static[link] = (rx_dbm - self._noise_dbm, dbm_to_w(rx_dbm))
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
+        draw = self._draws.get(link)
+        if draw is not None:
+            # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined
+            gamma, m, scale, noise_dbm = draw
+            return (10.0 * math.log10(max(gamma(m, scale), 1e-300)) + 30.0
+                    - noise_dbm)
         m = self.spec.nakagami_m
         rng = None
         if m is not None:
@@ -213,4 +223,7 @@ class Channel:
                             rng)
         if rng is None:
             return static[0]
-        return w_to_dbm(apply_nakagami(static[1], m, rng)) - self._noise_dbm
+        power_w = static[1]
+        if power_w > 0.0:
+            self._draws[link] = (rng.gamma, m, power_w / m, self._noise_dbm)
+        return w_to_dbm(apply_nakagami(power_w, m, rng)) - self._noise_dbm

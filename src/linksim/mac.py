@@ -108,26 +108,23 @@ def backoff_slots(cw: int, rng: RngStream) -> int:
     return rng.randint(0, cw)
 
 
-class TxQueue:
-    """Bounded FIFO with tail drop."""
+class TxQueue(deque):
+    """Bounded FIFO with tail drop; a deque, so ``len`` runs at C speed."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._frames: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._frames)
 
     def enqueue(self, frame) -> str:
-        if len(self._frames) >= self.capacity:
+        if len(self) >= self.capacity:
             return DROPPED_FULL
-        self._frames.append(frame)
+        self.append(frame)
         return ACCEPTED
 
     def dequeue(self):
-        return self._frames.popleft() if self._frames else None
+        return self.popleft() if self else None
 
 
 class FixedRate:
@@ -318,6 +315,10 @@ class Station:
         self.peer: Station | None = None
         self.rate_control = rate_control or FixedRate(MODES[0])
         self.event_log = event_log
+        # observers that declare ``takes_queue_drops = False`` (the SNR
+        # recorder) get no queue-full rows, so sources may skip those arrivals
+        self.logs_queue_drops = (event_log is not None and getattr(
+            event_log, "takes_queue_drops", True))
         self.queue = TxQueue(params.queue_capacity)
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
@@ -357,13 +358,17 @@ class Station:
     def enqueue_packet(self, packet) -> str:
         outcome = self.queue.enqueue(packet)
         if outcome == DROPPED_FULL:
-            self.stats.queue_drops += 1
-            if self.event_log is not None:
-                self.event_log.drop(self.engine.clock_us, self.node,
-                                    packet.seq, 0, "queue_full")
+            self.tail_drop(packet.seq)
         elif self._frame is None:
             self._service_next(self.engine.clock_us)
         return outcome
+
+    def tail_drop(self, seq: int) -> None:
+        """Count one arrival that met the full queue, and log its drop row."""
+        self.stats.queue_drops += 1
+        if self.logs_queue_drops:
+            self.event_log.drop(self.engine.clock_us, self.node, seq, 0,
+                                "queue_full")
 
     def _service_next(self, idle_floor_us: int) -> None:
         frame = self.queue.dequeue()

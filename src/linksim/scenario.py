@@ -240,6 +240,14 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     return parse_config_text(text, base_dir=path.parent)
 
 
+class _LinkNames(dict):
+    """str(link) per link, formatted at its first row only."""
+
+    def __missing__(self, link: DirectedLink) -> str:
+        name = self[link] = str(link)
+        return name
+
+
 class CsvEventLog:
     """Streams the packet-level event log as CSV rows."""
 
@@ -248,16 +256,17 @@ class CsvEventLog:
     def __init__(self, fh: io.TextIOBase):
         self._fh = fh
         self._write = fh.write
+        self._links = _LinkNames()
         self._write(self.HEADER + "\n")
 
     def tx(self, t, node, kind, link, mode_mbps, seq, attempt, dur_us):
-        self._write(f"{t},{node},tx,{kind},{link},{mode_mbps},{seq},"
-                    f"{attempt},{dur_us},,\n")
+        self._write(f"{t},{node},tx,{kind},{self._links[link]},{mode_mbps},"
+                    f"{seq},{attempt},{dur_us},,\n")
 
     def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
         snr = "" if snr_db is None else repr(snr_db)
-        self._write(f"{t},{node},rx,{kind},{link},{mode_mbps},{seq},"
-                    f"{attempt},,{snr},{outcome}\n")
+        self._write(f"{t},{node},rx,{kind},{self._links[link]},{mode_mbps},"
+                    f"{seq},{attempt},,{snr},{outcome}\n")
 
     def drop(self, t, node, seq, attempts, reason):
         self._write(f"{t},{node},drop,data,,,{seq},{attempts},,,{reason}\n")

@@ -230,7 +230,11 @@ class TraceCsvRecorder:
     Writes one trace row per reception that has an SNR, in dispatch order;
     collided receptions, transmissions and drops write nothing. Replaying
     the file with the same config and seed reproduces the run's event log.
+    It takes no queue-full drops, so a recording run skips the arrivals
+    that would only have been dropped, as a run without a log does.
     """
+
+    takes_queue_drops = False
 
     def __init__(self, fh):
         self._write = fh.write

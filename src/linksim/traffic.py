@@ -9,6 +9,7 @@ fragmentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import EventQueue
 from .mac import Station
@@ -20,8 +21,9 @@ ECHO_REQUEST = "echo_req"
 ECHO_REPLY = "echo_rep"
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Packet(NamedTuple):
+    """One application packet; an immutable tuple, equal by value."""
+
     kind: str
     seq: int
     payload_bytes: int
@@ -85,15 +87,17 @@ def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
 class UdpSource:
     """Constant-bit-rate generator feeding one station's queue.
 
-    With no event log, the source stops scheduling arrivals once one leaves
-    the queue full, and the station hands it the next dequeue; the arrivals
-    it skipped are counted then as the tail drops they would have been, with
-    the sequence numbers they would have taken, and those still owed at
-    stop_us by one event at that time. Parking needs the source to be the
-    station's only producer and no per-drop event log (its rows stay in time
-    order), and it stays off when the gap equals a data airtime, where a
-    dequeue and an arrival in the same µs could not be ordered without the
-    skipped events (see ``_parking_is_exact``).
+    Unless the station logs queue-full drops, the source stops scheduling
+    arrivals once one leaves the queue full, and the station hands it the
+    next dequeue; the arrivals it skipped are counted then as the tail drops
+    they would have been, with the sequence numbers they would have taken,
+    and those still owed at stop_us by one event at that time. Parking needs
+    the source to be the station's only producer and no queue-full drop rows
+    (each stays in dispatch order, at its arrival), and it stays off when
+    the gap equals a data airtime, where a dequeue and an arrival in the
+    same µs could not be ordered without the skipped events (see
+    ``_parking_is_exact``). An arrival that meets a full queue builds no
+    packet: the station counts and logs it as one tail drop.
     """
 
     def __init__(self, engine: EventQueue, station: Station,
@@ -107,7 +111,8 @@ class UdpSource:
         self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
-        self._park = station.event_log is None and self._parking_is_exact()
+        self._park = (not station.logs_queue_drops
+                      and self._parking_is_exact())
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
             if self._park:
@@ -133,14 +138,18 @@ class UdpSource:
     def _emit(self) -> None:
         now = self.engine.clock_us
         station = self.station
-        station.enqueue_packet(Packet(
-            UDP_DATA, self.next_seq, self.cfg.payload_bytes, self._mpdu_bytes,
-            now, self.flow,
-        ))
+        queue = station.queue
+        if len(queue) >= queue.capacity:
+            station.tail_drop(self.next_seq)
+        else:
+            station.enqueue_packet(Packet(
+                UDP_DATA, self.next_seq, self.cfg.payload_bytes,
+                self._mpdu_bytes, now, self.flow,
+            ))
         self.next_seq += 1
         next_t = self._next_us = now + self._gap_us
         if next_t < self.cfg.stop_us:
-            if (self._park and len(station.queue) >= station.queue.capacity
+            if (self._park and len(queue) >= queue.capacity
                     and station.producers == 1):
                 station.parked = self
             else:

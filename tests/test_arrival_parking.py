@@ -1,9 +1,12 @@
 """Parked CBR sources: a log-off run that skips full-queue arrivals must
 match the per-arrival run exactly.
 
-An event log forces every arrival to be dispatched (its drop rows stay in
-time order), so each config runs twice from one build: once with no log,
-where sources park, and once with an observer that discards every row.
+An event log that takes queue-full drops forces every arrival to be
+dispatched (its drop rows stay in dispatch order, each at its arrival), so
+each config runs twice from one build: once with no log, where sources
+park, and once with an observer that declares nothing and so gets every
+row, which it discards. The SNR recorder declares that it takes no
+queue-full drops, so ``record-trace`` parks as a log-off run does.
 Log-off artifacts carry no sequence numbers, so the sinks' received
 ``(rx_t_us, seq)`` lists are compared as well as the stats and series.
 """
@@ -17,7 +20,8 @@ from linksim import scenario, traffic
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
 from linksim.mac import DcfParams, build_point_to_point
-from linksim.scenario import UDP_BIDI, build, parse_config, simulate
+from linksim.scenario import (UDP_BIDI, build, execute_record, execute_run,
+                              parse_config, simulate)
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
@@ -230,3 +234,21 @@ def test_a_second_producer_keeps_every_arrival(with_ping):
     assert stats.queue_drops > 0
     assert (stats, received) == logged[:2]
     assert dispatched == logged[2] + udp_sources
+
+
+def test_record_trace_dispatches_as_many_events_as_a_log_off_run(
+        tmp_path, monkeypatch):
+    cfg = bundled("udp_unidirectional", log_events=False)
+    dispatched = []
+    run_until = EventQueue.run_until
+
+    def counting_run_until(self, t_end_us):
+        dispatched.append(run_until(self, t_end_us))
+        return dispatched[-1]
+
+    monkeypatch.setattr(EventQueue, "run_until", counting_run_until)
+    recorded = execute_record(cfg, tmp_path / "trace.csv")
+    plain, _ = execute_run(cfg, tmp_path / "run")
+    assert recorded.stats["ClientA"].queue_drops > 0
+    assert recorded.stats == plain.stats
+    assert dispatched[0] == dispatched[1]

@@ -176,6 +176,20 @@ def test_channel_fading_stream_is_per_link_and_seeded():
     assert draws(1) != draws(2)
 
 
+def test_bind_seed_restarts_a_static_faded_link():
+    ch = Channel(PropagationSpec("friis", nakagami_m=1.25), RadioParams(),
+                 static_mobility(6.0))
+    ch.prepare(AB)
+
+    def draws(seed):
+        ch.bind_seed(seed)
+        return [ch.snr(AB, 0) for _ in range(50)]
+
+    first = draws(1)
+    assert draws(2) != first
+    assert draws(1) == first
+
+
 @pytest.mark.parametrize("spec", [
     PropagationSpec("friis"),
     PropagationSpec("logdist", gamma=3.1, ref_distance_m=2.0),

@@ -3,19 +3,24 @@
 Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
 and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
 match the values below; each analytic scenario's ``record-trace`` file is
-pinned the same way. A speed-up that changes one byte of output fails
-here. ``manifest.json`` is left out because it records the absolute
+pinned the same way, and so is the ``events.csv`` of three logged runs on
+paths no bundled scenario reaches. A speed-up that changes one byte of
+output fails here. ``manifest.json`` is left out because it records the absolute
 ``base_dir`` of the config. Re-pin only for a deliberate output change, and
 say so in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from linksim import cli
-from linksim.scenario import parse_config
+from linksim.engine import EventQueue
+from linksim.mac import build_point_to_point
+from linksim.scenario import CsvEventLog, build, execute_run, parse_config
+from linksim.traffic import PingApp, PingConfig, UdpSource
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DURATION_S = "2"
@@ -86,6 +91,53 @@ RECORDED = {
         "49f9d2e64bd319a75c842c9a884fce49105eca0db2398250556b9d140c18ac76",
 }
 
+# sha256 of the events.csv of logged 2 s runs that no bundled scenario covers
+LOGGED = {
+    "udp_and_ping_one_queue":
+        "7c744ee92e44af7015ab78312b63e6882257ecb22c4aa84cc06fd2f6d3bf3eff",
+    "udp_bidirectional_40mbps":
+        "71d8d7904819dbfed99d496d488157caa4b3c9dc4221e0975d1514ff548068c6",
+    "udp_bidirectional_queue_1":
+        "1af8508bf2e5bfeb0b44fe6c2708fa955f767998fd2569e41d41636aabb1570f",
+}
+
+
+def bundled(name, **overrides):
+    cfg = parse_config(SCENARIOS / f"{name}.ini")
+    return replace(cfg, duration_s=int(DURATION_S), **overrides)
+
+
+def udp_and_ping_one_queue(out: Path) -> None:
+    """A saturating UDP source and a ping app feed one station's queue."""
+    cfg = bundled("udp_unidirectional", queue_capacity=8)
+    built = build(cfg)
+    built.channel.bind_seed(cfg.seed)
+    engine = EventQueue()
+    end_us = cfg.duration_s * 1_000_000
+    out.mkdir()
+    with open(out / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        st_src, st_dst, _ = build_point_to_point(
+            engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
+            rate_control_factory=built.rate_control,
+            event_log=CsvEventLog(fh))
+        UdpSource(engine, st_src, built.udp_flows[0], "udp")
+        PingApp(engine, st_src, st_dst,
+                PingConfig(cfg.src, cfg.dst, interval_us=997, stop_us=end_us),
+                "ping")
+        engine.run_until(end_us)
+
+
+LOGGED_RUNS = {
+    # both producers enqueue and meet a full queue throughout
+    "udp_and_ping_one_queue": udp_and_ping_one_queue,
+    # 294 µs gap: arrivals tie with 54 Mbit/s dequeues and are dropped
+    "udp_bidirectional_40mbps": lambda out: execute_run(
+        bundled("udp_bidirectional", offered_load_bps=40e6), out),
+    # every arrival during an exchange meets a full queue
+    "udp_bidirectional_queue_1": lambda out: execute_run(
+        bundled("udp_bidirectional", queue_capacity=1), out),
+}
+
 
 def test_every_bundled_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIOS.glob("*.ini")) == sorted(GOLDEN)
@@ -112,3 +164,11 @@ def test_golden_recorded_trace(tmp_path, scenario):
     assert cli.main(["record-trace", str(SCENARIOS / f"{scenario}.ini"),
                      "-o", str(out), "--duration", DURATION_S]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED[scenario]
+
+
+@pytest.mark.parametrize("case", sorted(LOGGED))
+def test_golden_logged_paths(tmp_path, case):
+    out = tmp_path / "out"
+    LOGGED_RUNS[case](out)
+    digest = hashlib.sha256((out / "events.csv").read_bytes()).hexdigest()
+    assert digest == LOGGED[case]

@@ -7,8 +7,9 @@ from linksim.engine import EventQueue
 from linksim.mac import DcfParams, FixedRate, build_point_to_point
 from linksim.phy import mode_for_rate
 from linksim.traces import MobilityTrace, parse_snr_trace
-from linksim.traffic import (PingApp, PingConfig, UdpFlowConfig, UdpSink,
-                             UdpSource, udp_arrival_times)
+from linksim.traffic import (UDP_DATA, Packet, PingApp, PingConfig,
+                             UdpFlowConfig, UdpSink, UdpSource,
+                             udp_arrival_times)
 
 
 def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
@@ -25,6 +26,20 @@ def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
         rate_control_factory=lambda node: FixedRate(mode),
     )
     return engine, st_a, st_b
+
+
+def test_packet_is_immutable_and_equal_by_value():
+    fields = (UDP_DATA, 7, 1472, 1528, 10, "udp.A->B")
+    packet = Packet(*fields)
+    with pytest.raises(AttributeError):
+        packet.seq = 8
+    with pytest.raises(AttributeError):
+        packet.extra = 1
+    assert packet.seq == 7
+    twin = Packet(*fields)
+    assert twin == packet and hash(twin) == hash(packet)
+    assert {packet: 1}[twin] == 1
+    assert Packet(UDP_DATA, 8, *fields[2:]) != packet
 
 
 def test_cbr_gap_values():
