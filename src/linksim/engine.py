@@ -58,10 +58,6 @@ class EventQueue:
         self.clock_us: int = 0
         self._heap: list[list] = []
         self._seq: int = 0
-        self._cancelled = 0
-
-    def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
 
     def schedule(self, at_us: int, fn: Callable[[], None]) -> list:
         """Schedule fn() at at_us. Returns an event id usable with cancel()."""
@@ -77,9 +73,7 @@ class EventQueue:
 
     def cancel(self, event_id: list) -> None:
         """Cancel a pending event. Cancelling a dispatched event is a no-op."""
-        if event_id[2] is not None:
-            event_id[2] = None
-            self._cancelled += 1
+        event_id[2] = None
 
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every event with timestamp <= t_end_us; clock ends at t_end_us."""
@@ -92,7 +86,6 @@ class EventQueue:
         while heap and heap[0][0] <= t_end_us:
             at_us, _, fn = heapq.heappop(heap)
             if fn is None:
-                self._cancelled -= 1
                 continue
             self.clock_us = at_us
             fn()

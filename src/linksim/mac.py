@@ -206,11 +206,6 @@ class Minstrel:
                 best = i
         return best, best_tput
 
-    def best_mode(self, mpdu_bytes: int) -> PhyMode:
-        """Current throughput-maximizing mode (lowest mode before any sample)."""
-        best, best_tput = self._argmax_tput(mpdu_bytes)
-        return self.modes[best if best_tput > 0.0 else 0]
-
     def select(self, mpdu_bytes: int, now_us: int) -> PhyMode:
         if now_us >= self._next_update_us:
             self._close_interval(now_us)
@@ -306,19 +301,19 @@ class Station:
 
     def __init__(self, node: str, engine: EventQueue, medium: Medium,
                  channel: Channel, params: DcfParams, root_seed: int,
-                 rate_control=None, event_log=None):
+                 rate_control, event_log=None):
         self.node = node
         self.engine = engine
         self.medium = medium
         self.channel = channel
         self.params = params
         self.peer: Station | None = None
-        self.rate_control = rate_control or FixedRate(MODES[0])
-        self.event_log = event_log
-        # observers that declare ``takes_queue_drops = False`` (the SNR
-        # recorder) get no queue-full rows, so sources may skip those arrivals
-        self.logs_queue_drops = (event_log is not None and getattr(
-            event_log, "takes_queue_drops", True))
+        self.rate_control = rate_control
+        # an observer gets the rows whose callbacks it defines; one without
+        # ``drop`` takes no queue-full rows, so sources may skip those arrivals
+        self.log_tx = getattr(event_log, "tx", None)
+        self.log_rx = getattr(event_log, "rx", None)
+        self.log_drop = getattr(event_log, "drop", None)
         self.queue = TxQueue(params.queue_capacity)
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
@@ -366,9 +361,8 @@ class Station:
     def tail_drop(self, seq: int) -> None:
         """Count one arrival that met the full queue, and log its drop row."""
         self.stats.queue_drops += 1
-        if self.logs_queue_drops:
-            self.event_log.drop(self.engine.clock_us, self.node, seq, 0,
-                                "queue_full")
+        if self.log_drop is not None:
+            self.log_drop(self.engine.clock_us, self.node, seq, 0, "queue_full")
 
     def _service_next(self, idle_floor_us: int) -> None:
         frame = self.queue.dequeue()
@@ -430,10 +424,10 @@ class Station:
             for p in partners:
                 p.collided = True
         self._exchange = exchange
-        if self.event_log is not None:
-            self.event_log.tx(now, self.node, "data", self._tx_link,
-                              mode.data_rate_mbps, frame.seq, self._attempts,
-                              airtime.data_us)
+        if self.log_tx is not None:
+            self.log_tx(now, self.node, "data", self._tx_link,
+                        mode.data_rate_mbps, frame.seq, self._attempts,
+                        airtime.data_us)
         self.engine.schedule(data_end, self._on_data_end)
 
     def _on_data_end(self) -> None:
@@ -444,18 +438,18 @@ class Station:
         peer = self.peer
         if exchange.collided:
             outcome = COLLIDED
-            if self.event_log is not None:
-                self.event_log.rx(t, peer.node, "data", self._tx_link,
-                                  mode.data_rate_mbps, frame.seq,
-                                  self._attempts, None, COLLIDED)
+            if self.log_rx is not None:
+                self.log_rx(t, peer.node, "data", self._tx_link,
+                            mode.data_rate_mbps, frame.seq, self._attempts,
+                            None, COLLIDED)
         else:
             snr_db = self.channel.snr(self._tx_link, t)
             outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng,
                                   peer._rx_memo)
-            if self.event_log is not None:
-                self.event_log.rx(t, peer.node, "data", self._tx_link,
-                                  mode.data_rate_mbps, frame.seq,
-                                  self._attempts, snr_db, outcome)
+            if self.log_rx is not None:
+                self.log_rx(t, peer.node, "data", self._tx_link,
+                            mode.data_rate_mbps, frame.seq, self._attempts,
+                            snr_db, outcome)
         if outcome == DELIVERED:
             peer._deliver(frame, self._mac_seq, t)
             self._handle_ack(exchange)
@@ -465,21 +459,21 @@ class Station:
     def _handle_ack(self, exchange: _Exchange) -> None:
         """Receiver ACKs after SIFS; the ACK itself crosses the reverse link."""
         peer = self.peer
-        ack_start = exchange.data_end + self.params.sifs_us
         ack_end = exchange.reservation_end
         ack_mode = exchange.airtime.ack_mode
         peer.stats.acks_sent += 1
         snr_db = self.channel.snr(self._rx_link, ack_end)
         outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
                               self._rx_rng, self._rx_memo)
-        if self.event_log is not None:
-            frame = exchange.frame
-            self.event_log.tx(ack_start, peer.node, "ack", self._rx_link,
-                              ack_mode.data_rate_mbps, frame.seq,
-                              self._attempts, exchange.airtime.ack_us)
-            self.event_log.rx(ack_end, self.node, "ack", self._rx_link,
-                              ack_mode.data_rate_mbps, frame.seq,
-                              self._attempts, snr_db, outcome)
+        if self.log_tx is not None:
+            self.log_tx(exchange.data_end + self.params.sifs_us, peer.node,
+                        "ack", self._rx_link, ack_mode.data_rate_mbps,
+                        exchange.frame.seq, self._attempts,
+                        exchange.airtime.ack_us)
+        if self.log_rx is not None:
+            self.log_rx(ack_end, self.node, "ack", self._rx_link,
+                        ack_mode.data_rate_mbps, exchange.frame.seq,
+                        self._attempts, snr_db, outcome)
         if outcome == DELIVERED:
             self._complete(success=True, next_floor_us=ack_end)
         else:
@@ -490,10 +484,10 @@ class Station:
         timeout_at = (exchange.data_end + p.sifs_us + exchange.airtime.ack_us
                       + p.slot_us)
         if self._attempts > p.retry_limit:
-            if self.event_log is not None:
-                self.event_log.drop(exchange.data_end, self.node,
-                                    exchange.frame.seq, self._attempts,
-                                    "retry_limit")
+            if self.log_drop is not None:
+                self.log_drop(exchange.data_end, self.node,
+                              exchange.frame.seq, self._attempts,
+                              "retry_limit")
             self._complete(success=False, next_floor_us=timeout_at)
         else:
             self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)
@@ -532,20 +526,14 @@ class Station:
 def build_point_to_point(engine: EventQueue, channel: Channel,
                          params: DcfParams, root_seed: int,
                          node_a: str, node_b: str,
-                         rate_control_factory=None, event_log=None,
+                         rate_control_factory, event_log=None,
                          ) -> tuple["Station", "Station", Medium]:
     """Wire two stations onto one medium with symmetric configuration."""
     medium = Medium()
-
-    def make_rc(node: str):
-        if rate_control_factory is None:
-            return None
-        return rate_control_factory(node)
-
     st_a = Station(node_a, engine, medium, channel, params, root_seed,
-                   rate_control=make_rc(node_a), event_log=event_log)
+                   rate_control_factory(node_a), event_log=event_log)
     st_b = Station(node_b, engine, medium, channel, params, root_seed,
-                   rate_control=make_rc(node_b), event_log=event_log)
+                   rate_control_factory(node_b), event_log=event_log)
     st_a.attach_peer(st_b)
     st_b.attach_peer(st_a)
     return st_a, st_b, medium

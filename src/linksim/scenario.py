@@ -254,7 +254,6 @@ class CsvEventLog:
     HEADER = "t_us,node,event,kind,link,mode_mbps,seq,attempt,dur_us,snr_db,outcome"
 
     def __init__(self, fh: io.TextIOBase):
-        self._fh = fh
         self._write = fh.write
         self._links = _LinkNames()
         self._write(self.HEADER + "\n")
@@ -293,12 +292,6 @@ class SimRun:
         if not self.rtt_samples:
             return None
         return min(rtt for _, rtt in self.rtt_samples)
-
-    def attempts_per_frame(self, node: str) -> float:
-        st = self.stats[node]
-        if st.data_frames == 0:
-            return 0.0
-        return st.data_attempts / st.data_frames
 
 
 @dataclass
@@ -422,11 +415,6 @@ def simulate(built: BuiltRun, event_log=None) -> SimRun:
     )
 
 
-def run_scenario(cfg: ScenarioConfig, event_log=None) -> SimRun:
-    """Build and execute one simulation instance, returning its metrics."""
-    return simulate(build(cfg), event_log=event_log)
-
-
 def _label(flow: str) -> str:
     return flow.replace("->", ">")
 
@@ -440,19 +428,13 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
     """Run a scenario and write its artifacts; returns (run, manifest)."""
     built = build(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
-    log_fh = None
-    event_log = None
     if cfg.log_events:
-        log_fh = open(out / "events.csv", "w", encoding="utf-8", newline="")
-        event_log = CsvEventLog(log_fh)
+        run = _simulate_into(built, out / "events.csv", CsvEventLog)
         outputs.append("events.csv")
-    try:
-        run = simulate(built, event_log=event_log)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    else:
+        run = simulate(built)
+        out.mkdir(parents=True, exist_ok=True)
 
     for flow, series in run.throughput.items():
         name = f"throughput_{_file_label(flow)}.csv"
@@ -509,11 +491,25 @@ def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
     """Run an analytic scenario while recording per-reception SNR samples."""
     if cfg.model == TRACE:
         raise ConfigError("cannot record a trace from a trace-replay run")
-    built = build(cfg)
-    out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        return simulate(built, event_log=TraceCsvRecorder(fh))
+    return _simulate_into(build(cfg), Path(out_file), TraceCsvRecorder)
+
+
+def _simulate_into(built: BuiltRun, path: Path, observer) -> SimRun:
+    """simulate(built) with the event log observer(fh) writing to path.
+
+    The rows go to a temp name beside path, renamed to path once the run
+    completes, so a run that raises leaves no partial file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            run = simulate(built, event_log=observer(fh))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
+    return run
 
 
 def rerun_from_manifest(manifest_path: str | Path,

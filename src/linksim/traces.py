@@ -159,10 +159,6 @@ class SnrTrace:
         times, values = self._get(link)
         return values[max(bisect_right(times, t_us) - 1, 0)]
 
-    def max_gap_us(self, link: DirectedLink) -> int:
-        times = self._get(link)[0]
-        return max((b - a for a, b in zip(times, times[1:])), default=0)
-
     def _get(self, link: DirectedLink) -> tuple[list[int], list[float]]:
         try:
             return self._series[link]
@@ -192,6 +188,7 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
         snr_db = _parse_float(line_no, fields[3], "snr_db")
         raw.setdefault((tx, rx), []).append((t_us, line_no, snr_db))
     series = {}
+    gap_limit = int(gap_warning_s * 1_000_000)
     for (tx, rx), rows in raw.items():
         rows.sort()
         times: list[int] = []
@@ -202,17 +199,15 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
             else:
                 times.append(t_us)
                 values.append(snr_db)
-        series[DirectedLink(tx, rx)] = (times, values)
-    trace = SnrTrace(series)
-    gap_limit = int(gap_warning_s * 1_000_000)
-    for link in trace.links():
-        gap = trace.max_gap_us(link)
+        link = DirectedLink(tx, rx)
+        series[link] = (times, values)
+        gap = max((b - a for a, b in zip(times, times[1:])), default=0)
         if gap > gap_limit:
             logger.warning(
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,
             )
-    return trace
+    return SnrTrace(series)
 
 
 def serialize_snr_trace(trace: SnrTrace) -> str:
@@ -228,27 +223,19 @@ class TraceCsvRecorder:
     """Event-log observer that records received SNR as an SNR trace.
 
     Writes one trace row per reception that has an SNR, in dispatch order;
-    collided receptions, transmissions and drops write nothing. Replaying
-    the file with the same config and seed reproduces the run's event log.
-    It takes no queue-full drops, so a recording run skips the arrivals
-    that would only have been dropped, as a run without a log does.
+    collided receptions write nothing. Replaying the file with the same
+    config and seed reproduces the run's event log. It defines no ``tx`` or
+    ``drop`` callback, so a recording run skips the arrivals that would only
+    have been dropped, as a run without a log does.
     """
-
-    takes_queue_drops = False
 
     def __init__(self, fh):
         self._write = fh.write
         self._write(SNR_HEADER + "\n")
 
-    def tx(self, t, node, kind, link, mode_mbps, seq, attempt, dur_us):
-        pass
-
     def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
         if snr_db is not None:
             self._write(_snr_row(t, link, snr_db))
-
-    def drop(self, t, node, seq, attempts, reason):
-        pass
 
 
 def load_snr_trace(path: str | Path, gap_warning_s: float = 1.0) -> SnrTrace:
@@ -284,10 +271,6 @@ class MobilityTrace:
         """True when node has exactly one waypoint, so it never moves."""
         self._require(node)
         return len(self._waypoints[node]) == 1
-
-    def waypoints(self, node: str) -> list[Waypoint]:
-        self._require(node)
-        return list(self._waypoints[node])
 
     def position_at(self, node: str, t_us: int) -> tuple[float, float, float]:
         """Interpolated position; clamps to the first/last waypoint outside them."""
@@ -367,14 +350,6 @@ def parse_mobility(data: str | bytes) -> MobilityTrace:
     for seq in per_node.values():
         seq.sort(key=lambda w: w.t_us)
     return MobilityTrace(per_node)
-
-
-def serialize_mobility(trace: MobilityTrace) -> str:
-    out = [MOBILITY_HEADER]
-    for node in sorted(trace.nodes()):
-        for w in trace.waypoints(node):
-            out.append(f"{w.t_us},{node},{w.x_m!r},{w.y_m!r},{w.z_m!r}")
-    return "\n".join(out) + "\n"
 
 
 def load_mobility(path: str | Path) -> MobilityTrace:

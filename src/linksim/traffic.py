@@ -1,9 +1,8 @@
 """Traffic sources and sinks: saturating UDP flows and ping-style RTT probing.
 
 Payload sizes are application-level; the airtime-relevant MPDU adds the
-transport + IP + MAC header overhead (56 bytes by default, configurable per
-flow). 1472-byte payloads therefore fill a 1500-byte IP packet without
-fragmentation.
+transport + IP + MAC header overhead of 56 bytes. 1472-byte payloads
+therefore fill a 1500-byte IP packet without fragmentation.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class UdpFlowConfig:
     payload_bytes: int = 1472
     start_us: int = 0
     stop_us: int = 300_000_000
-    header_overhead_bytes: int = DEFAULT_HEADER_OVERHEAD
 
     def __post_init__(self) -> None:
         if self.offered_load_bps <= 0:
@@ -68,7 +66,6 @@ class PingConfig:
     payload_bytes: int = 1472
     start_us: int = 0
     stop_us: int = 300_000_000
-    header_overhead_bytes: int = DEFAULT_HEADER_OVERHEAD
 
     def __post_init__(self) -> None:
         if self.interval_us <= 0:
@@ -77,23 +74,17 @@ class PingConfig:
             raise ValueError("payload_bytes must be in [1, 2272]")
 
 
-def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
-    """Arrival instants of the CBR schedule: start, start+gap, ... below stop."""
-    if cfg.stop_us <= cfg.start_us:
-        return []
-    return list(range(cfg.start_us, cfg.stop_us, cfg.gap_us))
-
-
 class UdpSource:
     """Constant-bit-rate generator feeding one station's queue.
 
-    Unless the station logs queue-full drops, the source stops scheduling
-    arrivals once one leaves the queue full, and the station hands it the
-    next dequeue; the arrivals it skipped are counted then as the tail drops
-    they would have been, with the sequence numbers they would have taken,
-    and those still owed at stop_us by one event at that time. Parking needs
-    the source to be the station's only producer and no queue-full drop rows
-    (each stays in dispatch order, at its arrival), and it stays off when
+    Unless the station's event log defines a ``drop`` callback, the source
+    stops scheduling arrivals once one leaves the queue full, and the station
+    hands it the next dequeue; the arrivals it skipped are counted then as
+    the tail drops they would have been, with the sequence numbers they would
+    have taken, and those still owed at stop_us by one event at that time.
+    Parking needs the source to be the station's only producer and no
+    ``drop`` callback (each queue-full row stays in dispatch order, at its
+    arrival), and it stays off when
     the gap equals a data airtime, where a dequeue and an arrival in the
     same µs could not be ordered without the skipped events (see
     ``_parking_is_exact``). An arrival that meets a full queue builds no
@@ -108,10 +99,10 @@ class UdpSource:
         self.flow = flow
         self.next_seq = 0
         self._gap_us = cfg.gap_us
-        self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
+        self._mpdu_bytes = cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
-        self._park = (not station.logs_queue_drops
+        self._park = (station.log_drop is None
                       and self._parking_is_exact())
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
@@ -209,9 +200,6 @@ class UdpSink:
     def records(self):
         return zip(self.rx_t_us, self.rx_bytes, self.rx_seq)
 
-    def total_payload_bits(self) -> int:
-        return 8 * sum(self.rx_bytes)
-
 
 class PingApp:
     """Echo request/reply prober.
@@ -235,7 +223,7 @@ class PingApp:
         self.outstanding: dict[int, int] = {}
         self.samples: list[tuple[int, int]] = []   # (send_t_us, rtt_us)
         self._extra_delay_us = 2 * processing_delay_us
-        self._mpdu_bytes = cfg.payload_bytes + cfg.header_overhead_bytes
+        self._mpdu_bytes = cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD
         requester.producers += 1
         responder.producers += 1
         requester.rx_handlers.append(self._on_reply)

@@ -17,7 +17,7 @@ from linksim.mac import DcfParams, ack_mode_for
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              accuracy_gain, compare_runs)
 from linksim.phy import MODES, frame_duration_us, frame_success_probability
-from linksim.scenario import CsvEventLog, ScenarioConfig, run_scenario
+from linksim.scenario import CsvEventLog, ScenarioConfig, build, simulate
 from linksim.traces import TraceCsvRecorder, parse_snr_trace
 
 NODES = {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
@@ -40,22 +40,24 @@ def trace_cfg(trace_text: str, **kw) -> ScenarioConfig:
 
 
 class Tee:
-    """Event log that forwards each call to every log it holds."""
+    """Event log that forwards each call to every log defining its callback."""
 
     def __init__(self, *logs):
         self.logs = logs
 
-    def tx(self, *args):
+    def _forward(self, callback, args):
         for log in self.logs:
-            log.tx(*args)
+            if hasattr(log, callback):
+                getattr(log, callback)(*args)
+
+    def tx(self, *args):
+        self._forward("tx", args)
 
     def rx(self, *args):
-        for log in self.logs:
-            log.rx(*args)
+        self._forward("rx", args)
 
     def drop(self, *args):
-        for log in self.logs:
-            log.drop(*args)
+        self._forward("drop", args)
 
 
 def test_criterion_01_published_gain_arithmetic():
@@ -109,15 +111,15 @@ def test_criterion_04_record_replay_fidelity():
     friis_cfg = ScenarioConfig(nodes=dict(NODES), model="friis", **base)
     log_record = io.StringIO()
     trace_buf = io.StringIO()
-    run_scenario(friis_cfg, event_log=Tee(CsvEventLog(log_record),
-                                          TraceCsvRecorder(trace_buf)))
+    simulate(build(friis_cfg), event_log=Tee(CsvEventLog(log_record),
+                                             TraceCsvRecorder(trace_buf)))
 
     trace_text = trace_buf.getvalue()
     trace = parse_snr_trace(trace_text)
     replay_cfg = ScenarioConfig(nodes=dict(NODES), model="trace",
                                 snr_trace=trace, **base)
     log_replay = io.StringIO()
-    run_scenario(replay_cfg, event_log=CsvEventLog(log_replay))
+    simulate(build(replay_cfg), event_log=CsvEventLog(log_replay))
 
     logs_equal = log_record.getvalue() == log_replay.getvalue()
 
@@ -145,7 +147,7 @@ def test_criterion_04_record_replay_fidelity():
 
 def test_criterion_05_saturation_throughput_band():
     cfg = trace_cfg(constant_trace(35.0, 35.0), duration_s=300, seed=5)
-    run = run_scenario(cfg)
+    run = simulate(build(cfg))
     goodput = run.mean_throughput_mbps("udp.Master->ClientA")
     verdict(5, 26.0 <= goodput <= 32.0,
             f"300 s Minstrel saturation at 35 dB: {goodput:.2f} Mbit/s "
@@ -157,7 +159,7 @@ def test_criterion_06_rtt_floor_and_processing_shift():
     for delay in (0, 300):
         cfg = trace_cfg(constant_trace(35.0, 35.0), duration_s=60, seed=11,
                         traffic_kind="ping", processing_delay_us=delay)
-        run = run_scenario(cfg)
+        run = simulate(build(cfg))
         mins[delay] = run.min_rtt_us()
     floor_ok = 350 <= mins[0] <= 650
     shift = mins[300] - mins[0]
@@ -217,7 +219,7 @@ def test_criterion_07_error_model_properties():
 def test_criterion_08_dcf_closed_form():
     cfg = trace_cfg(constant_trace(60.0, 60.0), duration_s=60, seed=17,
                     rate_control="fixed", fixed_mode_mbps=54)
-    run = run_scenario(cfg)
+    run = simulate(build(cfg))
     goodput = run.mean_throughput_mbps("udp.Master->ClientA")
     params = DcfParams()
     mode = phy.mode_for_rate(54)
@@ -236,9 +238,10 @@ def test_criterion_09_degradation_ordering():
     results = {}
     for snr_db in (8.0, 15.0, 35.0):
         cfg = trace_cfg(constant_trace(snr_db, snr_db), duration_s=60, seed=23)
-        run = run_scenario(cfg)
+        run = simulate(build(cfg))
+        st = run.stats["Master"]
         results[snr_db] = (run.mean_throughput_mbps("udp.Master->ClientA"),
-                           run.attempts_per_frame("Master"))
+                           st.data_attempts / st.data_frames)
     goodputs = [results[s][0] for s in (8.0, 15.0, 35.0)]
     attempts = [results[s][1] for s in (8.0, 15.0, 35.0)]
     ok = (goodputs[0] < goodputs[1] < goodputs[2]
@@ -258,7 +261,7 @@ def test_criterion_10_asymmetric_link_replay():
                              snr_trace=parse_snr_trace(trace_text),
                              duration_s=60, seed=29, traffic_kind="udp_uni",
                              src=src, dst=dst)
-        run = run_scenario(cfg)
+        run = simulate(build(cfg))
         goodput[f"{src}->{dst}"] = run.mean_throughput_mbps(
             f"udp.{src}->{dst}")
     strong = goodput["Master->ClientA"]

@@ -1,17 +1,19 @@
 """Parked CBR sources: a log-off run that skips full-queue arrivals must
 match the per-arrival run exactly.
 
-An event log that takes queue-full drops forces every arrival to be
+An event log that defines a ``drop`` callback forces every arrival to be
 dispatched (its drop rows stay in dispatch order, each at its arrival), so
 each config runs twice from one build: once with no log, where sources
-park, and once with an observer that declares nothing and so gets every
-row, which it discards. The SNR recorder declares that it takes no
-queue-full drops, so ``record-trace`` parks as a log-off run does.
+park, and once with an observer that defines every callback and so gets
+every row, which it discards. The SNR recorder defines no ``drop``
+callback, so ``record-trace`` parks as a log-off run does.
 Log-off artifacts carry no sequence numbers, so the sinks' received
 ``(rx_t_us, seq)`` lists are compared as well as the stats and series.
 """
 
+import io
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,10 @@ import pytest
 from linksim import scenario, traffic
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
-from linksim.mac import DcfParams, build_point_to_point
-from linksim.scenario import (UDP_BIDI, build, execute_record, execute_run,
-                              parse_config, simulate)
+from linksim.mac import DcfParams, FixedRate, build_point_to_point
+from linksim.phy import MODES
+from linksim.scenario import (UDP_BIDI, CsvEventLog, build, execute_record,
+                              execute_run, parse_config, simulate)
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
@@ -200,7 +203,7 @@ def pair(event_log):
     engine = EventQueue()
     st_a, st_b, _ = build_point_to_point(
         engine, channel, DcfParams(queue_capacity=2), 1, "A", "B",
-        event_log=event_log)
+        lambda node: FixedRate(MODES[0]), event_log=event_log)
     return engine, st_a, st_b
 
 
@@ -252,3 +255,39 @@ def test_record_trace_dispatches_as_many_events_as_a_log_off_run(
     assert recorded.stats["ClientA"].queue_drops > 0
     assert recorded.stats == plain.stats
     assert dispatched[0] == dispatched[1]
+
+
+CALLBACKS = ("tx", "rx", "drop")
+
+
+@pytest.mark.parametrize("callbacks", [
+    subset for n in (1, 2, 3) for subset in combinations(CALLBACKS, n)],
+    ids="+".join)
+def test_an_observer_gets_the_rows_of_the_callbacks_it_defines(
+        callbacks, monkeypatch):
+    # fading, collisions and a retry limit of 1 give every row kind but a
+    # failed ACK
+    built = build(replace(bundled("logdist_fading", traffic_kind=UDP_BIDI,
+                                  retry_limit=1), duration_s=1))
+    reference = io.StringIO()
+    simulate(built, event_log=CsvEventLog(reference))
+    rows = []
+
+    def recorder(callback):
+        return lambda self, *row: rows.append((callback, row))
+
+    observer = type("Observer", (), {c: recorder(c) for c in callbacks})()
+    result, received, _, parking = run(built, observer, monkeypatch)
+    plain, plain_received, _, _ = run(built, None, monkeypatch)
+
+    written = io.StringIO()
+    log = CsvEventLog(written)
+    for callback, row in rows:
+        getattr(log, callback)(*row)
+    expected = [line for line in reference.getvalue().splitlines()[1:]
+                if line.split(",")[2] in callbacks]
+    assert expected
+    assert written.getvalue().splitlines()[1:] == expected
+    assert (result.stats, result.throughput) == (plain.stats, plain.throughput)
+    assert received == plain_received
+    assert parking == (0 if "drop" in callbacks else 2)

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from linksim import cli
+from linksim.channel import Channel
 from linksim.metrics import PerSecondSeries
 from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
                               execute_record, execute_run, parse_config,
                               parse_config_text, rerun_from_manifest,
-                              run_scenario, simulate)
+                              simulate)
 from linksim.traces import load_snr_trace, parse_snr_trace
 
 
@@ -265,7 +266,7 @@ def test_run_scenario_with_injected_trace():
         nodes={"Master": (0, 0, 0), "ClientA": (6, 0, 0)},
         traffic_kind="udp_uni", src="Master", dst="ClientA",
     )
-    run = run_scenario(cfg)
+    run = simulate(build(cfg))
     assert run.mean_throughput_mbps("udp.Master->ClientA") > 20.0
 
 
@@ -344,6 +345,31 @@ def test_config_error_writes_no_file(tmp_path, capsys, case):
     assert cli.main(["record-trace", str(cfg_path),
                      "-o", str(out / "trace.csv")]) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "record-trace"])
+def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                        command):
+    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
+                  duration_s=1)
+    assert cfg.log_events
+    snr = Channel.snr
+    calls = []
+
+    def failing_snr(self, link, t_us):
+        calls.append(t_us)
+        if len(calls) > 500:
+            raise RuntimeError("channel failed")
+        return snr(self, link, t_us)
+
+    monkeypatch.setattr(Channel, "snr", failing_snr)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="channel failed"):
+        if command == "run":
+            execute_run(cfg, out)
+        else:
+            execute_record(cfg, out / "trace.csv")
+    assert list(out.iterdir()) == []
 
 
 # -- CLI ----------------------------------------------------------------------

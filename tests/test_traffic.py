@@ -8,8 +8,14 @@ from linksim.mac import DcfParams, FixedRate, build_point_to_point
 from linksim.phy import mode_for_rate
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import (UDP_DATA, Packet, PingApp, PingConfig,
-                             UdpFlowConfig, UdpSink, UdpSource,
-                             udp_arrival_times)
+                             UdpFlowConfig, UdpSink, UdpSource)
+
+
+def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
+    """Arrival instants of the CBR schedule: start, start+gap, ... below stop."""
+    if cfg.stop_us <= cfg.start_us:
+        return []
+    return list(range(cfg.start_us, cfg.stop_us, cfg.gap_us))
 
 
 def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
@@ -90,7 +96,7 @@ def test_source_feeds_sink_exactly():
     assert len(times) == len(udp_arrival_times(cfg))
     assert times == sorted(times)
     assert seqs == sorted(seqs)          # no reordering in this MAC
-    assert sink.total_payload_bits() == 8 * 500 * len(times)
+    assert sum(sink.rx_bytes) == 500 * len(times)
 
 
 def test_sink_filters_other_flows():
@@ -186,5 +192,5 @@ def _run_udp(duration_us, bidi):
                   UdpFlowConfig(src.node, dst.node, stop_us=duration_us), flow)
         sinks[flow] = UdpSink(dst, flow)
     engine.run_until(duration_us)
-    return {flow: sink.total_payload_bits() / (duration_us / 1e6)
+    return {flow: 8 * sum(sink.rx_bytes) / (duration_us / 1e6)
             for flow, sink in sinks.items()}
