@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except Exception as exc:    # OSError, or a fault inside the simulation
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from . import __version__, metrics, phy
+from . import __version__, metrics, phy, traces
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
                       RadioParams, mean_rx_power_dbm)
 from .engine import EventQueue, RngStream
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
-from .traces import (DirectedLink, MobilityTrace, SnrTrace,
-                     TraceCsvRecorder, load_mobility, load_snr_trace)
+from .traces import DirectedLink, MobilityTrace, SnrTrace, TraceCsvRecorder
 from .traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
 PING = "ping"
@@ -304,6 +303,7 @@ class BuiltRun:
     rate_control: Callable[[str], object]
     udp_flows: list[UdpFlowConfig]
     ping: PingConfig | None
+    inputs: dict[str, str]      # str(path) -> sha256 of each file parsed
 
 
 def build(cfg: ScenarioConfig) -> BuiltRun:
@@ -312,8 +312,9 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     Writes nothing, so a run that fails here leaves no artifact behind.
     """
     cfg.validate()
+    inputs: dict[str, str] = {}
     if cfg.mobility_file is not None:
-        mobility = load_mobility(cfg.mobility_file)
+        mobility = _load(cfg.mobility_file, traces.parse_mobility, inputs)
     else:
         mobility = MobilityTrace.static(cfg.nodes)
     for node in (cfg.src, cfg.dst):
@@ -321,7 +322,9 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
             raise ConfigError(f"traffic endpoint {node!r} has no mobility data")
     trace = cfg.snr_trace
     if trace is None and cfg.trace_file is not None:
-        trace = load_snr_trace(cfg.trace_file)
+        trace = _load(cfg.trace_file, traces.parse_snr_trace, inputs)
+    if cfg.mobility_file is not None:   # manifests list the trace file first
+        inputs[str(cfg.mobility_file)] = inputs.pop(str(cfg.mobility_file))
     spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
                            ref_distance_m=cfg.ref_distance_m,
                            nakagami_m=cfg.nakagami_m)
@@ -371,7 +374,23 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
                           **window)
             for src, dst in directions
         ]
-    return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping)
+    return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping, inputs)
+
+
+def _load(path: Path, parse, inputs: dict[str, str]):
+    """parse(the bytes of path), keeping their sha256 in inputs.
+
+    The run's manifest certifies these bytes, the ones the run parsed. A
+    malformed file stops the run with a ConfigError that names it. parse is
+    passed as ``traces.parse_*``, looked up at each load, so a wrapper set
+    on the module (as the benchmark's tracer sets) sees every load.
+    """
+    data = Path(path).read_bytes()
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def simulate(built: BuiltRun, event_log=None) -> SimRun:
@@ -471,20 +490,12 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
             (cfg.config_text or "").encode("utf-8")
         ).hexdigest(),
         "config_text": cfg.config_text,
-        "inputs": _input_hashes(cfg),
+        "inputs": built.inputs,
         "outputs": outputs,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")
     return run, manifest
-
-
-def _input_hashes(cfg: ScenarioConfig) -> dict[str, str]:
-    hashes = {}
-    for path in (cfg.trace_file, cfg.mobility_file):
-        if path is not None:
-            hashes[str(path)] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return hashes
 
 
 def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:

@@ -17,8 +17,8 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
-from pathlib import Path
+from itertools import islice
+from operator import itemgetter, lt, sub
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,7 @@ class Waypoint:
 
 
 def _validate_node_id(line_no: int, node_id: str) -> str:
+    node_id = node_id.strip()
     if not _NODE_ID_RE.match(node_id):
         raise TraceFormatError(
             line_no, f"invalid node id {node_id!r} (allowed: letters, digits, _.-)"
@@ -79,13 +80,27 @@ def _validate_node_id(line_no: int, node_id: str) -> str:
     return node_id
 
 
+def _stripped(parse, line_no: int, field: str, what: str):
+    """parse(field.strip()), for a field that parse(field) rejected.
+
+    int() and float() skip the whitespace around a number themselves, except
+    \\x1c-\\x1f, which str.strip() also removes. So a field is stripped
+    only once it fails, and the error names the stripped field.
+    """
+    field = field.strip()
+    try:
+        return parse(field)
+    except ValueError:
+        raise TraceFormatError(line_no, f"malformed {what}: {field!r}") from None
+
+
 def _parse_float(line_no: int, field: str, what: str) -> float:
     try:
         value = float(field)
     except ValueError:
-        raise TraceFormatError(line_no, f"malformed {what}: {field!r}") from None
+        value = _stripped(float, line_no, field, what)
     if not math.isfinite(value):
-        raise TraceFormatError(line_no, f"non-finite {what}: {field!r}")
+        raise TraceFormatError(line_no, f"non-finite {what}: {field.strip()!r}")
     return value
 
 
@@ -94,7 +109,8 @@ def _rows(data: str | bytes, header: str, n_fields: int, what: str):
 
     Checks what both trace kinds share: the header, the field count and a
     non-negative integer timestamp in the first field. Raises when the file
-    holds no row, naming the rows as ``what``.
+    holds no row, naming the rows as ``what``. The fields keep the
+    whitespace around them; each parser strips what it uses.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -105,17 +121,16 @@ def _rows(data: str | bytes, header: str, n_fields: int, what: str):
         raise TraceFormatError(1, f"expected header {header!r}")
     found = False
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != n_fields:
+            if not line.strip():
+                continue
             raise TraceFormatError(
                 line_no, f"expected {n_fields} fields, got {len(fields)}")
         try:
             t_us = int(fields[0])
         except ValueError:
-            raise TraceFormatError(
-                line_no, f"malformed timestamp: {fields[0]!r}") from None
+            t_us = _stripped(int, line_no, fields[0], "timestamp")
         if t_us < 0:
             raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
         found = True
@@ -143,7 +158,7 @@ class SnrTrace:
         for link, (times, values) in series.items():
             if not times:
                 raise ValueError(f"link {link} has no samples")
-            if any(b <= a for a, b in zip(times, times[1:])):
+            if not all(map(lt, times, islice(times, 1, None))):
                 raise ValueError(f"link {link} samples not strictly increasing")
         self._series = series
 
@@ -174,40 +189,49 @@ class SnrTrace:
 def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
     """Parse the canonical SNR trace CSV.
 
-    Duplicate timestamps on one link collapse to the last occurrence in file
-    order. Per-link gaps longer than gap_warning_s trigger a logged warning
-    (hold-last lookup still applies across the gap).
+    Rows may come in any order. Duplicate timestamps on one link collapse to
+    the last occurrence in file order. Per-link gaps longer than
+    gap_warning_s trigger a logged warning (hold-last lookup still applies
+    across the gap).
     """
-    # (t, file order) per link, so last-wins collapse is well defined
-    raw: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
-    for line_no, t_us, fields in _rows(data, SNR_HEADER, 4, "samples"):
-        tx = _validate_node_id(line_no, fields[1])
-        rx = _validate_node_id(line_no, fields[2])
-        if tx == rx:
-            raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
-        snr_db = _parse_float(line_no, fields[3], "snr_db")
-        raw.setdefault((tx, rx), []).append((t_us, line_no, snr_db))
-    series = {}
+    series: dict[DirectedLink, tuple[list[int], list[float]]] = {}
+    stores = {}     # (tx, rx) fields as written -> that link's (times, values)
+    isfinite = math.isfinite
+    for line_no, t_us, (_, tx, rx, snr) in _rows(data, SNR_HEADER, 4, "samples"):
+        store = stores.get((tx, rx))
+        if store is None:
+            store = stores[tx, rx] = _link_store(series, line_no, tx, rx)
+        # _parse_float, inlined as this runs once per row
+        try:
+            snr_db = float(snr)
+        except ValueError:
+            snr_db = _stripped(float, line_no, snr, "snr_db")
+        if not isfinite(snr_db):
+            raise TraceFormatError(line_no, f"non-finite snr_db: {snr.strip()!r}")
+        store[0].append(t_us)
+        store[1].append(snr_db)
     gap_limit = int(gap_warning_s * 1_000_000)
-    for (tx, rx), rows in raw.items():
-        rows.sort()
-        times: list[int] = []
-        values: list[float] = []
-        for t_us, _, snr_db in rows:
-            if times and times[-1] == t_us:
-                values[-1] = snr_db
-            else:
-                times.append(t_us)
-                values.append(snr_db)
-        link = DirectedLink(tx, rx)
-        series[link] = (times, values)
-        gap = max((b - a for a, b in zip(times, times[1:])), default=0)
+    for link, (times, values) in series.items():
+        if not all(map(lt, times, islice(times, 1, None))):
+            last = dict(zip(times, values))     # the last value per time
+            times[:] = sorted(last)
+            values[:] = map(last.__getitem__, times)
+        gap = max(map(sub, islice(times, 1, None), times), default=0)
         if gap > gap_limit:
             logger.warning(
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,
             )
     return SnrTrace(series)
+
+
+def _link_store(series, line_no: int, tx: str, rx: str):
+    """The (times, values) store in series of the link tx -> rx."""
+    tx = _validate_node_id(line_no, tx)
+    rx = _validate_node_id(line_no, rx)
+    if tx == rx:
+        raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
+    return series.setdefault(DirectedLink(tx, rx), ([], []))
 
 
 def serialize_snr_trace(trace: SnrTrace) -> str:
@@ -236,10 +260,6 @@ class TraceCsvRecorder:
     def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
         if snr_db is not None:
             self._write(_snr_row(t, link, snr_db))
-
-
-def load_snr_trace(path: str | Path, gap_warning_s: float = 1.0) -> SnrTrace:
-    return parse_snr_trace(Path(path).read_bytes(), gap_warning_s)
 
 
 class MobilityTrace:
@@ -350,7 +370,3 @@ def parse_mobility(data: str | bytes) -> MobilityTrace:
     for seq in per_node.values():
         seq.sort(key=lambda w: w.t_us)
     return MobilityTrace(per_node)
-
-
-def load_mobility(path: str | Path) -> MobilityTrace:
-    return parse_mobility(Path(path).read_bytes())

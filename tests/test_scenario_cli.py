@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from linksim import cli
+from linksim import cli, scenario
 from linksim.channel import Channel
 from linksim.metrics import PerSecondSeries
 from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
                               execute_record, execute_run, parse_config,
                               parse_config_text, rerun_from_manifest,
                               simulate)
-from linksim.traces import load_snr_trace, parse_snr_trace
+from linksim.traces import parse_snr_trace
 
 
 BASE = """
@@ -244,7 +244,7 @@ def test_record_trace_and_replay_round_trip(tmp_path):
     cfg = parse_config(write_config(tmp_path, BASE))
     out_trace = tmp_path / "recorded.csv"
     run = execute_record(cfg, out_trace)
-    trace = load_snr_trace(out_trace)
+    trace = parse_snr_trace(out_trace.read_bytes())
     assert len(trace.links()) == 2
     # every reception used the friis-composed SNR for its link
     for link in trace.links():
@@ -330,6 +330,12 @@ LATE_CONFIG_ERRORS = {
         "link Master->ClientA: below reference distance"),
     "mobility_too_close": (_moving_config(CROSSING),
                            "link Master->ClientA: below reference distance"),
+    "malformed_trace": (lambda tmp_path: trace_config(
+        tmp_path, CONST_35 + "5,Master,ClientA,x\n"),
+        "link.csv: line 4: malformed snr_db: 'x'"),
+    "malformed_mobility": (_moving_config(
+        "0,Master,0,0,0\n0,ClientA,6,0,0\n1,ClientA,q,0,0\n"),
+        "mob.csv: line 4: malformed x_m: 'q'"),
 }
 
 
@@ -347,12 +353,9 @@ def test_config_error_writes_no_file(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command", ["run", "record-trace"])
-def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
-                                                        command):
-    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
-                  duration_s=1)
-    assert cfg.log_events
+@pytest.fixture
+def failing_channel(monkeypatch):
+    """Channel.snr raises RuntimeError("channel failed") after 500 frames."""
     snr = Channel.snr
     calls = []
 
@@ -363,6 +366,15 @@ def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
         return snr(self, link, t_us)
 
     monkeypatch.setattr(Channel, "snr", failing_snr)
+
+
+@pytest.mark.parametrize("command", ["run", "record-trace"])
+def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path,
+                                                        failing_channel,
+                                                        command):
+    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
+                  duration_s=1)
+    assert cfg.log_events
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="channel failed"):
         if command == "run":
@@ -370,6 +382,49 @@ def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch,
         else:
             execute_record(cfg, out / "trace.csv")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "record-trace"])
+def test_a_runtime_error_exits_2_without_a_traceback(tmp_path, capsys,
+                                                     failing_channel, command):
+    out = tmp_path / "out"
+    target = (["--out-dir", str(out)] if command == "run"
+              else ["-o", str(out / "trace.csv")])
+    assert cli.main([command, str(REPO / "scenarios" / "udp_unidirectional.ini"),
+                     "--duration", "1", *target]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error: channel failed" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []    # no events.csv, trace or .tmp file
+
+
+def test_manifest_hashes_the_input_bytes_the_run_parsed(tmp_path,
+                                                        monkeypatch):
+    trace = tmp_path / "link.csv"
+    mobility = tmp_path / "mob.csv"
+    trace.write_text(CONST_35, encoding="utf-8")
+    mobility.write_text("t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n"
+                        "0,ClientA,6,0,0\n", encoding="utf-8")
+    parsed = {trace: _digest(trace), mobility: _digest(mobility)}
+    cfg = parse_config(write_config(tmp_path, BASE.replace(
+        "Master = 0,0,0\nClientA = 6,0,0", "mobility_file = mob.csv").replace(
+        "model = friis", "model = trace\ntrace_file = link.csv")))
+    simulate = scenario.simulate
+
+    def edit_inputs_then_simulate(built, event_log=None):
+        # both files change after build parsed them, before any artifact
+        trace.write_text(CONST_35.replace("35.0", "9.0"), encoding="utf-8")
+        mobility.write_text("t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n"
+                            "0,ClientA,7,0,0\n", encoding="utf-8")
+        return simulate(built, event_log)
+
+    monkeypatch.setattr(scenario, "simulate", edit_inputs_then_simulate)
+    _, manifest = execute_run(cfg, tmp_path / "out")
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert doc["inputs"] == manifest["inputs"] == {
+        str(path): digest for path, digest in parsed.items()}
+    assert list(doc["inputs"]) == [str(trace), str(mobility)]
+    assert _digest(trace) != parsed[trace]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -406,7 +461,7 @@ def test_cli_record_trace(tmp_path):
     out = tmp_path / "rec.csv"
     assert cli.main(["record-trace", str(cfg_path), "-o", str(out),
                      "--duration", "1"]) == 0
-    assert load_snr_trace(out).links()
+    assert parse_snr_trace(out.read_bytes()).links()
     replay_cfg = trace_config(tmp_path, CONST_35)
     assert cli.main(["record-trace", str(replay_cfg), "-o", str(out)]) == 1
 

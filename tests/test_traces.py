@@ -3,15 +3,18 @@
 import copy
 import io
 import logging
+import math
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from linksim.traces import (MOBILITY_HEADER, DirectedLink, MobilityTrace,
-                            TraceCsvRecorder, TraceFormatError, Waypoint,
-                            parse_mobility, parse_snr_trace,
-                            serialize_snr_trace)
+from linksim.traces import (MOBILITY_HEADER, SNR_HEADER, DirectedLink,
+                            MobilityTrace, SnrTrace, TraceCsvRecorder,
+                            TraceFormatError, Waypoint, parse_mobility,
+                            parse_snr_trace, serialize_snr_trace)
 
 AB = DirectedLink("A", "B")
 BA = DirectedLink("B", "A")
@@ -247,3 +250,234 @@ def test_recorder_writes_one_row_per_snr_reception():
                     "700,B,A,0.30000000000000004\n")
     trace = parse_snr_trace(text)
     assert parse_snr_trace(serialize_snr_trace(trace)) == trace
+
+
+# -- differential test against the previous parsers ---------------------------
+# The parsers as they were before rows went straight into per-link stores:
+# every field stripped, every row a (t_us, line_no, snr_db) tuple sorted per
+# link. The parsers above must agree with them on every input, error or not.
+
+_ORACLE_NODE_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_oracle_logger = logging.getLogger("linksim.traces")
+
+
+def _oracle_validate_node_id(line_no, node_id):
+    if not _ORACLE_NODE_ID_RE.match(node_id):
+        raise TraceFormatError(
+            line_no, f"invalid node id {node_id!r} (allowed: letters, digits, _.-)"
+        )
+    return node_id
+
+
+def _oracle_parse_float(line_no, field, what):
+    try:
+        value = float(field)
+    except ValueError:
+        raise TraceFormatError(line_no, f"malformed {what}: {field!r}") from None
+    if not math.isfinite(value):
+        raise TraceFormatError(line_no, f"non-finite {what}: {field!r}")
+    return value
+
+
+def oracle_rows(data, header, n_fields, what):
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    lines = data.splitlines()
+    if not lines:
+        raise TraceFormatError(1, "empty file")
+    if lines[0].strip() != header:
+        raise TraceFormatError(1, f"expected header {header!r}")
+    found = False
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != n_fields:
+            raise TraceFormatError(
+                line_no, f"expected {n_fields} fields, got {len(fields)}")
+        try:
+            t_us = int(fields[0])
+        except ValueError:
+            raise TraceFormatError(
+                line_no, f"malformed timestamp: {fields[0]!r}") from None
+        if t_us < 0:
+            raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
+        found = True
+        yield line_no, t_us, fields
+    if not found:
+        raise TraceFormatError(len(lines), f"no {what} in file")
+
+
+def oracle_parse_snr_trace(data, gap_warning_s=1.0):
+    raw = {}
+    for line_no, t_us, fields in oracle_rows(data, SNR_HEADER, 4, "samples"):
+        tx = _oracle_validate_node_id(line_no, fields[1])
+        rx = _oracle_validate_node_id(line_no, fields[2])
+        if tx == rx:
+            raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
+        snr_db = _oracle_parse_float(line_no, fields[3], "snr_db")
+        raw.setdefault((tx, rx), []).append((t_us, line_no, snr_db))
+    series = {}
+    gap_limit = int(gap_warning_s * 1_000_000)
+    for (tx, rx), rows in raw.items():
+        rows.sort()
+        times, values = [], []
+        for t_us, _, snr_db in rows:
+            if times and times[-1] == t_us:
+                values[-1] = snr_db
+            else:
+                times.append(t_us)
+                values.append(snr_db)
+        link = DirectedLink(tx, rx)
+        series[link] = (times, values)
+        gap = max((b - a for a, b in zip(times, times[1:])), default=0)
+        if gap > gap_limit:
+            _oracle_logger.warning(
+                "link %s has a %.3f s sample gap (hold-last applies)",
+                link, gap / 1e6,
+            )
+    return SnrTrace(series)
+
+
+def oracle_parse_mobility(data):
+    per_node = {}
+    seen = set()
+    for line_no, t_us, fields in oracle_rows(data, MOBILITY_HEADER, 5,
+                                             "waypoints"):
+        node = _oracle_validate_node_id(line_no, fields[1])
+        if (node, t_us) in seen:
+            raise TraceFormatError(
+                line_no, f"duplicate waypoint for {node!r} at {t_us} µs")
+        seen.add((node, t_us))
+        x = _oracle_parse_float(line_no, fields[2], "x_m")
+        y = _oracle_parse_float(line_no, fields[3], "y_m")
+        z = _oracle_parse_float(line_no, fields[4], "z_m")
+        per_node.setdefault(node, []).append(Waypoint(t_us, x, y, z))
+    for seq in per_node.values():
+        seq.sort(key=lambda w: w.t_us)
+    return MobilityTrace(per_node)
+
+
+# Whitespace that may pad a field: str.strip() removes all of it, while
+# int() and float() reject \x1f; \u3000 and \xa0 are non-ASCII spaces.
+PADDING = [" ", "\t", "  ", "\x1f", "\u3000", "\xa0", " \x1f "]
+NODES = ["A", "B", "C", "Master", "n_1.x-2"]
+BAD_NODES = ["A B", "A!", "", "é", "A,"]
+
+
+def _pad(rng, field):
+    if rng.random() < 0.15:
+        return rng.choice(PADDING) + field + rng.choice(["", *PADDING])
+    return field
+
+
+def _mutated_rows(rng, make_row, n_rows, bad_rows):
+    """Rows of one random trace file, every field possibly padded.
+
+    make_row(rng, t_us) gives the fields of one valid row; bad_rows maps a
+    kind of error to a function giving the fields of a row with it.
+    """
+    rows = []
+    t_us = rng.randrange(0, 3)
+    for _ in range(n_rows):
+        t_us += rng.choice([0, 1, 7, 250, 2_000_000])   # 0: a duplicate time
+        rows.append(make_row(rng, t_us))
+    if len(rows) > 1:
+        for _ in range(rng.choice([0, 0, 1, 2])):        # out-of-order rows
+            i, j = sorted(rng.sample(range(len(rows)), 2))
+            rows[i:j + 1] = reversed(rows[i:j + 1])
+        for _ in range(rng.choice([0, 0, 1, 2])):        # same key, new value
+            row = rng.choice(rows)[:-1] + make_row(rng, 0)[-1:]
+            rows.insert(rng.randrange(len(rows) + 1), row)
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):         # invalid rows
+        kind = rng.choice(sorted(bad_rows))
+        rows.insert(rng.randrange(len(rows) + 1), bad_rows[kind](rng))
+    lines = [",".join(_pad(rng, f) for f in row) for row in rows]
+    for _ in range(rng.choice([0, 0, 1, 3])):            # blank lines
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t"]))
+    return lines
+
+
+def _snr_row_fields(rng, t_us):
+    tx, rx = rng.sample(NODES[:3] if rng.random() < 0.8 else NODES, 2)
+    snr = rng.choice([f"{rng.uniform(-5, 40)!r}", f"{rng.uniform(-5, 40):.2f}",
+                      str(rng.randrange(0, 40)), "1e1", "+3.5", "1_0.5"])
+    return [str(t_us), tx, rx, snr]
+
+
+SNR_BAD_ROWS = {
+    "bad_node": lambda rng: ["5", rng.choice(BAD_NODES), "B", "1.0"],
+    "bad_rx": lambda rng: ["5", "A", rng.choice(BAD_NODES), "1.0"],
+    "tx_equals_rx": lambda rng: ["5", "A", rng.choice(["A", " A"]), "1.0"],
+    "non_finite": lambda rng: ["5", "A", "B",
+                               rng.choice(["nan", "inf", "-inf", "1e400"])],
+    "bad_snr": lambda rng: ["5", "A", "B", rng.choice(["x", "", "1.0.0"])],
+    "field_count": lambda rng: rng.choice([["5", "A", "B"],
+                                           ["5", "A", "B", "1.0", ""]]),
+    "timestamp": lambda rng: [rng.choice(["-5", "1.5", "1e3", "", "0x10"]),
+                              "A", "B", "1.0"],
+}
+
+
+def _mobility_row_fields(rng, t_us):
+    return [str(t_us), rng.choice(NODES[:3]),
+            *(f"{rng.uniform(-50, 50)!r}" for _ in range(3))]
+
+
+MOBILITY_BAD_ROWS = {
+    "bad_node": lambda rng: ["5", rng.choice(BAD_NODES), "1", "2", "3"],
+    "non_finite": lambda rng: ["5", "A", "1", rng.choice(["nan", "inf"]), "3"],
+    "bad_coordinate": lambda rng: ["5", "A", "1", "2", rng.choice(["y", ""])],
+    "field_count": lambda rng: ["5", "A", "1", "2"],
+    "timestamp": lambda rng: [rng.choice(["-1", "2.5"]), "A", "1", "2", "3"],
+}
+
+
+def _random_file(rng, header, make_row, bad_rows):
+    lines = [header] + _mutated_rows(rng, make_row, rng.randrange(0, 30),
+                                     bad_rows)
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["\n", ""])
+    return text.encode("utf-8") if rng.random() < 0.5 else text
+
+
+def _outcome(parse, data, caplog):
+    caplog.clear()
+    try:
+        result = parse(data)
+    except TraceFormatError as exc:
+        return "error", str(exc), exc.line_no
+    warnings = [rec.getMessage() for rec in caplog.records]
+    keys = result.links() if isinstance(result, SnrTrace) else result.nodes()
+    return "ok", result, keys, warnings
+
+
+@pytest.mark.parametrize("parse, oracle, header, make_row, bad_rows", [
+    (parse_snr_trace, oracle_parse_snr_trace, SNR_HEADER, _snr_row_fields,
+     SNR_BAD_ROWS),
+    (parse_mobility, oracle_parse_mobility, MOBILITY_HEADER,
+     _mobility_row_fields, MOBILITY_BAD_ROWS),
+], ids=["snr", "mobility"])
+def test_parsers_agree_with_the_previous_parsers(caplog, parse, oracle, header,
+                                                 make_row, bad_rows):
+    rng = random.Random(2024)
+    outcomes = set()
+    with caplog.at_level(logging.WARNING, logger="linksim.traces"):
+        for _ in range(600):
+            data = _random_file(rng, header, make_row, bad_rows)
+            expected = _outcome(oracle, data, caplog)
+            assert _outcome(parse, data, caplog) == expected, data
+            outcomes.add(expected[0] if expected[0] == "ok"
+                         else expected[1].split(":")[1].split()[0])
+    # the random files reach a valid trace and each kind of row error
+    assert {"ok", "malformed", "non-finite", "invalid", "expected",
+            "negative"} <= outcomes
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios" / "traces")
+    .glob("*.csv")), ids=lambda p: p.name)
+def test_bundled_traces_parse_as_before(path):
+    data = path.read_bytes()
+    trace = parse_snr_trace(data)
+    expected = oracle_parse_snr_trace(data)
+    assert trace == expected and trace.links() == expected.links()
