@@ -9,6 +9,7 @@ returns recorded values verbatim.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .engine import RngStream
@@ -161,9 +162,11 @@ class Channel:
 
     Owns the per-link fading streams so that replaying a recorded trace
     consumes exactly the same non-fading streams as the original run.
-    A link prepared while both its nodes are static (one waypoint each)
-    keeps its mean received power, so each frame on it costs at most one
-    fading draw; every other link is computed per frame by ``link_snr``.
+    A prepared link of a trace replay keeps its ``(times, values)`` arrays,
+    so each frame on it costs one lookup and one bisection. A link prepared
+    while both its nodes are static (one waypoint each) keeps its mean
+    received power, so each frame on it costs at most one fading draw.
+    Every other link is computed per frame by ``link_snr``.
     """
 
     spec: PropagationSpec
@@ -171,6 +174,8 @@ class Channel:
     mobility: MobilityTrace
     _fading: dict[DirectedLink, RngStream] = field(default_factory=dict)
     _root_seed: int = 0
+    # replayed link -> its trace's (times, values) arrays
+    _replay: dict[DirectedLink, tuple] = field(default_factory=dict)
     # static link -> (SNR in dB without fading, mean rx power in W)
     _static: dict[DirectedLink, tuple[float, float]] = field(
         default_factory=dict)
@@ -189,21 +194,29 @@ class Channel:
         self._draws.clear()
 
     def prepare(self, link: DirectedLink) -> None:
-        """Compute the link budget once if both ends of link never move.
+        """Keep link's replay table, or its link budget if both ends never move.
 
-        Raises ValueError when the nodes are closer than the path loss
-        model admits, which per-frame evaluation would only find at the
-        first frame.
+        Raises KeyError when a replayed trace has no samples for link, and
+        ValueError when static nodes are closer than the path loss model
+        admits, which per-frame evaluation would only find at the first
+        frame.
         """
+        if self.spec.model == TRACE:
+            self._replay[link] = self.spec.trace.series(link)
+            return
         mobility = self.mobility
-        if (self.spec.model == TRACE or not mobility.is_static(link.tx)
-                or not mobility.is_static(link.rx)):
+        if not mobility.is_static(link.tx) or not mobility.is_static(link.rx):
             return
         d_m = mobility.link_distance(link.tx, link.rx, 0)
         rx_dbm = mean_rx_power_dbm(self.spec, self.params, d_m)
         self._static[link] = (rx_dbm - self._noise_dbm, dbm_to_w(rx_dbm))
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
+        replay = self._replay.get(link)
+        if replay is not None:
+            # SnrTrace.snr_at, inlined as this runs once per frame
+            times, values = replay
+            return values[max(bisect_right(times, t_us) - 1, 0)]
         draw = self._draws.get(link)
         if draw is not None:
             # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined

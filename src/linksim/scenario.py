@@ -16,7 +16,9 @@ import configparser
 import hashlib
 import io
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable
 
@@ -509,8 +511,11 @@ def _simulate_into(built: BuiltRun, path: Path, observer) -> SimRun:
     """simulate(built) with the event log observer(fh) writing to path.
 
     The rows go to a temp name beside path, renamed to path once the run
-    completes, so a run that raises leaves no partial file.
+    completes, so a run that raises leaves no partial file, and none of the
+    directories made here for it.
     """
+    made = list(takewhile(lambda d: not d.exists(),
+                          (path.parent, *path.parent.parents)))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -518,6 +523,9 @@ def _simulate_into(built: BuiltRun, path: Path, observer) -> SimRun:
             run = simulate(built, event_log=observer(fh))
     except BaseException:
         tmp.unlink(missing_ok=True)
+        with suppress(OSError):     # one that something else wrote into stays
+            for directory in made:  # deepest first
+                directory.rmdir()
         raise
     tmp.replace(path)
     return run

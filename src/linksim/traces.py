@@ -15,9 +15,10 @@ from __future__ import annotations
 import logging
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, lt, sub
 
 logger = logging.getLogger(__name__)
@@ -26,6 +27,10 @@ SNR_HEADER = "t_us,tx,rx,snr_db"
 MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
 
 _NODE_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_MAX_T_US = 2**63 - 1   # timestamps are stored as int64
+# A trace is read in chunks of at least this many bytes (characters for str
+# input), each ending just after a newline.
+_CHUNK = 1 << 16
 
 
 class TraceFormatError(ValueError):
@@ -104,23 +109,62 @@ def _parse_float(line_no: int, field: str, what: str) -> float:
     return value
 
 
+def _decode(data: bytes, start: int, end: int) -> str:
+    """data[start:end] decoded as UTF-8.
+
+    A decode error counts its position from the start of data, as decoding
+    the whole of data would.
+    """
+    try:
+        return data[start:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
+                                 start + exc.end, exc.reason) from None
+
+
+def _line_chunks(data: str | bytes):
+    """Yield the lines of data, one list per chunk of it.
+
+    Together the lists hold the lines that splitlines() of the whole text
+    gives, while only one chunk is decoded and split at a time. A chunk
+    ends just after a "\\n", which never splits a "\\r\\n" pair or a
+    UTF-8 sequence. Bytes that are not all ASCII are checked as UTF-8 before
+    the first chunk is yielded, so a bad byte is reported before any row
+    error, as decoding the whole file first would report it.
+    """
+    is_bytes = isinstance(data, bytes)
+    newline = b"\n" if is_bytes else "\n"
+    spans = []
+    start = 0
+    while start < len(data):
+        end = data.find(newline, start + _CHUNK) + 1 or len(data)
+        spans.append((start, end))
+        start = end
+    if is_bytes and not data.isascii():
+        for start, end in spans:
+            _decode(data, start, end)
+    for start, end in spans:
+        chunk = _decode(data, start, end) if is_bytes else data[start:end]
+        yield chunk.splitlines()
+
+
 def _rows(data: str | bytes, header: str, n_fields: int, what: str):
     """Yield (line_no, t_us, fields) for each non-blank row of a trace CSV.
 
-    Checks what both trace kinds share: the header, the field count and a
-    non-negative integer timestamp in the first field. Raises when the file
-    holds no row, naming the rows as ``what``. The fields keep the
+    Checks what both trace kinds share: the header, the field count and an
+    integer timestamp in the first field from 0 to 2**63 - 1. Raises when
+    the file holds no row, naming the rows as ``what``. The fields keep the
     whitespace around them; each parser strips what it uses.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = data.splitlines()
-    if not lines:
+    lines = chain.from_iterable(_line_chunks(data))
+    first = next(lines, None)
+    if first is None:
         raise TraceFormatError(1, "empty file")
-    if lines[0].strip() != header:
+    if first.strip() != header:
         raise TraceFormatError(1, f"expected header {header!r}")
     found = False
-    for line_no, line in enumerate(lines[1:], start=2):
+    line_no = 1
+    for line_no, line in enumerate(lines, start=2):
         fields = line.split(",")
         if len(fields) != n_fields:
             if not line.strip():
@@ -131,12 +175,14 @@ def _rows(data: str | bytes, header: str, n_fields: int, what: str):
             t_us = int(fields[0])
         except ValueError:
             t_us = _stripped(int, line_no, fields[0], "timestamp")
-        if t_us < 0:
-            raise TraceFormatError(line_no, f"negative timestamp: {t_us}")
+        if not 0 <= t_us <= _MAX_T_US:
+            raise TraceFormatError(line_no, (
+                f"negative timestamp: {t_us}" if t_us < 0 else
+                f"timestamp beyond int64: {t_us}"))
         found = True
         yield line_no, t_us, fields
     if not found:
-        raise TraceFormatError(len(lines), f"no {what} in file")
+        raise TraceFormatError(line_no, f"no {what} in file")
 
 
 def _snr_row(t_us: int, link: DirectedLink, snr_db: float) -> str:
@@ -147,34 +193,53 @@ def _snr_row(t_us: int, link: DirectedLink, snr_db: float) -> str:
 class SnrTrace:
     """Per-frame receiver SNR samples keyed by directed link.
 
-    Each link holds one ``(times, values)`` pair of parallel lists. Lookups
-    hold the last observed value; queries before the first sample clamp to
-    it. Instances are immutable after construction.
+    Each link holds one ``(times, values)`` pair of typed arrays, int64
+    microseconds and float64 dB, so a sample takes 16 bytes. The arrays are
+    copies of what the constructor is given, so the trace is immutable after
+    construction. Lookups hold the last observed value; queries before the
+    first sample clamp to it.
     """
 
-    def __init__(self, series: dict[DirectedLink, tuple[list[int], list[float]]]):
+    def __init__(self, series: dict[DirectedLink, tuple]):
         if not series:
             raise ValueError("trace must contain at least one link")
+        self._series = {}
         for link, (times, values) in series.items():
+            times, values = array("q", times), array("d", values)
             if not times:
                 raise ValueError(f"link {link} has no samples")
+            if len(times) != len(values):
+                raise ValueError(f"link {link} has {len(times)} times "
+                                 f"and {len(values)} values")
             if not all(map(lt, times, islice(times, 1, None))):
                 raise ValueError(f"link {link} samples not strictly increasing")
-        self._series = series
+            self._series[link] = (times, values)
+
+    @classmethod
+    def _adopt(cls, series: dict[DirectedLink, tuple[array, array]]) -> "SnrTrace":
+        """A trace that holds series itself, not a copy.
+
+        For parse_snr_trace, whose arrays are checked and held by no one
+        else: a copy would double the memory of the trace while it is made.
+        """
+        trace = cls.__new__(cls)
+        trace._series = series
+        return trace
 
     def links(self) -> list[DirectedLink]:
         return list(self._series)
 
     def samples(self, link: DirectedLink) -> list[tuple[int, float]]:
         """(t_us, snr_db) of every sample on link, in time order."""
-        return list(zip(*self._get(link)))
+        return list(zip(*self.series(link)))
 
     def snr_at(self, link: DirectedLink, t_us: int) -> float:
         """SNR in dB at t_us: last sample at or before t_us, clamped to the first."""
-        times, values = self._get(link)
+        times, values = self.series(link)
         return values[max(bisect_right(times, t_us) - 1, 0)]
 
-    def _get(self, link: DirectedLink) -> tuple[list[int], list[float]]:
+    def series(self, link: DirectedLink) -> tuple[array, array]:
+        """The (times, values) arrays of link, shared: callers must not change them."""
         try:
             return self._series[link]
         except KeyError:
@@ -194,7 +259,7 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
     gap_warning_s trigger a logged warning (hold-last lookup still applies
     across the gap).
     """
-    series: dict[DirectedLink, tuple[list[int], list[float]]] = {}
+    series: dict[DirectedLink, tuple[array, array]] = {}
     stores = {}     # (tx, rx) fields as written -> that link's (times, values)
     isfinite = math.isfinite
     for line_no, t_us, (_, tx, rx, snr) in _rows(data, SNR_HEADER, 4, "samples"):
@@ -214,15 +279,15 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
     for link, (times, values) in series.items():
         if not all(map(lt, times, islice(times, 1, None))):
             last = dict(zip(times, values))     # the last value per time
-            times[:] = sorted(last)
-            values[:] = map(last.__getitem__, times)
+            times = array("q", sorted(last))
+            series[link] = (times, array("d", map(last.__getitem__, times)))
         gap = max(map(sub, islice(times, 1, None), times), default=0)
         if gap > gap_limit:
             logger.warning(
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,
             )
-    return SnrTrace(series)
+    return SnrTrace._adopt(series)
 
 
 def _link_store(series, line_no: int, tx: str, rx: str):
@@ -231,7 +296,7 @@ def _link_store(series, line_no: int, tx: str, rx: str):
     rx = _validate_node_id(line_no, rx)
     if tx == rx:
         raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
-    return series.setdefault(DirectedLink(tx, rx), ([], []))
+    return series.setdefault(DirectedLink(tx, rx), (array("q"), array("d")))
 
 
 def serialize_snr_trace(trace: SnrTrace) -> str:

@@ -1,6 +1,7 @@
 """Propagation models, noise accounting, fading, and SNR composition."""
 
 import math
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from linksim.channel import (Channel, PropagationSpec, RadioParams,
                              link_snr, log_distance_path_loss,
                              noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
-from linksim.traces import (DirectedLink, MobilityTrace, Waypoint,
+from linksim.traces import (DirectedLink, MobilityTrace, SnrTrace, Waypoint,
                             parse_snr_trace)
 
 AB = DirectedLink("A", "B")
@@ -214,6 +215,24 @@ def test_static_link_snr_is_link_snr_bit_for_bit(spec):
                 for t in times]
         assert [x.hex() for x in fast[link]] == [x.hex() for x in slow]
         assert len(set(slow)) == (1 if spec.nakagami_m is None else len(times))
+
+
+def test_replayed_link_snr_is_snr_at_bit_for_bit():
+    rng = random.Random(9)
+    times = sorted(rng.sample(range(1, 1_000_000), 200))
+    trace = SnrTrace({AB: (times, [rng.uniform(-5, 40) for _ in times]),
+                      BA: ([500], [12.5])})
+    ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
+                 static_mobility(6.0))
+    for link in (AB, BA):
+        ch.prepare(link)
+    queries = [0, 2_000_000, *times, *(t - 1 for t in times),
+               *(t + 1 for t in times)]
+    expected = {link: [trace.snr_at(link, t) for t in queries]
+                for link in (AB, BA)}
+    trace.snr_at = None     # a prepared link reads its table, not the trace
+    for link in (AB, BA):
+        assert [ch.snr(link, t) for t in queries] == expected[link]
 
 
 def test_moving_node_snr_changes_over_time():

@@ -381,7 +381,22 @@ def test_a_run_that_fails_midway_leaves_no_partial_file(tmp_path,
             execute_run(cfg, out)
         else:
             execute_record(cfg, out / "trace.csv")
-    assert list(out.iterdir()) == []
+    assert not out.exists()     # nor the directory the run made for it
+
+
+@pytest.mark.parametrize("command", ["run", "record-trace"])
+def test_a_failed_run_keeps_a_directory_that_existed(tmp_path, failing_channel,
+                                                      command):
+    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
+                  duration_s=1)
+    out = tmp_path / "out"
+    (out / "deeper").mkdir(parents=True)
+    with pytest.raises(RuntimeError, match="channel failed"):
+        if command == "run":
+            execute_run(cfg, out / "deeper" / "run")
+        else:
+            execute_record(cfg, out / "deeper" / "trace.csv")
+    assert [p.name for p in out.rglob("*")] == ["deeper"]
 
 
 @pytest.mark.parametrize("command", ["run", "record-trace"])
@@ -395,7 +410,7 @@ def test_a_runtime_error_exits_2_without_a_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "runtime error: channel failed" in err
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []    # no events.csv, trace or .tmp file
+    assert not out.exists()     # no events.csv, trace, .tmp file or directory
 
 
 def test_manifest_hashes_the_input_bytes_the_run_parsed(tmp_path,

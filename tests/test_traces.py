@@ -7,10 +7,12 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from linksim import cli, traces
 from linksim.traces import (MOBILITY_HEADER, SNR_HEADER, DirectedLink,
                             MobilityTrace, SnrTrace, TraceCsvRecorder,
                             TraceFormatError, Waypoint, parse_mobility,
@@ -74,6 +76,17 @@ def test_snr_at_hold_last():
     assert trace.snr_at(AB, 1_100_000) == 25.0      # boundary: at-sample
     assert trace.snr_at(AB, 500_000) == 23.5        # clamp to first
     assert trace.snr_at(AB, 9_000_000) == 25.0      # hold beyond last
+
+
+def test_snr_trace_keeps_a_checked_copy_of_its_samples():
+    times, values = [0, 10], [20.0, 30.0]
+    trace = SnrTrace({AB: (times, values)})
+    times[1] = -5
+    values[0] = 99.0
+    assert trace.samples(AB) == [(0, 20.0), (10, 30.0)]
+    assert trace.snr_at(AB, 10) == 30.0
+    with pytest.raises(ValueError, match="2 times and 1 values"):
+        SnrTrace({AB: ([0, 10], [20.0])})
 
 
 def test_snr_at_unknown_link():
@@ -201,11 +214,20 @@ def test_both_formats_share_row_checks(parse, header, row):
         f"{header}\n1,{row},9\n": "line 2: expected ",
         f"{header}\n\n1.5,{row}\n": "line 3: malformed timestamp: '1.5'",
         f"{header}\n-1,{row}\n": "line 2: negative timestamp: -1",
+        f"{header}\n1,{row}\n{2**63},{row}\n":
+            f"line 3: timestamp beyond int64: {2**63}",
+        f"{header}\n100000000000000000000,{row}\n":
+            "line 2: timestamp beyond int64: 100000000000000000000",
     }
     for text, message in cases.items():
         with pytest.raises(TraceFormatError) as info:
             parse(text)
         assert str(info.value).startswith(message)
+
+
+def test_largest_int64_timestamp_is_a_sample():
+    trace = parse_snr_trace(f"t_us,tx,rx,snr_db\n{2**63 - 1},A,B,20.0\n")
+    assert trace.samples(AB) == [(2**63 - 1, 20.0)]
 
 
 def test_min_distance_matches_dense_sampling():
@@ -459,6 +481,19 @@ def _outcome(parse, data, caplog):
 ], ids=["snr", "mobility"])
 def test_parsers_agree_with_the_previous_parsers(caplog, parse, oracle, header,
                                                  make_row, bad_rows):
+    _assert_agree(caplog, parse, oracle, header, make_row, bad_rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_parsers_agree_at_small_chunk_sizes(caplog, monkeypatch, chunk):
+    monkeypatch.setattr(traces, "_CHUNK", chunk)
+    _assert_agree(caplog, parse_snr_trace, oracle_parse_snr_trace, SNR_HEADER,
+                  _snr_row_fields, SNR_BAD_ROWS)
+    _assert_agree(caplog, parse_mobility, oracle_parse_mobility,
+                  MOBILITY_HEADER, _mobility_row_fields, MOBILITY_BAD_ROWS)
+
+
+def _assert_agree(caplog, parse, oracle, header, make_row, bad_rows):
     rng = random.Random(2024)
     outcomes = set()
     with caplog.at_level(logging.WARNING, logger="linksim.traces"):
@@ -481,3 +516,82 @@ def test_bundled_traces_parse_as_before(path):
     trace = parse_snr_trace(data)
     expected = oracle_parse_snr_trace(data)
     assert trace == expected and trace.links() == expected.links()
+
+
+# -- chunked reading -----------------------------------------------------------
+# Every line break that str.splitlines() knows, on both sides of a "\n"
+# where a chunk may end.
+BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+BREAKS_TEXT = SNR_HEADER + "\n" + "".join(
+    f"{2 * i},A,B,{i}.5{brk}\n{brk}{2 * i + 1},B,A,-{i}.25\n"
+    for i, brk in enumerate(BREAKS))
+
+
+@pytest.mark.parametrize("data", [BREAKS_TEXT, BREAKS_TEXT.encode("utf-8")],
+                         ids=["str", "bytes"])
+def test_chunks_split_lines_as_the_whole_text_does(caplog, monkeypatch, data):
+    text = BREAKS_TEXT
+    expected = _outcome(oracle_parse_snr_trace, data, caplog)
+    assert expected[0] == "ok" and len(expected[1].samples(AB)) == len(BREAKS)
+    for chunk in range(1, len(data) + 2):
+        monkeypatch.setattr(traces, "_CHUNK", chunk)
+        chunks = list(traces._line_chunks(data))
+        assert [line for lines in chunks for line in lines] == text.splitlines()
+        assert _outcome(parse_snr_trace, data, caplog) == expected
+        # a row error names the line that splitlines() of the whole text gives
+        bad = data + (b"7,A,B,x\n" if isinstance(data, bytes) else "7,A,B,x\n")
+        assert _outcome(parse_snr_trace, bad, caplog) == \
+            _outcome(oracle_parse_snr_trace, bad, caplog)
+
+
+def _bad_utf8_cases():
+    """Traces longer than one chunk whose bytes are not all UTF-8."""
+    rows = "".join(f"{t},A,B,{t % 40}.5\n" for t in range(20_000)).encode()
+    assert len(rows) > 2 * traces._CHUNK
+    header = SNR_HEADER.encode() + b"\n"
+    return {
+        "bad_byte": header + rows + b"9000,A,B,\xff\n",
+        "cut_sequence": header + rows + b"9000,A,B,1.5\xe2\x82\n" + rows,
+        "after_a_row_error": header + b"x,A,B,1\n" + rows + b"9000,A,B,\xc3\n",
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_utf8_cases()))
+def test_a_bad_utf8_byte_is_named_as_in_the_whole_file(tmp_path, capsys, case):
+    data = _bad_utf8_cases()[case]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    (tmp_path / "link.csv").write_bytes(data)
+    (tmp_path / "scn.ini").write_text(
+        "[scenario]\nduration_s = 1\n[nodes]\nA = 0,0,0\nB = 6,0,0\n"
+        "[propagation]\nmodel = trace\ntrace_file = link.csv\n"
+        "[traffic]\nkind = udp_uni\nsrc = A\ndst = B\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "scn.ini"),
+                     "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'link.csv'}: {whole.value}\n" in err
+    assert whole.value.start > traces._CHUNK and not out.exists()
+
+
+def test_parse_keeps_16_bytes_per_sample():
+    """A 200k-row trace parses in memory bounded by the samples kept.
+
+    The bounds leave room for the arrays' spare capacity and one chunk of
+    text, but not for a second copy of the samples or for the text itself.
+    """
+    n = 200_000
+    data = (SNR_HEADER + "\n" + "".join(
+        f"{t * 250},{'AB'[t % 2]},{'BA'[t % 2]},{(t * 7919 % 4000) / 97!r}\n"
+        for t in range(n))).encode("utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = parse_snr_trace(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(trace.links()) == [AB, BA]
+    assert (peak - before) / n <= 24
+    assert (kept - before) / n <= 20
