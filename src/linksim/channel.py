@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .engine import RngStream
 from .traces import DirectedLink, MobilityTrace, SnrTrace
@@ -30,9 +31,9 @@ class RadioParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tx_power_dbm <= 17.0:
             raise ValueError(f"tx_power_dbm out of [0, 17]: {self.tx_power_dbm}")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:   # written so that nan fails too
             raise ValueError("bandwidth_hz must be > 0")
-        if self.center_freq_hz <= 0:
+        if not self.center_freq_hz > 0:
             raise ValueError("center_freq_hz must be > 0")
 
 
@@ -62,11 +63,11 @@ class PropagationSpec:
         else:
             if self.trace is not None:
                 raise ValueError(f"{self.model} model must not carry a trace")
-        if self.gamma <= 0:
+        if not self.gamma > 0:   # written so that nan fails too
             raise ValueError("gamma must be > 0")
-        if self.ref_distance_m <= 0:
+        if not self.ref_distance_m > 0:
             raise ValueError("ref_distance_m must be > 0")
-        if self.nakagami_m is not None and self.nakagami_m < 0.5:
+        if self.nakagami_m is not None and not self.nakagami_m >= 0.5:
             raise ValueError("nakagami_m must be >= 0.5")
 
 
@@ -100,7 +101,7 @@ def apply_nakagami(power_w: float, m: float, rng: RngStream) -> float:
     """One Nakagami-m block-fading draw: gamma with shape m, mean power_w."""
     if power_w < 0:
         raise ValueError("power_w must be >= 0")
-    if m < 0.5:
+    if not m >= 0.5:
         raise ValueError("m must be >= 0.5")
     if power_w == 0.0:
         return 0.0
@@ -160,83 +161,70 @@ def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
 class Channel:
     """Bound SNR source for one simulation instance.
 
-    Owns the per-link fading streams so that replaying a recorded trace
-    consumes exactly the same non-fading streams as the original run.
-    A prepared link of a trace replay keeps its ``(times, values)`` arrays,
-    so each frame on it costs one lookup and one bisection. A link prepared
-    while both its nodes are static (one waypoint each) keeps its mean
-    received power, so each frame on it costs at most one fading draw.
-    Every other link is computed per frame by ``link_snr``.
+    Each link has one source, a function of the frame time in µs that
+    returns the SNR in dB, built by ``prepare`` or at the link's first frame:
+    a replayed link holds its trace's last sample, a link whose nodes never
+    move keeps its link budget (and takes one fading draw per frame when
+    fading is configured), and a link with a moving node runs ``link_snr``.
+    The channel owns the per-link fading streams so that replaying a
+    recorded trace consumes exactly the same non-fading streams as the
+    original run.
     """
 
     spec: PropagationSpec
     params: RadioParams
     mobility: MobilityTrace
-    _fading: dict[DirectedLink, RngStream] = field(default_factory=dict)
-    _root_seed: int = 0
-    # replayed link -> its trace's (times, values) arrays
-    _replay: dict[DirectedLink, tuple] = field(default_factory=dict)
-    # static link -> (SNR in dB without fading, mean rx power in W)
-    _static: dict[DirectedLink, tuple[float, float]] = field(
-        default_factory=dict)
-    # faded static link -> (its stream's gamma draw, m, power_w / m, noise
-    # in dBm), filled at the link's first frame after bind_seed
-    _draws: dict[DirectedLink, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._noise_dbm = noise_power_dbm(self.params.bandwidth_hz,
-                                          self.params.noise_figure_db)
+        self._root_seed = 0
+        self._sources: dict[DirectedLink, Callable[[int], float]] = {}
 
     def bind_seed(self, root_seed: int) -> None:
         """Start every fading stream afresh from root_seed."""
         self._root_seed = root_seed
-        self._fading.clear()
-        self._draws.clear()
+        for link in self._sources:
+            self._sources[link] = self._source(link)
 
     def prepare(self, link: DirectedLink) -> None:
-        """Keep link's replay table, or its link budget if both ends never move.
+        """Build link's SNR source now rather than at its first frame.
 
         Raises KeyError when a replayed trace has no samples for link, and
         ValueError when static nodes are closer than the path loss model
         admits, which per-frame evaluation would only find at the first
         frame.
         """
-        if self.spec.model == TRACE:
-            self._replay[link] = self.spec.trace.series(link)
-            return
-        mobility = self.mobility
-        if not mobility.is_static(link.tx) or not mobility.is_static(link.rx):
-            return
-        d_m = mobility.link_distance(link.tx, link.rx, 0)
-        rx_dbm = mean_rx_power_dbm(self.spec, self.params, d_m)
-        self._static[link] = (rx_dbm - self._noise_dbm, dbm_to_w(rx_dbm))
+        self._sources[link] = self._source(link)
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
-        replay = self._replay.get(link)
-        if replay is not None:
+        source = self._sources.get(link)
+        if source is None:
+            source = self._sources[link] = self._source(link)
+        return source(t_us)
+
+    def _source(self, link: DirectedLink) -> Callable[[int], float]:
+        spec = self.spec
+        if spec.model == TRACE:
+            times, values = spec.trace.series(link)
             # SnrTrace.snr_at, inlined as this runs once per frame
-            times, values = replay
-            return values[max(bisect_right(times, t_us) - 1, 0)]
-        draw = self._draws.get(link)
-        if draw is not None:
-            # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined
-            gamma, m, scale, noise_dbm = draw
-            return (10.0 * math.log10(max(gamma(m, scale), 1e-300)) + 30.0
-                    - noise_dbm)
-        m = self.spec.nakagami_m
-        rng = None
+            return lambda t_us: values[max(bisect_right(times, t_us) - 1, 0)]
+        m = spec.nakagami_m
+        rng = None if m is None else RngStream(self._root_seed,
+                                               f"fading.{link}")
+        mobility = self.mobility
+        if not mobility.is_static(link.tx) or not mobility.is_static(link.rx):
+            return lambda t_us: link_snr(spec, self.params, link, mobility,
+                                         t_us, rng)
+        params = self.params
+        d_m = mobility.link_distance(link.tx, link.rx, 0)
+        rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+        noise_dbm = noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
+        snr_db = rx_dbm - noise_dbm
         if m is not None:
-            rng = self._fading.get(link)
-            if rng is None:
-                rng = RngStream(self._root_seed, f"fading.{link}")
-                self._fading[link] = rng
-        static = self._static.get(link)
-        if static is None:
-            return link_snr(self.spec, self.params, link, self.mobility, t_us,
-                            rng)
-        if rng is None:
-            return static[0]
-        power_w = static[1]
-        if power_w > 0.0:
-            self._draws[link] = (rng.gamma, m, power_w / m, self._noise_dbm)
-        return w_to_dbm(apply_nakagami(power_w, m, rng)) - self._noise_dbm
+            power_w = dbm_to_w(rx_dbm)
+            if power_w > 0.0:
+                gamma, scale = rng.gamma, power_w / m
+                # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined
+                return lambda t_us: (10.0 * math.log10(
+                    max(gamma(m, scale), 1e-300)) + 30.0 - noise_dbm)
+            snr_db = w_to_dbm(0.0) - noise_dbm   # apply_nakagami draws nothing
+        return lambda t_us: snr_db

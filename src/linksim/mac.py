@@ -84,19 +84,17 @@ class Airtime:
 class AirtimeTable:
     """Airtime of every mode at each MPDU size, computed once per size.
 
-    ``rows(mpdu_bytes)[i]`` belongs to ``modes[i]``; with the default MODES
-    that index is the mode id.
+    ``rows(mpdu_bytes)[mode.id]`` belongs to ``mode``.
     """
 
-    def __init__(self, params: DcfParams, modes: tuple[PhyMode, ...] = MODES):
+    def __init__(self, params: DcfParams):
         self.params = params
-        self.modes = modes
         self._rows: dict[int, list[Airtime]] = {}
 
     def rows(self, mpdu_bytes: int) -> list[Airtime]:
         rows = self._rows.get(mpdu_bytes)
         if rows is None:
-            rows = [Airtime(mpdu_bytes, m, self.params) for m in self.modes]
+            rows = [Airtime(mpdu_bytes, m, self.params) for m in MODES]
             self._rows[mpdu_bytes] = rows
         return rows
 
@@ -155,13 +153,10 @@ class Minstrel:
     UPDATE_INTERVAL_US = 100_000
     PROBE_PERIOD = 10
 
-    def __init__(self, params: DcfParams, rng: RngStream,
-                 modes: tuple[PhyMode, ...] = MODES):
+    def __init__(self, params: DcfParams, rng: RngStream):
         self.params = params
         self.rng = rng
-        self.modes = modes
-        n = len(modes)
-        self._index = {mode.id: i for i, mode in enumerate(modes)}
+        n = len(MODES)
         self.ewma = [0.0] * n
         self.window_attempts = [0] * n
         self.window_successes = [0] * n
@@ -172,7 +167,7 @@ class Minstrel:
         self._all_tried = False
         # mpdu_bytes -> _argmax_tput(mpdu_bytes), valid until the EWMA changes
         self._ranking: dict[int, tuple[int, float]] = {}
-        self.airtime = AirtimeTable(params, modes)
+        self.airtime = AirtimeTable(params)
 
     def update_window(self, mode_id: int, attempts: int, successes: int) -> None:
         """Fold one interval's counters for one mode into its EWMA."""
@@ -186,7 +181,7 @@ class Minstrel:
         self._ranking.clear()
 
     def _close_interval(self, now_us: int) -> None:
-        for i in range(len(self.modes)):
+        for i in range(len(MODES)):
             self.update_window(i, self.window_attempts[i], self.window_successes[i])
             self.window_attempts[i] = 0
             self.window_successes[i] = 0
@@ -213,28 +208,27 @@ class Minstrel:
             for i, total in enumerate(self.total_attempts):
                 if total == 0:
                     self.probed_this_interval[i] = True
-                    return self.modes[i]
+                    return MODES[i]
             self._all_tried = True
         ranking = self._ranking.get(mpdu_bytes)
         if ranking is None:
             ranking = self._ranking[mpdu_bytes] = self._argmax_tput(mpdu_bytes)
         best, best_tput = ranking
         if best_tput <= 0.0:
-            return self.modes[0]
+            return MODES[0]
         self.frame_count += 1
-        n = len(self.modes)
-        if n > 1 and self.frame_count % self.PROBE_PERIOD == 0:
-            r = self.rng.randint(0, n - 2)
+        if self.frame_count % self.PROBE_PERIOD == 0:
+            r = self.rng.randint(0, len(MODES) - 2)
             cand = r if r < best else r + 1
             expected_us = self.airtime.rows(mpdu_bytes)[cand].expected_us
             if (8 * mpdu_bytes / expected_us > best_tput
                     or not self.probed_this_interval[cand]):
                 self.probed_this_interval[cand] = True
-                return self.modes[cand]
-        return self.modes[best]
+                return MODES[cand]
+        return MODES[best]
 
     def report(self, mode: PhyMode, attempts: int, successes: int) -> None:
-        i = self._index[mode.id]
+        i = mode.id
         self.window_attempts[i] += attempts
         self.window_successes[i] += successes
         self.total_attempts[i] += attempts
@@ -243,12 +237,11 @@ class Minstrel:
 class _Exchange:
     """One in-flight DATA(+ACK) exchange owned by its sender."""
 
-    __slots__ = ("sender", "frame", "mode", "airtime", "t_start", "data_end",
+    __slots__ = ("frame", "mode", "airtime", "t_start", "data_end",
                  "reservation_end", "collided")
 
-    def __init__(self, sender, frame, mode, airtime, t_start, data_end,
+    def __init__(self, frame, mode, airtime, t_start, data_end,
                  reservation_end):
-        self.sender = sender
         self.frame = frame
         self.mode = mode
         self.airtime = airtime
@@ -259,30 +252,25 @@ class _Exchange:
 
 
 class Medium:
-    """Shared half-duplex medium between exactly two stations."""
+    """Shared half-duplex medium between exactly two stations.
+
+    A station arms its access only after ``busy_until``, and the other
+    station's pending access is deferred when a transmission begins, so two
+    data frames overlap only when both start in the same µs.
+    """
 
     def __init__(self) -> None:
-        self.stations: list[Station] = []
         self.busy_until = 0
-        self._active: list[_Exchange] = []
+        self._last: _Exchange | None = None
 
-    def register(self, station: "Station") -> None:
-        if len(self.stations) >= 2:
-            raise ValueError("point-to-point medium supports two stations")
-        self.stations.append(station)
-
-    def begin_tx(self, exchange: _Exchange) -> list[_Exchange]:
-        """Admit a transmission; returns concurrently active exchanges."""
-        now = exchange.t_start
-        self._active = [e for e in self._active if e.data_end > now]
-        partners = list(self._active)
-        self._active.append(exchange)
+    def begin_tx(self, exchange: _Exchange) -> None:
+        """Admit a transmission; it collides with one that starts with it."""
+        last = self._last
+        if last is not None and last.t_start == exchange.t_start:
+            last.collided = exchange.collided = True
+        self._last = exchange
         if exchange.reservation_end > self.busy_until:
             self.busy_until = exchange.reservation_end
-        for station in self.stations:
-            if station is not exchange.sender:
-                station.on_medium_busy(now)
-        return partners
 
 
 @dataclass
@@ -340,7 +328,6 @@ class Station:
         self._last_rx_seq: int | None = None
         self._tx_link: DirectedLink | None = None
         self._rx_link: DirectedLink | None = None
-        medium.register(self)
 
     def attach_peer(self, peer: "Station") -> None:
         self.peer = peer
@@ -416,13 +403,10 @@ class Station:
         self._attempts += 1
         airtime = self.airtime.rows(frame.mpdu_bytes)[mode.id]
         data_end = now + airtime.data_us
-        exchange = _Exchange(self, frame, mode, airtime, now, data_end,
+        exchange = _Exchange(frame, mode, airtime, now, data_end,
                              data_end + self.params.sifs_us + airtime.ack_us)
-        partners = self.medium.begin_tx(exchange)
-        if partners:
-            exchange.collided = True
-            for p in partners:
-                p.collided = True
+        self.medium.begin_tx(exchange)
+        self.peer.on_medium_busy(now)
         self._exchange = exchange
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,

@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
@@ -167,8 +168,11 @@ _MODEL_KEYS = {
 
 def _convert(section: str, key: str, raw: str, to: Callable):
     try:
-        return to(raw)
-    except ValueError:
+        value = to(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(raw)   # nan and inf would pass every range check
+        return value
+    except (ValueError, OverflowError):   # int() of an infinite number of µs
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 

@@ -191,30 +191,93 @@ def test_bind_seed_restarts_a_static_faded_link():
     assert draws(1) == first
 
 
-@pytest.mark.parametrize("spec", [
-    PropagationSpec("friis"),
-    PropagationSpec("logdist", gamma=3.1, ref_distance_m=2.0),
-    PropagationSpec("logdist", gamma=3.1, ref_distance_m=2.0, nakagami_m=1.25),
-], ids=["friis", "logdist", "logdist_fading"])
-def test_static_link_snr_is_link_snr_bit_for_bit(spec):
+def moving_mobility() -> MobilityTrace:
+    """B moves away from A, from 6 m at t = 0 to 60 m at t = 1 s."""
+    return MobilityTrace({
+        "A": [Waypoint(0, 0.0, 0.0, 0.0)],
+        "B": [Waypoint(0, 6.0, 0.0, 0.0), Waypoint(1_000_000, 60.0, 0.0, 0.0)],
+    })
+
+
+def random_trace() -> SnrTrace:
+    rng = random.Random(9)
+    times = sorted(rng.sample(range(1, 1_000_000), 200))
+    return SnrTrace({AB: (times, [rng.uniform(-5, 40) for _ in times]),
+                     BA: ([500], [12.5])})
+
+
+FADING = dict(nakagami_m=1.25)
+# kind -> (spec, mobility); each kind is one of the channel's SNR sources
+SOURCE_KINDS = {
+    "friis": lambda: (PropagationSpec("friis"), static_mobility(6.0)),
+    "logdist": lambda: (PropagationSpec("logdist", gamma=3.1,
+                                        ref_distance_m=2.0),
+                        static_mobility(6.0)),
+    "logdist_fading": lambda: (PropagationSpec("logdist", gamma=3.1,
+                                               ref_distance_m=2.0, **FADING),
+                               static_mobility(6.0)),
+    # the mean rx power underflows to 0 W, where a fading draw takes none
+    "zero_power_fading": lambda: (PropagationSpec("logdist", gamma=1000.0,
+                                                  **FADING),
+                                  static_mobility(6.0)),
+    "replay": lambda: (PropagationSpec("trace", trace=random_trace()),
+                       static_mobility(6.0)),
+    "moving": lambda: (PropagationSpec("friis"), moving_mobility()),
+    "moving_fading": lambda: (PropagationSpec("friis", **FADING),
+                              moving_mobility()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCE_KINDS))
+def test_static_link_snr_is_link_snr_bit_for_bit(kind):
+    """Every SNR source equals link_snr (snr_at for a replay) bit for bit,
+    whether bind_seed comes before prepare, after it, or without it."""
+    spec, mobility = SOURCE_KINDS[kind]()
     params = RadioParams()
-    mobility = static_mobility(6.0)
+    # a link budget computed once, in prepare
+    budget = spec.model != "trace" and mobility.is_static("B")
     lookups = []
     distance = mobility.link_distance
     mobility.link_distance = lambda *args: lookups.append(args) or distance(*args)
-    ch = Channel(spec, params, mobility)
-    ch.bind_seed(5)
-    for link in (AB, BA):
-        ch.prepare(link)
     times = range(0, 1_000_000, 1000)
-    fast = {link: [ch.snr(link, t) for t in times] for link in (AB, BA)}
-    assert len(lookups) == 2    # one per link, in prepare
+    expected = {}
     for link in (AB, BA):
-        reference = RngStream(5, f"fading.{link}")
-        slow = [link_snr(spec, params, link, mobility, t, reference)
-                for t in times]
-        assert [x.hex() for x in fast[link]] == [x.hex() for x in slow]
-        assert len(set(slow)) == (1 if spec.nakagami_m is None else len(times))
+        if spec.model == "trace":
+            expected[link] = [spec.trace.snr_at(link, t) for t in times]
+        else:
+            reference = (None if spec.nakagami_m is None
+                         else RngStream(5, f"fading.{link}"))
+            expected[link] = [link_snr(spec, params, link, mobility, t,
+                                       reference) for t in times]
+    lookups.clear()
+    hexes = {link: [x.hex() for x in expected[link]] for link in (AB, BA)}
+    distinct = len(set(expected[AB]))
+    if spec.nakagami_m is not None and kind != "zero_power_fading":
+        assert distinct == len(times)
+    elif budget:
+        assert distinct == 1
+
+    for order in ("bind_then_prepare", "prepare_then_bind", "unprepared"):
+        ch = Channel(spec, params, mobility)
+        if order == "bind_then_prepare":
+            ch.bind_seed(5)
+        if order != "unprepared":
+            for link in (AB, BA):
+                ch.prepare(link)
+        if order == "bind_then_prepare" and budget:
+            assert len(lookups) == 2    # one per link, in prepare
+        if order != "bind_then_prepare":
+            ch.bind_seed(5)
+        for _ in range(2):          # a second bind_seed repeats the draws
+            before = len(lookups)
+            fast = {link: [ch.snr(link, t) for t in times]
+                    for link in (AB, BA)}
+            if budget and order != "unprepared":
+                assert len(lookups) == before   # no per-frame geometry
+            for link in (AB, BA):
+                assert [x.hex() for x in fast[link]] == hexes[link], order
+            ch.bind_seed(5)
+        lookups.clear()
 
 
 def test_replayed_link_snr_is_snr_at_bit_for_bit():

@@ -283,6 +283,47 @@ def test_half_duplex_medium_under_contention():
     assert any(c for _, _, c in intervals), "expected at least one collision"
 
 
+@pytest.mark.parametrize("snr_ab, rate_mbps, params", [
+    (60.0, 54, DCF),
+    (60.0, 54, DcfParams(queue_capacity=1)),
+    (22.0, 54, DCF),                  # about half the A->B frames corrupt
+], ids=["default_queue", "queue_capacity_1", "low_snr_retries"])
+def test_data_frames_collide_exactly_when_they_start_together(
+        snr_ab, rate_mbps, params):
+    engine, st_a, st_b, _, buf = make_link(snr_ab, 60.0, rate_mbps=rate_mbps,
+                                           params=params)
+    seqs = iter(range(1_000_000))
+
+    def offer():                        # both queues stay full
+        seq = next(seqs)
+        st_a.enqueue_packet(packet(seq, flow="udp.A->B"))
+        st_b.enqueue_packet(packet(seq, flow="udp.B->A"))
+        engine.schedule(engine.clock_us + 100, offer)
+
+    offer()
+    engine.run_until(300_000)
+    rows = parse_log(buf)
+
+    def key(row):
+        return row["link"], row["seq"], row["attempt"]
+
+    start = {key(r): int(r["t_us"]) for r in rows
+             if r["event"] == "tx" and r["kind"] == "data"}
+    by_start = collections.defaultdict(set)
+    for k, t in start.items():
+        by_start[t].add(k)
+    collided = {key(r) for r in rows if r["event"] == "rx"
+                and r["kind"] == "data" and r["outcome"] == "collided"}
+    assert collided, "expected at least one collision"
+    for k in collided:
+        assert len(by_start[start[k]] - {k}) == 1, k
+    for t, keys in by_start.items():
+        if len(keys) > 1:
+            assert keys <= collided, f"uncollided data frames start at {t}"
+    if snr_ab < 60.0:
+        assert any(r["outcome"] == "corrupted" for r in rows)
+
+
 def test_phy_attempts_bounded_per_frame():
     engine, st_a, _, _, buf = make_link(11.0, 60.0, rate_mbps=18)
     for seq in range(60):
@@ -300,14 +341,14 @@ def test_phy_attempts_bounded_per_frame():
 # -- minstrel ------------------------------------------------------------
 
 
-def fresh_minstrel(seed=1, modes=MODES):
-    return Minstrel(DCF, RngStream(seed, "minstrel.t"), modes=modes)
+def fresh_minstrel(seed=1):
+    return Minstrel(DCF, RngStream(seed, "minstrel.t"))
 
 
 def best_mode(m, mpdu_bytes=1528):
     """Minstrel's throughput-maximizing mode; the lowest before any sample."""
     best, best_tput = m._argmax_tput(mpdu_bytes)
-    return m.modes[best if best_tput > 0.0 else 0]
+    return MODES[best if best_tput > 0.0 else 0]
 
 
 def test_minstrel_ewma_arithmetic():
@@ -334,9 +375,10 @@ def test_minstrel_forced_probes_cover_all_modes_first():
 
 
 def test_minstrel_two_mode_throughput_tradeoff():
-    m = fresh_minstrel(modes=(MODES[0], MODES[7]))
-    m.total_attempts = [5, 5]
-    m.ewma = [1.0, 0.5]                 # 6 Mbit/s perfect vs 54 Mbit/s coin-flip
+    m = fresh_minstrel()
+    m.total_attempts = [5] * 8
+    # 6 Mbit/s perfect vs 54 Mbit/s coin-flip; every other mode always fails
+    m.ewma = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
     picks = {m.select(1528, 0).data_rate_mbps for _ in range(9)}
     assert picks == {54}
 
@@ -345,14 +387,6 @@ def test_minstrel_all_zero_ewma_falls_back_to_lowest():
     m = fresh_minstrel()
     m.total_attempts = [1] * 8
     assert m.select(1528, 0).data_rate_mbps == 6
-
-
-def test_minstrel_single_mode_table():
-    m = fresh_minstrel(modes=(MODES[3],))
-    for _ in range(20):
-        mode = m.select(1528, 0)
-        m.report(mode, 1, 1)
-        assert mode.data_rate_mbps == 18
 
 
 def test_minstrel_slow_mode_probes_once_per_interval():

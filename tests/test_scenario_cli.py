@@ -353,6 +353,43 @@ def test_config_error_writes_no_file(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+FADING = BASE.replace("model = friis", "model = logdist\ngamma = 1.7\n"
+                      "ref_distance_m = 1.0\nnakagami_m = 1.25")
+# Each float key, one node coordinate and the traffic window set to a value
+# that is not finite: (section, key) -> config text.
+NON_FINITE = {
+    **{("radio", key): FADING + f"\n[radio]\n{key} = nan\n"
+       for key in ("tx_power_dbm", "rf_gain_db_per_end", "bandwidth_hz",
+                   "center_freq_hz", "noise_figure_db")},
+    **{("propagation", key): re.sub(rf"{key} = .*", f"{key} = nan", FADING)
+       for key in ("gamma", "ref_distance_m", "nakagami_m")},
+    ("traffic", "offered_load_bps"): FADING + "offered_load_bps = nan\n",
+    ("nodes", "ClientA"): FADING.replace("ClientA = 6,0,0", "ClientA = 6,nan,0"),
+    ("traffic", "start_s"): FADING + "start_s = inf\n",
+    ("traffic", "stop_s"): FADING + "stop_s = inf\n",
+}
+
+
+@pytest.mark.parametrize("section, key", sorted(NON_FINITE))
+def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
+                                                           section, key):
+    cfg_path = write_config(tmp_path, NON_FINITE[section, key])
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out),
+                     "--duration", "1"]) == 1
+    assert f"error: [{section}] {key}: cannot parse" in capsys.readouterr().err
+    assert cli.main(["record-trace", str(cfg_path),
+                     "-o", str(out / "trace.csv")]) == 1
+    assert not out.exists()
+
+
+def test_a_non_finite_nakagami_m_is_rejected_on_the_api_path(tmp_path):
+    cfg = replace(parse_config_text(FADING), nakagami_m=float("nan"))
+    with pytest.raises(ValueError, match="nakagami_m must be >= 0.5"):
+        execute_run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def failing_channel(monkeypatch):
     """Channel.snr raises RuntimeError("channel failed") after 500 frames."""
