@@ -29,9 +29,12 @@ class RadioParams:
     noise_figure_db: float = 7.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.tx_power_dbm <= 17.0:
             raise ValueError(f"tx_power_dbm out of [0, 17]: {self.tx_power_dbm}")
-        if not self.bandwidth_hz > 0:   # written so that nan fails too
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
         if not self.center_freq_hz > 0:
             raise ValueError("center_freq_hz must be > 0")
@@ -63,7 +66,10 @@ class PropagationSpec:
         else:
             if self.trace is not None:
                 raise ValueError(f"{self.model} model must not carry a trace")
-        if not self.gamma > 0:   # written so that nan fails too
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.ref_distance_m > 0:
             raise ValueError("ref_distance_m must be > 0")
@@ -110,8 +116,6 @@ def apply_nakagami(power_w: float, m: float, rng: RngStream) -> float:
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise floor: -174 dBm/Hz integrated over the bandwidth plus NF."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth_hz must be > 0")
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 

@@ -63,19 +63,14 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(cfg, args) -> tuple:
-    overrides = {}
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-        overrides["seed"] = args.seed
-    if getattr(args, "duration", None) is not None:
-        cfg = replace(cfg, duration_s=args.duration)
-        overrides["duration_s"] = args.duration
-    return cfg, overrides
+    overrides = {key: value for key, value in (("seed", args.seed),
+                                               ("duration_s", args.duration))
+                 if value is not None}
+    return replace(cfg, **overrides), overrides
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    cfg, overrides = _apply_overrides(cfg, args)
+    cfg, overrides = _apply_overrides(parse_config(args.config), args)
     out_dir = args.out_dir or cfg.out_dir or f"{args.config.stem}_out"
     run, _ = execute_run(cfg, out_dir, overrides=overrides)
     for flow in sorted(run.throughput):
@@ -88,8 +83,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    cfg = parse_config(args.config)
-    cfg, _ = _apply_overrides(cfg, args)
+    cfg, _ = _apply_overrides(parse_config(args.config), args)
     execute_record(cfg, args.output)
     print(f"trace written to {args.output}")
     return 0
@@ -144,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "record-trace":
             return _cmd_record(args)
         return _cmd_compare(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:   # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:    # OSError, or a fault inside the simulation

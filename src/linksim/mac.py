@@ -110,8 +110,6 @@ class TxQueue(deque):
     """Bounded FIFO with tail drop; a deque, so ``len`` runs at C speed."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         super().__init__()
         self.capacity = capacity
 

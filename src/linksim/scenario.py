@@ -5,9 +5,9 @@ nodes, radio, propagation, traffic, mac). Runs write per-second series CSVs,
 an optional packet-level event log, a summary, and a manifest embedding the
 exact config text so any run can be reproduced bit-for-bit.
 
-Every config error is raised before a run writes its first file: parsing
-checks the keys and the rules that span sections, and ``build`` constructs
-each part of the run, whose own types check their ranges.
+Parsing checks the text: syntax, sections, keys and that each value parses.
+``build`` checks every value, of a parsed config or one made in code, and a
+bad value raises ConfigError from it before a run writes its first file.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 PING = "ping"
 UDP_UNI = "udp_uni"
 UDP_BIDI = "udp_bidi"
-TRAFFIC_KINDS = (PING, UDP_UNI, UDP_BIDI)
 
 
 class ConfigError(ValueError):
@@ -80,25 +79,19 @@ class ScenarioConfig:
     base_dir: Path | None = None
 
     def validate(self) -> None:
-        """Check the rules that span sections; the ranges within one section
-        are checked by the type that ``build`` constructs from it."""
+        """Check the rules that no part of the run owns; ``build`` calls this
+        and checks every other value through the part that owns it."""
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
-        if self.traffic_kind not in TRAFFIC_KINDS:
-            raise ConfigError(f"unknown traffic kind {self.traffic_kind!r}")
-        if self.src == self.dst:
-            raise ConfigError("traffic src and dst must differ")
         if self.nodes is not None and self.mobility_file is not None:
             raise ConfigError("[nodes] cannot mix mobility_file with positions")
         if self.nodes is None and self.mobility_file is None:
             raise ConfigError("[nodes] must define positions or mobility_file")
-        if self.nodes is not None:
-            for node in (self.src, self.dst):
-                if node not in self.nodes:
-                    raise ConfigError(f"traffic endpoint {node!r} not in [nodes]")
-        if self.start_us < 0 or (self.stop_us is not None
-                                 and self.stop_us < self.start_us):
+        stop_us = self.start_us if self.stop_us is None else self.stop_us
+        if not 0 <= self.start_us <= stop_us:   # written so that nan fails too
             raise ConfigError("traffic window must satisfy 0 <= start <= stop")
+        if stop_us == math.inf:
+            raise ConfigError("traffic window must be finite")
         if self.processing_delay_us < 0:
             raise ConfigError("processing_delay_us must be >= 0")
 
@@ -232,7 +225,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
         cfg.radio = RadioParams(**radio)
     except ValueError as exc:
         raise ConfigError(f"[radio]: {exc}") from None
-    cfg.validate()
     return cfg
 
 
@@ -315,22 +307,29 @@ class BuiltRun:
 def build(cfg: ScenarioConfig) -> BuiltRun:
     """Check cfg, load its input files and construct each part of the run.
 
-    Writes nothing, so a run that fails here leaves no artifact behind.
+    Every value is checked here once, by ``validate`` or by the part of the
+    run that owns it. Writes nothing, so a run that fails here leaves no
+    artifact behind.
     """
     cfg.validate()
-    inputs: dict[str, str] = {}
+    try:
+        return _construct(cfg)
+    except ValueError as exc:   # from a part, or a ConfigError: same message
+        raise ConfigError(str(exc)) from None
+
+
+def _construct(cfg: ScenarioConfig) -> BuiltRun:
+    inputs: dict[str, str] = {}     # in load order, as manifests list them
+    trace = cfg.snr_trace
+    if trace is None and cfg.trace_file is not None:
+        trace = _load(cfg.trace_file, traces.parse_snr_trace, inputs)
     if cfg.mobility_file is not None:
         mobility = _load(cfg.mobility_file, traces.parse_mobility, inputs)
     else:
         mobility = MobilityTrace.static(cfg.nodes)
     for node in (cfg.src, cfg.dst):
         if node not in mobility.nodes():
-            raise ConfigError(f"traffic endpoint {node!r} has no mobility data")
-    trace = cfg.snr_trace
-    if trace is None and cfg.trace_file is not None:
-        trace = _load(cfg.trace_file, traces.parse_snr_trace, inputs)
-    if cfg.mobility_file is not None:   # manifests list the trace file first
-        inputs[str(cfg.mobility_file)] = inputs.pop(str(cfg.mobility_file))
+            raise ConfigError(f"traffic endpoint {node!r} not in [nodes]")
     spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
                            ref_distance_m=cfg.ref_distance_m,
                            nakagami_m=cfg.nakagami_m)
@@ -371,7 +370,7 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     if cfg.traffic_kind == PING:
         ping = PingConfig(cfg.src, cfg.dst, interval_us=cfg.interval_us,
                           **window)
-    else:
+    elif cfg.traffic_kind in (UDP_UNI, UDP_BIDI):
         directions = [(cfg.src, cfg.dst)]
         if cfg.traffic_kind == UDP_BIDI:
             directions.append((cfg.dst, cfg.src))
@@ -380,6 +379,8 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
                           **window)
             for src, dst in directions
         ]
+    else:
+        raise ConfigError(f"unknown traffic kind {cfg.traffic_kind!r}")
     return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping, inputs)
 
 
@@ -542,7 +543,7 @@ def rerun_from_manifest(manifest_path: str | Path,
     if not doc.get("config_text"):
         raise ConfigError("manifest carries no embedded config text")
     base = Path(doc["base_dir"]) if doc.get("base_dir") else None
-    cfg = parse_config_text(doc["config_text"], base_dir=base)
-    for key, value in doc.get("overrides", {}).items():
-        cfg = replace(cfg, **{key: value})
-    return execute_run(cfg, out_dir, overrides=doc.get("overrides", {}))
+    overrides = doc.get("overrides", {})
+    cfg = replace(parse_config_text(doc["config_text"], base_dir=base),
+                  **overrides)
+    return execute_run(cfg, out_dir, overrides=overrides)

@@ -45,7 +45,7 @@ class UdpFlowConfig:
     stop_us: int = 300_000_000
 
     def __post_init__(self) -> None:
-        if self.offered_load_bps <= 0:
+        if not self.offered_load_bps > 0:   # written so that nan fails too
             raise ValueError("offered_load_bps must be > 0")
         if not 1 <= self.payload_bytes <= 2272:
             raise ValueError("payload_bytes must be in [1, 2272]")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from linksim import cli, scenario
-from linksim.channel import Channel
+from linksim.channel import Channel, RadioParams
 from linksim.metrics import PerSecondSeries
 from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
                               execute_record, execute_run, parse_config,
@@ -129,15 +130,15 @@ def test_model_key_exclusivity():
 
 def test_traffic_endpoints_validated():
     with pytest.raises(ConfigError, match="not in"):
-        parse_config_text(BASE.replace("dst = ClientA", "dst = Nobody"))
+        build(parse_config_text(BASE.replace("dst = ClientA", "dst = Nobody")))
     with pytest.raises(ConfigError, match="must differ"):
-        parse_config_text(BASE.replace("dst = ClientA", "dst = Master"))
+        build(parse_config_text(BASE.replace("dst = ClientA", "dst = Master")))
 
 
 def test_nodes_positions_or_mobility_file():
     bad = BASE.replace("Master = 0,0,0", "mobility_file = m.csv")
     with pytest.raises(ConfigError, match="cannot mix"):
-        parse_config_text(bad)
+        build(parse_config_text(bad))
     with pytest.raises(ConfigError, match="x,y,z"):
         parse_config_text(BASE.replace("Master = 0,0,0", "Master = 0,0"))
 
@@ -238,6 +239,15 @@ def test_manifest_rerun_reproduces(tmp_path):
     rerun_from_manifest(tmp_path / "orig" / "manifest.json", tmp_path / "again")
     assert _digest(tmp_path / "orig" / "events.csv") \
         == _digest(tmp_path / "again" / "events.csv")
+
+
+def test_manifest_rerun_with_overrides_writes_the_same_bytes(tmp_path):
+    orig, again = tmp_path / "orig", tmp_path / "again"
+    assert cli.main(["run", str(write_config(tmp_path, BASE)), "--out-dir",
+                     str(orig), "--seed", "5", "--duration", "1"]) == 0
+    rerun_from_manifest(orig / "manifest.json", again)
+    for name in ("events.csv", "summary.json", "manifest.json"):
+        assert (again / name).read_bytes() == (orig / name).read_bytes(), name
 
 
 def test_record_trace_and_replay_round_trip(tmp_path):
@@ -353,6 +363,15 @@ def test_config_error_writes_no_file(tmp_path, capsys, case):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case", sorted(LATE_CONFIG_ERRORS))
+def test_build_raises_a_config_error_for_each_late_config_error(tmp_path,
+                                                                 case):
+    make_config, message = LATE_CONFIG_ERRORS[case]
+    cfg = parse_config(make_config(tmp_path))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build(cfg)
+
+
 FADING = BASE.replace("model = friis", "model = logdist\ngamma = 1.7\n"
                       "ref_distance_m = 1.0\nnakagami_m = 1.25")
 # Each float key, one node coordinate and the traffic window set to a value
@@ -383,9 +402,33 @@ def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_a_non_finite_nakagami_m_is_rejected_on_the_api_path(tmp_path):
-    cfg = replace(parse_config_text(FADING), nakagami_m=float("nan"))
-    with pytest.raises(ValueError, match="nakagami_m must be >= 0.5"):
+# NON_FINITE's twin for a config made in code: the same values, nan and inf,
+# set with RadioParams(...) for [radio] keys and with replace(cfg, ...) for
+# the rest. (section, key) -> what the error message names.
+API_MESSAGE = {("traffic", "start_s"): "traffic window",
+               ("traffic", "stop_s"): "traffic window",
+               # an infinite load leaves no gap between packets
+               ("traffic", "offered_load_bps"): "offered.load"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("section, key", sorted(NON_FINITE))
+def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
+                                                        value):
+    if section == "radio":
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            RadioParams(**{key: value})
+        return
+    cfg = parse_config_text(FADING)
+    if section == "nodes":
+        cfg = replace(cfg, nodes={**cfg.nodes, key: (6.0, value, 0.0)})
+    else:
+        field = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
+        cfg = replace(cfg, **{field: value})
+    message = API_MESSAGE.get((section, key), key)
+    with pytest.raises(ConfigError, match=message):
+        build(cfg)
+    with pytest.raises(ConfigError, match=message):
         execute_run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
