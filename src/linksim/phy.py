@@ -127,24 +127,59 @@ def frame_success_probability(snr_db: float, mode: PhyMode,
 DELIVERED = "delivered"
 CORRUPTED = "corrupted"
 
+# Bracket table for receive: (mode id, frame bytes, k) -> (p(k/10) - eps,
+# p((k+1)/10) + eps), filled lazily. Every entry is a pure function of its
+# key, so sharing it across stations and runs changes no outcome.
+_BRACKETS: dict[tuple[int, int, float], tuple[float, float]] = {}
+# Covers float rounding in k and in p, which is nondecreasing in SNR only up
+# to the last bits; far above the ~1e-16 either can be off by.
+_BRACKET_EPS = 1e-9
+
 
 def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng,
             memo: dict | None = None) -> str:
     """Stochastic reception decision: DELIVERED iff the stream draw < p(success).
 
-    memo, when given, maps (mode id, frame_bytes) to the last SNR seen for
-    that pair and its success probability, so a repeated SNR skips the
-    error model. It holds one entry per pair however many SNRs pass through
-    it. Exactly one draw is taken from rng either way.
+    Exactly one draw u is taken from rng. With memo None, p is computed
+    exactly. Otherwise memo maps (mode id, frame_bytes) to the last SNR
+    seen for that pair: one entry per pair however many SNRs pass through
+    it. A repeated SNR (static link, held trace sample) uses its exact p,
+    computed on the second sight and kept in the entry. A new SNR (fading)
+    is decided against its 0.1 dB bin k = floor(10 * snr_db) in a shared
+    table that holds p at both bin edges, widened by _BRACKET_EPS: u below
+    the low edge is DELIVERED, u at or above the high edge is CORRUPTED,
+    and only a u in between computes p exactly. The decision is the same as
+    u < p because p is nondecreasing in SNR, so p(k/10) <= p(snr_db) <=
+    p((k+1)/10).
     """
+    u = rng.random()
     if memo is None:
         p = frame_success_probability(snr_db, mode, frame_bytes)
-    else:
-        key = (mode.id, frame_bytes)
-        last = memo.get(key)
-        if last is not None and last[0] == snr_db:
-            p = last[1]
-        else:
+        return DELIVERED if u < p else CORRUPTED
+    key = (mode.id, frame_bytes)
+    last = memo.get(key)
+    if last is not None and last[0] == snr_db:
+        p = last[1]
+        if p is None:
             p = frame_success_probability(snr_db, mode, frame_bytes)
             memo[key] = (snr_db, p)
-    return DELIVERED if rng.random() < p else CORRUPTED
+        return DELIVERED if u < p else CORRUPTED
+    memo[key] = (snr_db, None)
+    k = snr_db * 10.0 // 1.0
+    bin_key = (mode.id, frame_bytes, k)
+    edges = _BRACKETS.get(bin_key)
+    if edges is None:
+        if k != k:   # an infinite SNR has no bin; nan keys would never match
+            p = frame_success_probability(snr_db, mode, frame_bytes)
+            return DELIVERED if u < p else CORRUPTED
+        edges = _BRACKETS[bin_key] = (
+            frame_success_probability(k / 10.0, mode, frame_bytes)
+            - _BRACKET_EPS,
+            frame_success_probability((k + 1.0) / 10.0, mode, frame_bytes)
+            + _BRACKET_EPS)
+    if u < edges[0]:
+        return DELIVERED
+    if u >= edges[1]:
+        return CORRUPTED
+    p = frame_success_probability(snr_db, mode, frame_bytes)
+    return DELIVERED if u < p else CORRUPTED

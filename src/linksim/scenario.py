@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import math
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from pathlib import Path
@@ -81,8 +81,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Check the rules that no part of the run owns; ``build`` calls this
         and checks every other value through the part that owns it."""
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
+        if not 0 < self.duration_s < math.inf:   # nan fails too
+            raise ConfigError("duration_s must be finite and > 0")
         if self.nodes is not None and self.mobility_file is not None:
             raise ConfigError("[nodes] cannot mix mobility_file with positions")
         if self.nodes is None and self.mobility_file is None:
@@ -92,8 +92,8 @@ class ScenarioConfig:
             raise ConfigError("traffic window must satisfy 0 <= start <= stop")
         if stop_us == math.inf:
             raise ConfigError("traffic window must be finite")
-        if self.processing_delay_us < 0:
-            raise ConfigError("processing_delay_us must be >= 0")
+        if not 0 <= self.processing_delay_us < math.inf:
+            raise ConfigError("processing_delay_us must be finite and >= 0")
 
 
 def _bool(raw: str) -> bool:
@@ -451,57 +451,63 @@ def _file_label(flow: str) -> str:
 
 def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
                 overrides: dict | None = None) -> tuple[SimRun, dict]:
-    """Run a scenario and write its artifacts; returns (run, manifest)."""
+    """Run a scenario and write its artifacts; returns (run, manifest).
+
+    Every artifact appears at once, manifest last, when the run and all its
+    writes have completed; a run that raises leaves none of them (see
+    ``_staged``).
+    """
     built = build(cfg)
-    out = Path(out_dir)
     outputs: list[str] = []
-    if cfg.log_events:
-        run = _simulate_into(built, out / "events.csv", CsvEventLog)
-        outputs.append("events.csv")
-    else:
-        run = simulate(built)
-        out.mkdir(parents=True, exist_ok=True)
+    with _staged(Path(out_dir)) as stage:
+        if cfg.log_events:
+            with open(stage("events.csv"), "w", encoding="utf-8",
+                      newline="") as fh:
+                run = simulate(built, event_log=CsvEventLog(fh))
+            outputs.append("events.csv")
+        else:
+            run = simulate(built)
 
-    for flow, series in run.throughput.items():
-        name = f"throughput_{_file_label(flow)}.csv"
-        series.save(out / name)
-        outputs.append(name)
-    if run.rtt is not None:
-        name = f"rtt_{_file_label(f'{cfg.src}->{cfg.dst}')}.csv"
-        run.rtt.save(out / name)
-        outputs.append(name)
+        for flow, series in run.throughput.items():
+            name = f"throughput_{_file_label(flow)}.csv"
+            series.save(stage(name))
+            outputs.append(name)
+        if run.rtt is not None:
+            name = f"rtt_{_file_label(f'{cfg.src}->{cfg.dst}')}.csv"
+            run.rtt.save(stage(name))
+            outputs.append(name)
 
-    summary = {
-        "seed": cfg.seed,
-        "duration_s": cfg.duration_s,
-        "mean_throughput_mbps": {
-            flow: run.mean_throughput_mbps(flow) for flow in run.throughput
-        },
-        "min_rtt_us": run.min_rtt_us(),
-        "rtt_samples": len(run.rtt_samples),
-        "stations": {
-            node: vars(st) for node, st in run.stats.items()
-        },
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                      encoding="utf-8")
-    outputs.append("summary.json")
+        summary = {
+            "seed": cfg.seed,
+            "duration_s": cfg.duration_s,
+            "mean_throughput_mbps": {
+                flow: run.mean_throughput_mbps(flow) for flow in run.throughput
+            },
+            "min_rtt_us": run.min_rtt_us(),
+            "rtt_samples": len(run.rtt_samples),
+            "stations": {
+                node: vars(st) for node, st in run.stats.items()
+            },
+        }
+        stage("summary.json").write_text(
+            json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        outputs.append("summary.json")
 
-    manifest = {
-        "version": __version__,
-        "seed": cfg.seed,
-        "duration_s": cfg.duration_s,
-        "overrides": overrides or {},
-        "base_dir": str(cfg.base_dir) if cfg.base_dir else None,
-        "config_sha256": hashlib.sha256(
-            (cfg.config_text or "").encode("utf-8")
-        ).hexdigest(),
-        "config_text": cfg.config_text,
-        "inputs": built.inputs,
-        "outputs": outputs,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                       encoding="utf-8")
+        manifest = {
+            "version": __version__,
+            "seed": cfg.seed,
+            "duration_s": cfg.duration_s,
+            "overrides": overrides or {},
+            "base_dir": str(cfg.base_dir) if cfg.base_dir else None,
+            "config_sha256": hashlib.sha256(
+                (cfg.config_text or "").encode("utf-8")
+            ).hexdigest(),
+            "config_text": cfg.config_text,
+            "inputs": built.inputs,
+            "outputs": outputs,
+        }
+        stage("manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return run, manifest
 
 
@@ -509,31 +515,44 @@ def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
     """Run an analytic scenario while recording per-reception SNR samples."""
     if cfg.model == TRACE:
         raise ConfigError("cannot record a trace from a trace-replay run")
-    return _simulate_into(build(cfg), Path(out_file), TraceCsvRecorder)
+    built = build(cfg)
+    path = Path(out_file)
+    with _staged(path.parent) as stage:
+        with open(stage(path.name), "w", encoding="utf-8", newline="") as fh:
+            run = simulate(built, event_log=TraceCsvRecorder(fh))
+    return run
 
 
-def _simulate_into(built: BuiltRun, path: Path, observer) -> SimRun:
-    """simulate(built) with the event log observer(fh) writing to path.
+@contextmanager
+def _staged(directory: Path):
+    """Yield stage(name), the temp path in directory that stands for name.
 
-    The rows go to a temp name beside path, renamed to path once the run
-    completes, so a run that raises leaves no partial file, and none of the
-    directories made here for it.
+    When the block completes, each staged file is renamed to its name in the
+    order it was staged. When the block raises, none is: the temp files are
+    removed, with the directories made here for them, so a failed run leaves
+    no partial file and an earlier run's files in directory stay as they were.
     """
     made = list(takewhile(lambda d: not d.exists(),
-                          (path.parent, *path.parent.parents)))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+                          (directory, *directory.parents)))
+    directory.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(name: str) -> Path:
+        tmp = directory / (name + ".tmp")
+        staged.append((tmp, directory / name))
+        return tmp
+
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            run = simulate(built, event_log=observer(fh))
+        yield stage
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         with suppress(OSError):     # one that something else wrote into stays
-            for directory in made:  # deepest first
-                directory.rmdir()
+            for made_dir in made:   # deepest first
+                made_dir.rmdir()
         raise
-    tmp.replace(path)
-    return run
+    for tmp, path in staged:
+        tmp.replace(path)
 
 
 def rerun_from_manifest(manifest_path: str | Path,

@@ -8,6 +8,7 @@ union bound's distance spectrum).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -130,13 +131,17 @@ def test_success_crossing_regression():
 
 
 def test_success_monotone_in_snr():
-    grid = [x / 10.0 for x in range(-100, 601)]
+    # receive's bracket table rests on this: no decrease at all on a 0.001 dB
+    # grid, for the frame sizes a run receives (1528 B data, 14 B ACK) and two
+    # others
+    grid = [x / 1000.0 for x in range(-30_000, 70_001)]
     for m in MODES:
-        prev = -1.0
-        for snr_db in grid:
-            p = frame_success_probability(snr_db, m, 1472)
-            assert p >= prev
-            prev = p
+        for nbytes in (14, 1001, 1472, 1528):
+            prev = -1.0
+            for snr_db in grid:
+                p = frame_success_probability(snr_db, m, nbytes)
+                assert p >= prev, (str(m), nbytes, snr_db)
+                prev = p
 
 
 def test_rate_ordering_at_crossings():
@@ -206,6 +211,100 @@ def test_fer_memo_stays_bounded_when_snr_never_repeats():
     for i in range(5000):
         receive(1528, MODES[i % 2], 5.0 + i * 1e-3, rng, memo)
     assert len(memo) == 2
+
+
+class _Draw:
+    """A stream whose every draw is u; counts the draws taken."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+def _bracket_snrs(rng: random.Random) -> list[float]:
+    edges = [k / 10.0 for k in range(-300, 701, 3)]
+    return ([rng.uniform(-30.0, 70.0) for _ in range(150)]
+            + [rng.uniform(-30.0, 0.0) for _ in range(20)]    # p ~ 0
+            + [rng.uniform(45.0, 70.0) for _ in range(20)]    # ber == 0
+            + edges
+            + [math.nextafter(e, -math.inf) for e in edges]
+            + [math.nextafter(e, math.inf) for e in edges])
+
+
+def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
+    monkeypatch.setattr(phy, "_BRACKETS", {})   # filled from empty here
+    rng = random.Random(20100)
+    seen = {"below": 0, "between": 0, "above": 0, "ber0": 0, "p0": 0}
+    for mode in MODES:
+        for nbytes in (1528, 14, 1001):
+            key = (mode.id, nbytes)
+            for snr_db in _bracket_snrs(rng):
+                p = frame_success_probability(snr_db, mode, nbytes)
+                seen["ber0"] += p == 1.0
+                seen["p0"] += p == 0.0
+                us = [rng.random(), rng.random(), 0.0, p,
+                      max(p - 1e-12, 0.0), min(p + 1e-12, 1.0),
+                      math.nextafter(p, -math.inf), math.nextafter(p, 2.0)]
+                bin_key = (mode.id, nbytes, snr_db * 10.0 // 1.0)
+                edges = phy._BRACKETS.get(bin_key)
+                if edges is not None:
+                    us += [*edges, math.nextafter(edges[0], -math.inf),
+                           math.nextafter(edges[1], 2.0)]
+                for u in us:
+                    want = phy.DELIVERED if u < p else phy.CORRUPTED
+                    # memo off, first sight (table), second sight (exact p
+                    # computed into the entry), third sight (entry's p)
+                    memos = [None, {}, {key: (snr_db, None)},
+                             {key: (snr_db, p)}]
+                    for memo in memos:
+                        draw = _Draw(u)
+                        assert receive(nbytes, mode, snr_db, draw, memo) \
+                            == want, (str(mode), nbytes, snr_db, u)
+                        assert draw.draws == 1
+                    assert memos[1] == {key: (snr_db, None)}
+                    assert memos[2] == {key: (snr_db, p)}
+                    low, high = phy._BRACKETS[bin_key]
+                    seen["below" if u < low else
+                         "above" if u >= high else "between"] += 1
+    # every branch of the table ran, and both ends of the error model
+    assert min(seen.values()) > 100, seen
+
+
+def test_an_infinite_snr_is_decided_exactly_and_not_tabled(monkeypatch):
+    monkeypatch.setattr(phy, "_BRACKETS", {})
+    for snr_db, want in ((math.inf, phy.DELIVERED),
+                         (-math.inf, phy.CORRUPTED)):
+        for _ in range(3):
+            assert receive(1528, MODES[7], snr_db, _Draw(0.5), {}) == want
+    assert phy._BRACKETS == {}
+
+
+def test_faded_receptions_match_the_plain_path_and_bound_the_table(
+        monkeypatch):
+    monkeypatch.setattr(phy, "_BRACKETS", {})
+    memo: dict = {}
+    rx, plain = RngStream(8, "phy.rx.grow"), RngStream(8, "phy.rx.grow")
+    fading = RngStream(8, "fading.grow")
+    bins, outcomes = set(), set()
+    for i in range(5000):
+        # Nakagami m = 1.25 around 18 dB, data and ACK as in a faded run
+        snr_db = 10.0 * math.log10(fading.gamma(1.25, 10 ** 1.8 / 1.25))
+        mode, nbytes = (MODES[i % 2 + 5], 1528) if i % 3 else (MODES[4], 14)
+        p = frame_success_probability(snr_db, mode, nbytes)
+        want = phy.DELIVERED if plain.random() < p else phy.CORRUPTED
+        assert receive(nbytes, mode, snr_db, rx, memo) == want
+        outcomes.add(want)
+        bins.add((mode.id, nbytes, math.floor(snr_db * 10.0)))
+    assert outcomes == {phy.DELIVERED, phy.CORRUPTED}
+    assert rx.random() == plain.random()   # one draw per reception
+    assert len(memo) == 3
+    assert len(phy._BRACKETS) == len(bins)
+    # one entry per 0.1 dB bin that a draw fell in, not one per reception
+    assert len(phy._BRACKETS) < 700
 
 # -- exact trellis enumeration of the K=7 (133, 171) code -------------------
 

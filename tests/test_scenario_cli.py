@@ -374,8 +374,9 @@ def test_build_raises_a_config_error_for_each_late_config_error(tmp_path,
 
 FADING = BASE.replace("model = friis", "model = logdist\ngamma = 1.7\n"
                       "ref_distance_m = 1.0\nnakagami_m = 1.25")
-# Each float key, one node coordinate and the traffic window set to a value
-# that is not finite: (section, key) -> config text.
+# Each float key, one node coordinate, the traffic window and the two int
+# keys that no part of the run owns set to a value that is not finite:
+# (section, key) -> config text.
 NON_FINITE = {
     **{("radio", key): FADING + f"\n[radio]\n{key} = nan\n"
        for key in ("tx_power_dbm", "rf_gain_db_per_end", "bandwidth_hz",
@@ -386,6 +387,9 @@ NON_FINITE = {
     ("nodes", "ClientA"): FADING.replace("ClientA = 6,0,0", "ClientA = 6,nan,0"),
     ("traffic", "start_s"): FADING + "start_s = inf\n",
     ("traffic", "stop_s"): FADING + "stop_s = inf\n",
+    ("scenario", "duration_s"): FADING.replace("duration_s = 2",
+                                               "duration_s = nan"),
+    ("traffic", "processing_delay_us"): FADING + "processing_delay_us = inf\n",
 }
 
 
@@ -491,6 +495,38 @@ def test_a_runtime_error_exits_2_without_a_traceback(tmp_path, capsys,
     assert "runtime error: channel failed" in err
     assert "Traceback" not in err
     assert not out.exists()     # no events.csv, trace, .tmp file or directory
+
+
+
+def test_a_failed_summary_write_leaves_no_artifact(tmp_path, capsys,
+                                                   monkeypatch):
+    cfg_path = REPO / "scenarios" / "udp_unidirectional.ini"
+
+    def run(out_dir, *options):
+        return cli.main(["run", str(cfg_path), "--out-dir", str(out_dir),
+                         "--duration", "1", *options])
+
+    out = tmp_path / "out"
+    assert run(out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"events.csv", "summary.json", "manifest.json"} <= set(before)
+    write_text = Path.write_text
+
+    def failing_write_text(self, data, *args, **kwargs):
+        if self.name.startswith("summary.json"):
+            write_text(self, data[:40], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    fresh = tmp_path / "fresh"
+    assert run(fresh) == 2
+    assert "runtime error: no space left on device" in capsys.readouterr().err
+    # no summary.json, manifest.json, series, events.csv, *.tmp or directory
+    assert not fresh.exists()
+    # a failed rerun into an earlier run's directory leaves that run as it was
+    assert run(out, "--seed", "9") == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_manifest_hashes_the_input_bytes_the_run_parsed(tmp_path,
