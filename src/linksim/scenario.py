@@ -94,6 +94,12 @@ class ScenarioConfig:
             raise ConfigError("traffic window must be finite")
         if not 0 <= self.processing_delay_us < math.inf:
             raise ConfigError("processing_delay_us must be finite and >= 0")
+        # the clock counts whole µs, and RngStream formats the seed as %d
+        for name, value in (("duration_s", self.duration_s),
+                            ("seed", self.seed), ("start_us", self.start_us),
+                            ("stop_us", stop_us)):
+            if type(value) is not int:   # bool too
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _bool(raw: str) -> bool:

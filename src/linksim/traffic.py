@@ -49,7 +49,12 @@ class UdpFlowConfig:
             raise ValueError("offered_load_bps must be > 0")
         if not 1 <= self.payload_bytes <= 2272:
             raise ValueError("payload_bytes must be in [1, 2272]")
-        if self.gap_us < 1:
+        try:
+            gap_us = self.gap_us
+        except OverflowError:   # the gap in µs is infinite
+            raise ValueError("offered_load_bps too low: inter-packet gap "
+                             "overflows") from None
+        if gap_us < 1:
             raise ValueError("offered load too high: inter-packet gap below 1 µs")
 
     @property
@@ -82,6 +87,11 @@ class UdpSource:
     hands it the next dequeue; the arrivals it skipped are counted then as
     the tail drops they would have been, with the sequence numbers they would
     have taken, and those still owed at stop_us by one event at that time.
+    The first arrival after the dequeue refills the freed slot. When the gap
+    is shorter than DIFS plus the shortest data airtime at the flow's MPDU
+    size, that arrival comes before the station's next dequeue, so the
+    dequeue enqueues it at once, with its own arrival time, and the source
+    parks again (see ``_refill_is_exact``); otherwise it is scheduled.
     Parking needs the source to be the station's only producer and no
     ``drop`` callback (each queue-full row stays in dispatch order, at its
     arrival), and it stays off when
@@ -102,14 +112,16 @@ class UdpSource:
         self._mpdu_bytes = cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
+        data_us = [row.data_us for row in station.airtime.rows(self._mpdu_bytes)]
         self._park = (station.log_drop is None
-                      and self._parking_is_exact())
+                      and self._parking_is_exact(data_us))
+        self._refill = self._refill_is_exact(data_us)
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
             if self._park:
                 engine.schedule(cfg.stop_us, self._settle)
 
-    def _parking_is_exact(self) -> bool:
+    def _parking_is_exact(self, data_us: list[int]) -> bool:
         """Whether every arrival the source skips has a known outcome.
 
         A skipped arrival due at dequeue time T was scheduled at T - gap and
@@ -120,14 +132,30 @@ class UdpSource:
         could matter, and only if the station has drained and gone idle by
         then. To drain, the station sent after T, and that transmission
         rescheduled any peer access grant scheduled by T, so both paths run
-        such a grant after the arrival.
+        such a grant after the arrival. data_us holds the data airtime of
+        every mode at the flow's MPDU size.
         """
-        data_us = [row.data_us
-                   for row in self.station.airtime.rows(self._mpdu_bytes)]
         return self._gap_us not in data_us
 
+    def _refill_is_exact(self, data_us: list[int]) -> bool:
+        """Whether a dequeue may enqueue the next arrival ahead of its time.
+
+        At a dequeue at T the queue holds capacity - 1 packets, and the next
+        arrival t_n is at most T + gap. The next dequeue ends a data frame
+        whose access grant waited at least DIFS after T, so it comes no
+        earlier than T + DIFS + min(data_us). With gap below that, t_n comes
+        first and finds the free slot; the only producer is this source, and
+        nothing reads the queue before that dequeue, so the packet may join
+        the queue at T with created_us = t_n. The event it no longer needs
+        shifts every later sequence number alike, so no tie order changes.
+        """
+        return self._gap_us < self.station.params.difs_us + min(data_us)
+
     def _emit(self) -> None:
-        now = self.engine.clock_us
+        self._arrive(self.engine.clock_us)
+
+    def _arrive(self, now: int) -> None:
+        """The arrival due at now; a dequeue that refills passes its time."""
         station = self.station
         queue = station.queue
         if len(queue) >= queue.capacity:
@@ -156,19 +184,21 @@ class UdpSource:
             self._next_us = t + missed * self._gap_us
 
     def on_dequeue(self, now_us: int, data_us: int) -> None:
-        """Resolve the skipped arrivals up to a dequeue at now_us.
+        """Resolve the skipped arrivals up to a dequeue at now_us, and
+        enqueue or schedule the arrival that refills the freed slot.
 
         data_us is the data airtime of the exchange that ended at now_us.
         """
         stop = self.cfg.stop_us
         self._drop_before(min(now_us, stop))   # they met the full queue
-        if self._next_us == now_us < stop:
-            if self._gap_us < data_us:   # runs after the dequeue, refills the queue
-                self._emit()
-                return
-            self._drop_before(now_us + 1)   # ran before it, on the full queue
-        if self._next_us < stop:   # the queue has a free slot until then
-            self.engine.schedule(self._next_us, self._emit)
+        if self._next_us == now_us < stop and self._gap_us >= data_us:
+            self._drop_before(now_us + 1)   # ran before the dequeue, on the full queue
+        next_t = self._next_us
+        if next_t < stop:   # the queue has a free slot until then
+            if next_t == now_us or self._refill:   # before the next dequeue
+                self._arrive(next_t)
+            else:
+                self.engine.schedule(next_t, self._emit)
 
     def _settle(self) -> None:
         """Count the arrivals a still parked source skipped before stop_us."""

@@ -9,6 +9,9 @@ every row, which it discards. The SNR recorder defines no ``drop``
 callback, so ``record-trace`` parks as a log-off run does.
 Log-off artifacts carry no sequence numbers, so the sinks' received
 ``(rx_t_us, seq)`` lists are compared as well as the stats and series.
+A parked source whose gap is below DIFS plus the shortest data airtime
+enqueues its next arrival at the dequeue that frees the slot, ahead of that
+arrival's time, so the two paths are compared with and without that refill.
 """
 
 import io
@@ -21,7 +24,7 @@ import pytest
 from linksim import scenario, traffic
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
-from linksim.mac import DcfParams, FixedRate, build_point_to_point
+from linksim.mac import DcfParams, FixedRate, Station, build_point_to_point
 from linksim.phy import MODES
 from linksim.scenario import (UDP_BIDI, CsvEventLog, build, execute_record,
                               execute_run, parse_config, simulate)
@@ -121,6 +124,21 @@ def count_ties(monkeypatch):
     return ties
 
 
+def count_refills(monkeypatch):
+    """Count the packets enqueued before their own arrival time: the
+    arrivals a dequeue enqueued at once instead of scheduling them."""
+    refills = []
+    enqueue_packet = Station.enqueue_packet
+
+    def counting(self, packet):
+        if packet.created_us > self.engine.clock_us:
+            refills.append(packet.created_us)
+        return enqueue_packet(self, packet)
+
+    monkeypatch.setattr(Station, "enqueue_packet", counting)
+    return refills
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_park_exactly(name, monkeypatch):
     assert_parking_exact(bundled(name), monkeypatch)
@@ -152,9 +170,76 @@ def test_gap_equal_to_a_data_airtime_keeps_every_arrival(monkeypatch):
 @pytest.mark.parametrize("name", ["udp_unidirectional", "udp_bidirectional"])
 @pytest.mark.parametrize("capacity", [1, 3])
 def test_small_queues_park_exactly(name, capacity, monkeypatch):
+    refills = count_refills(monkeypatch)
     drops, parking = assert_parking_exact(
         bundled(name, queue_capacity=capacity), monkeypatch)
     assert drops > 0 and parking > 0
+    assert refills
+
+
+def test_bundled_uni_config_refills_at_the_dequeue(monkeypatch):
+    # 218 µs gap, below DIFS + the 54 Mbit/s airtime of 248 µs
+    refills = count_refills(monkeypatch)
+    drops, parking = assert_parking_exact(bundled("udp_unidirectional"),
+                                          monkeypatch)
+    assert drops > 0 and parking == 1
+    assert len(refills) > 1000
+
+
+@pytest.mark.parametrize("load_bps, gap_us, capacity, refilled", [
+    (41.9e6, 281, 500, True), (41.75e6, 282, 500, False),
+    (40e6, 294, 500, False), (40e6, 294, 1, False)])
+@pytest.mark.parametrize("rate_control", ["fixed", "minstrel"])
+def test_refill_needs_a_gap_below_difs_plus_the_shortest_data_airtime(
+        load_bps, gap_us, capacity, refilled, rate_control, monkeypatch):
+    # At a fixed 6 Mbit/s each exchange takes ~2 ms, yet a faster mode's
+    # 248 µs airtime bounds the next dequeue, so 282 µs schedules the
+    # arrival. With Minstrel a one-packet queue can then drain before it.
+    cfg = bundled("udp_unidirectional", rate_control=rate_control,
+                  fixed_mode_mbps=6, offered_load_bps=load_bps,
+                  queue_capacity=capacity)
+    assert build(cfg).udp_flows[0].gap_us == gap_us
+    refills = count_refills(monkeypatch)
+    drops, parking = assert_parking_exact(cfg, monkeypatch)
+    assert drops > 0 and parking == 1
+    assert bool(refills) == refilled
+
+
+@pytest.mark.parametrize("after_us", [0, 1])
+def test_a_stop_just_after_a_refill_parks_exactly(after_us, monkeypatch):
+    cfg = bundled("udp_unidirectional")
+    with monkeypatch.context() as m:
+        refills = count_refills(m)
+        simulate(build(cfg))
+    last_us = refills[len(refills) // 2]
+    refills = count_refills(monkeypatch)
+    drops, parking = assert_parking_exact(
+        replace(cfg, stop_us=last_us + after_us), monkeypatch)
+    assert drops > 0 and parking == 1
+    # a stop at the refill's own time leaves that arrival out
+    assert refills[-1] == last_us if after_us else refills[-1] < last_us
+
+
+def test_a_parked_source_dispatches_no_arrival(monkeypatch):
+    # after its first park, a saturated log-off source's every arrival is
+    # counted as a drop or enqueued by a dequeue, never dispatched
+    built = build(bundled("udp_bidirectional"))
+    parked_once = set()
+    late = []
+    emit = traffic.UdpSource._emit
+
+    def checking_emit(self):
+        if self in parked_once:
+            late.append(self.engine.clock_us)
+        emit(self)
+        if self.station.parked is self:
+            parked_once.add(self)
+
+    monkeypatch.setattr(traffic.UdpSource, "_emit", checking_emit)
+    parked, _, _, parking = run(built, None, monkeypatch)
+    assert parking == 2 and len(parked_once) == 2
+    assert all(st.queue_drops > 0 for st in parked.stats.values())
+    assert late == []
 
 
 def test_fixed_low_rate_parks_exactly(monkeypatch):
@@ -165,13 +250,17 @@ def test_fixed_low_rate_parks_exactly(monkeypatch):
 
 def test_faded_lossy_link_parks_exactly(monkeypatch):
     # 30 m of log-distance loss with Nakagami fading: retries and
-    # retry-limit drops end exchanges at every data airtime
+    # retry-limit drops end exchanges at every data airtime, and each
+    # dequeue refills
     cfg = bundled("logdist_fading", traffic_kind=UDP_BIDI, gamma=3.0,
                   nodes={"Master": (0.0, 0.0, 0.0), "ClientA": (30.0, 0.0, 0.0)})
+    refills = count_refills(monkeypatch)
     drops, parking = assert_parking_exact(cfg, monkeypatch)
     assert drops > 0 and parking > 0
+    assert refills
     stats = simulate(build(cfg)).stats["ClientA"]
     assert stats.data_attempts > stats.data_frames
+    assert stats.frames_dropped > 0
 
 
 def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):

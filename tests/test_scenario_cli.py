@@ -329,6 +329,9 @@ LATE_CONFIG_ERRORS = {
     "payload_bytes": (_config(BASE + "payload_bytes = 5000\n"),
                       "payload_bytes"),
     "start_s": (_config(BASE + "start_s = -1\n"), "0 <= start"),
+    # the gap in µs overflows to infinity
+    "offered_load_tiny": (_config(BASE + "offered_load_bps = 1e-300\n"),
+                          "offered_load_bps too low"),
     "ping_interval_us": (_config(PING + "interval_us = 0\n"), "interval_us"),
     "one_way_trace": (lambda tmp_path: trace_config(tmp_path, ONE_WAY_35),
                       "link ClientA->Master"),
@@ -430,6 +433,23 @@ def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
         field = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
         cfg = replace(cfg, **{field: value})
     message = API_MESSAGE.get((section, key), key)
+    with pytest.raises(ConfigError, match=message):
+        build(cfg)
+    with pytest.raises(ConfigError, match=message):
+        execute_run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# A time or the seed set in code must be an int: a float time failed inside
+# simulate, and a float seed ran as its integer part while the manifest
+# recorded the float.
+@pytest.mark.parametrize("field, value", [
+    ("duration_s", 1.5), ("duration_s", 2.0), ("seed", 1.5), ("seed", True),
+    ("start_us", 0.5), ("stop_us", 1_500_000.0)])
+def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
+        tmp_path, field, value):
+    cfg = replace(parse_config_text(BASE), **{field: value})
+    message = f"{field} must be an integer"
     with pytest.raises(ConfigError, match=message):
         build(cfg)
     with pytest.raises(ConfigError, match=message):
