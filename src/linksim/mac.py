@@ -99,28 +99,13 @@ class AirtimeTable:
         return rows
 
 
-def backoff_slots(cw: int, rng: RngStream) -> int:
-    """Uniform backoff draw in [0, cw] slots."""
-    if cw < 0:
-        raise ValueError("cw must be >= 0")
-    return rng.randint(0, cw)
-
-
 class TxQueue(deque):
-    """Bounded FIFO with tail drop; a deque, so ``len`` runs at C speed."""
+    """Bounded FIFO; a deque, so ``len``, ``append`` and ``popleft`` run at
+    C speed. ``Station.enqueue_packet`` enforces the capacity."""
 
     def __init__(self, capacity: int):
         super().__init__()
         self.capacity = capacity
-
-    def enqueue(self, frame) -> str:
-        if len(self) >= self.capacity:
-            return DROPPED_FULL
-        self.append(frame)
-        return ACCEPTED
-
-    def dequeue(self):
-        return self.popleft() if self else None
 
 
 class FixedRate:
@@ -317,6 +302,7 @@ class Station:
         self.cw = params.cw_min
         self._frame = None
         self._mode: PhyMode | None = None
+        self._airtime: Airtime | None = None   # of _frame at _mode
         self._exchange: _Exchange | None = None
         self._attempts = 0
         self._mac_seq = 0
@@ -336,12 +322,15 @@ class Station:
     # -- transmit path -------------------------------------------------
 
     def enqueue_packet(self, packet) -> str:
-        outcome = self.queue.enqueue(packet)
-        if outcome == DROPPED_FULL:
+        """Append packet to the queue, or tail-drop it when the queue is full."""
+        queue = self.queue
+        if len(queue) >= queue.capacity:
             self.tail_drop(packet.seq)
-        elif self._frame is None:
+            return DROPPED_FULL
+        queue.append(packet)
+        if self._frame is None:
             self._service_next(self.engine.clock_us)
-        return outcome
+        return ACCEPTED
 
     def tail_drop(self, seq: int) -> None:
         """Count one arrival that met the full queue, and log its drop row."""
@@ -350,15 +339,16 @@ class Station:
             self.log_drop(self.engine.clock_us, self.node, seq, 0, "queue_full")
 
     def _service_next(self, idle_floor_us: int) -> None:
-        frame = self.queue.dequeue()
-        if frame is None:
+        if not self.queue:
             return
-        self._frame = frame
+        frame = self._frame = self.queue.popleft()
         self._mac_seq += 1
         self._attempts = 0
-        self._mode = self.rate_control.select(frame.mpdu_bytes,
-                                              self.engine.clock_us)
-        self._arm_access(idle_floor_us, backoff_slots(self.cw, self.backoff_rng))
+        # the mode holds for every attempt, and so does its airtime row
+        mode = self._mode = self.rate_control.select(frame.mpdu_bytes,
+                                                     self.engine.clock_us)
+        self._airtime = self.airtime.rows(frame.mpdu_bytes)[mode.id]
+        self._arm_access(idle_floor_us, self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:
             # a source parks only on a full queue, so this dequeue ends the
             # exchange self._exchange at the current clock
@@ -398,13 +388,15 @@ class Station:
         now = self.engine.clock_us
         frame = self._frame
         mode = self._mode
+        airtime = self._airtime
         self._attempts += 1
-        airtime = self.airtime.rows(frame.mpdu_bytes)[mode.id]
         data_end = now + airtime.data_us
         exchange = _Exchange(frame, mode, airtime, now, data_end,
                              data_end + self.params.sifs_us + airtime.ack_us)
         self.medium.begin_tx(exchange)
-        self.peer.on_medium_busy(now)
+        peer = self.peer
+        if peer._timer is not None:   # else on_medium_busy has nothing to freeze
+            peer.on_medium_busy(now)
         self._exchange = exchange
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,
@@ -473,7 +465,7 @@ class Station:
             self._complete(success=False, next_floor_us=timeout_at)
         else:
             self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)
-            self._arm_access(timeout_at, backoff_slots(self.cw, self.backoff_rng))
+            self._arm_access(timeout_at, self.backoff_rng.randint(0, self.cw))
 
     def _complete(self, success: bool, next_floor_us: int) -> None:
         self.rate_control.report(self._mode, self._attempts, int(success))

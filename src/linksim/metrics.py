@@ -14,6 +14,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable
 
@@ -292,7 +294,8 @@ def compare_runs(reference: PerSecondSeries,
             label=c.label,
             p90=percentile(errors, 0.9),
             p50=percentile(errors, 0.5),
-            mean=sum(errors) / len(errors),
+            # left to right, as sum() did before CPython 3.12 compensated it
+            mean=reduce(add, errors, 0) / len(errors),
             errors=errors,
             cdf=empirical_cdf(errors),
         ))

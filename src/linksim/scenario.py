@@ -19,7 +19,9 @@ import json
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import takewhile
+from operator import add
 from pathlib import Path
 from typing import Callable
 
@@ -94,10 +96,10 @@ class ScenarioConfig:
             raise ConfigError("traffic window must be finite")
         if not 0 <= self.processing_delay_us < math.inf:
             raise ConfigError("processing_delay_us must be finite and >= 0")
-        # the clock counts whole µs, and RngStream formats the seed as %d
-        for name, value in (("duration_s", self.duration_s),
-                            ("seed", self.seed), ("start_us", self.start_us),
-                            ("stop_us", stop_us)):
+        # the clock counts whole µs, RngStream formats the seed as %d, and
+        # sizes and counts are whole; the text path parses each as an int
+        for name in _INT_FIELDS:
+            value = stop_us if name == "stop_us" else getattr(self, name)
             if type(value) is not int:   # bool too
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
 
@@ -154,6 +156,9 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
+# ScenarioConfig fields that the text path parses to an int
+_INT_FIELDS = tuple(name for name, to in _SCHEMA.values()
+                    if to in (int, _seconds_to_us))
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
@@ -289,7 +294,9 @@ class SimRun:
         series = self.throughput[flow]
         if not series.values:
             return 0.0
-        return sum(series.values.values()) / len(series.values) / 1000.0
+        # left to right, as sum() did before CPython 3.12 compensated it
+        total = reduce(add, series.values.values(), 0)
+        return total / len(series.values) / 1000.0
 
     def min_rtt_us(self) -> int | None:
         if not self.rtt_samples:

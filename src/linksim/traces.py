@@ -18,8 +18,9 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice
-from operator import itemgetter, lt, sub
+from operator import add, itemgetter, lt, mul, sub
 
 logger = logging.getLogger(__name__)
 
@@ -405,9 +406,12 @@ class MobilityTrace:
         for t_us in cuts[1:]:
             q = offset(t_us)
             v = [y - x for x, y in zip(p, q)]
-            vv = sum(c * c for c in v)
+            # sums left to right, as sum() did before CPython 3.12
+            # compensated it
+            vv = reduce(add, map(mul, v, v), 0)
             if vv > 0.0:
-                s = min(max(-sum(x * c for x, c in zip(p, v)) / vv, 0.0), 1.0)
+                dot = reduce(add, map(mul, p, v), 0)
+                s = min(max(-dot / vv, 0.0), 1.0)
                 best = min(best, math.hypot(*(x + s * c for x, c in zip(p, v))))
             p = q
         return best

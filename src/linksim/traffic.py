@@ -161,10 +161,11 @@ class UdpSource:
         if len(queue) >= queue.capacity:
             station.tail_drop(self.next_seq)
         else:
-            station.enqueue_packet(Packet(
+            # Packet(...) without its Python-level __new__
+            station.enqueue_packet(tuple.__new__(Packet, (
                 UDP_DATA, self.next_seq, self.cfg.payload_bytes,
                 self._mpdu_bytes, now, self.flow,
-            ))
+            )))
         self.next_seq += 1
         next_t = self._next_us = now + self._gap_us
         if next_t < self.cfg.stop_us:

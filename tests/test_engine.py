@@ -135,3 +135,50 @@ def test_randint_bounds():
     rng = RngStream(3, "bounds")
     draws = {rng.randint(0, 3) for _ in range(200)}
     assert draws == {0, 1, 2, 3}
+
+
+def draw_pair(seed=5, label="kernel"):
+    """A stream and a plain Random in the same state."""
+    stream = RngStream(seed, label)
+    ref = random.Random()
+    ref.setstate(stream._rng.getstate())
+    return stream, ref
+
+
+@pytest.mark.parametrize("low, n", [
+    (0, 1), (0, 2), (0, 3), (0, 7), (0, 16), (0, 1024), (0, 2**40 + 3),
+    (-4, 7), (100, 3)])
+def test_randint_draws_as_randrange(low, n):
+    stream, ref = draw_pair()
+    high = low + n - 1
+    draws = [stream.randint(low, high) for _ in range(2_000)]
+    assert draws == [ref.randrange(low, high + 1) for _ in range(2_000)]
+    assert min(draws) >= low and max(draws) <= high
+    # same Mersenne Twister outputs consumed, so the streams go on alike
+    assert stream.random() == ref.random()
+
+
+def test_randint_rejects_an_empty_range():
+    stream, ref = draw_pair()
+    with pytest.raises(ValueError):
+        stream.randint(5, 4)
+    with pytest.raises(ValueError):
+        ref.randrange(5, 5)
+    assert stream.random() == ref.random()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.25, 3.0])
+def test_gamma_sampler_equals_gammavariate(alpha):
+    stream, ref = draw_pair(label=f"gamma.{alpha}")
+    beta = 7.3e-9 / alpha   # a received power in W over m, as Channel uses
+    draw = stream.gamma_sampler(alpha, beta)
+    n = 100_000
+    assert [draw() for _ in range(n)] == \
+        [ref.gammavariate(alpha, beta) for _ in range(n)]
+    assert stream._rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.5, 0.0), (-1.0, 2.0)])
+def test_gamma_sampler_rejects_a_nonpositive_parameter(alpha, beta):
+    with pytest.raises(ValueError):
+        RngStream(1, "g").gamma_sampler(alpha, beta)

@@ -102,6 +102,13 @@ LOGGED = {
 }
 
 
+# sha256 of summary.json of a 3 s udp_bidirectional run. Its mean
+# throughput sums per-second floats whose left-to-right sum differs in the
+# last digit from the compensated sum() of CPython 3.12 and later.
+BIDI_3S_SUMMARY = \
+    "f8b3672659b34bd69cb9dcd18b31e1b1c7c1cb236364ad5e41e4ccb6282b56bb"
+
+
 def bundled(name, **overrides):
     cfg = parse_config(SCENARIOS / f"{name}.ini")
     return replace(cfg, duration_s=int(DURATION_S), **overrides)
@@ -164,6 +171,14 @@ def test_golden_recorded_trace(tmp_path, scenario):
     assert cli.main(["record-trace", str(SCENARIOS / f"{scenario}.ini"),
                      "-o", str(out), "--duration", DURATION_S]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED[scenario]
+
+
+def test_summary_is_identical_on_every_python(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", str(SCENARIOS / "udp_bidirectional.ini"),
+                     "--out-dir", str(out), "--duration", "3"]) == 0
+    digest = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+    assert digest == BIDI_3S_SUMMARY
 
 
 @pytest.mark.parametrize("case", sorted(LOGGED))

@@ -10,8 +10,8 @@ import pytest
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue, RngStream
 from linksim.mac import (ACCEPTED, DROPPED_FULL, AirtimeTable, DcfParams,
-                         FixedRate, Minstrel, TxQueue, ack_mode_for,
-                         backoff_slots, build_point_to_point)
+                         FixedRate, Minstrel, ack_mode_for,
+                         build_point_to_point)
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
 from linksim.scenario import CsvEventLog
 from linksim.traces import MobilityTrace, parse_snr_trace
@@ -60,15 +60,24 @@ def packet(seq=0, mpdu=1500, kind="udp", flow="udp.A->B"):
 
 
 def test_queue_fifo_and_tail_drop():
-    q = TxQueue(3)
-    assert q.enqueue("x") == ACCEPTED
-    for i in range(2):
-        q.enqueue(i)
-    assert q.enqueue("overflow") == DROPPED_FULL
-    assert q.dequeue() == "x"
-    assert q.enqueue("y") == ACCEPTED
-    assert [q.dequeue() for _ in range(3)] == [0, 1, "y"]
-    assert q.dequeue() is None
+    engine, st_a, _, _, buf = make_link(
+        60.0, 60.0, params=DcfParams(queue_capacity=3))
+    assert st_a.enqueue_packet(packet(0)) == ACCEPTED   # taken into service
+    for seq in (1, 2, 3):
+        assert st_a.enqueue_packet(packet(seq)) == ACCEPTED
+    assert list(st_a.queue) == [packet(1), packet(2), packet(3)]
+    assert st_a.enqueue_packet(packet(99)) == DROPPED_FULL
+    assert st_a.stats.queue_drops == 1
+    engine.run_until(1_000)
+    assert st_a.stats.frames_delivered >= 1   # a slot is free again
+    assert st_a.enqueue_packet(packet(4)) == ACCEPTED
+    engine.run_until(100_000)
+    rows = parse_log(buf)
+    assert [r["seq"] for r in rows if r["event"] == "drop"] == ["99"]
+    sent = [int(r["seq"]) for r in rows
+            if r["event"] == "tx" and r["kind"] == "data"]
+    assert sent == [0, 1, 2, 3, 4]
+    assert not st_a.queue and st_a._frame is None
 
 
 # -- backoff -----------------------------------------------------------
@@ -77,18 +86,18 @@ def test_queue_fifo_and_tail_drop():
 def test_backoff_uniform_mean():
     rng = RngStream(2, "mac.backoff.t")
     n = 100_000
-    draws = [backoff_slots(15, rng) for _ in range(n)]
+    draws = [rng.randint(0, 15) for _ in range(n)]
     assert set(draws) <= set(range(16))
     assert abs(statistics.fmean(draws) - 7.5) < 0.15
 
 
 def test_backoff_zero_window_and_determinism():
     rng = RngStream(3, "mac.backoff.z")
-    assert all(backoff_slots(0, rng) == 0 for _ in range(50))
+    assert all(rng.randint(0, 0) == 0 for _ in range(50))
     a = RngStream(4, "mac.backoff.d")
     b = RngStream(4, "mac.backoff.d")
-    assert [backoff_slots(1023, a) for _ in range(100)] \
-        == [backoff_slots(1023, b) for _ in range(100)]
+    assert [a.randint(0, 1023) for _ in range(100)] \
+        == [b.randint(0, 1023) for _ in range(100)]
 
 
 def test_ack_mode_rule():

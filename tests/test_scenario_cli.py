@@ -440,12 +440,17 @@ def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
     assert not (tmp_path / "out").exists()
 
 
-# A time or the seed set in code must be an int: a float time failed inside
-# simulate, and a float seed ran as its integer part while the manifest
-# recorded the float.
+# A time, the seed, a size or a count set in code must be an int, as the
+# text path parses each: a float time failed inside simulate or ran on a
+# float clock, a float seed ran as its integer part while the manifest
+# recorded the float, and a float or bool size or count ran silently.
 @pytest.mark.parametrize("field, value", [
     ("duration_s", 1.5), ("duration_s", 2.0), ("seed", 1.5), ("seed", True),
-    ("start_us", 0.5), ("stop_us", 1_500_000.0)])
+    ("start_us", 0.5), ("stop_us", 1_500_000.0),
+    ("interval_us", 100_000.5), ("processing_delay_us", 0.5),
+    ("payload_bytes", 1000.5), ("payload_bytes", True),
+    ("queue_capacity", 2.5), ("retry_limit", 2.5),
+    ("fixed_mode_mbps", 54.0)])
 def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
         tmp_path, field, value):
     cfg = replace(parse_config_text(BASE), **{field: value})
