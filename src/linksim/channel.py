@@ -226,9 +226,9 @@ class Channel:
         if m is not None:
             power_w = dbm_to_w(rx_dbm)
             if power_w > 0.0:
-                draw = rng.gamma_sampler(m, power_w / m)
+                gamma, scale = rng.gamma, power_w / m
                 # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined
                 return lambda t_us: (10.0 * math.log10(
-                    max(draw(), 1e-300)) + 30.0 - noise_dbm)
+                    max(gamma(m, scale), 1e-300)) + 30.0 - noise_dbm)
             snr_db = w_to_dbm(0.0) - noise_dbm   # apply_nakagami draws nothing
         return lambda t_us: snr_db

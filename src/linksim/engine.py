@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import random
-from functools import partial
 from typing import Callable
 
 
@@ -59,42 +57,6 @@ class RngStream:
         while r >= n:
             r = getrandbits(k)
         return low + r
-
-    def gamma_sampler(self, alpha: float, beta: float) -> Callable[[], float]:
-        """Draws of ``gammavariate(alpha, beta)`` for a fixed alpha and beta.
-
-        Each draw equals the one ``gammavariate`` takes, from the same
-        ``random()`` calls. For alpha > 1 Cheng's constants are computed
-        once here rather than at every draw, and the loop below is
-        ``gammavariate``'s own, term for term; for alpha <= 1 that method
-        precomputes nothing, so the sampler calls it.
-        """
-        if not (alpha > 0.0 and beta > 0.0):
-            raise ValueError("gamma_sampler: alpha and beta must be > 0.0")
-        if alpha <= 1.0:
-            return partial(self._rng.gammavariate, alpha, beta)
-        rnd = self.random
-        log, exp = math.log, math.exp
-        ainv = math.sqrt(2.0 * alpha - 1.0)
-        bbb = alpha - random.LOG4
-        ccc = alpha + ainv
-        sg_magicconst = random.SG_MAGICCONST
-
-        def draw() -> float:
-            # Cheng (1977), "The generation of Gamma variables with
-            # non-integral shape parameters", Applied Statistics 26(1)
-            while True:
-                u1 = rnd()
-                if not 1e-7 < u1 < 0.9999999:
-                    continue
-                u2 = 1.0 - rnd()
-                v = log(u1 / (1.0 - u1)) / ainv
-                x = alpha * exp(v)
-                z = u1 * u1 * u2
-                r = bbb + ccc * v - x
-                if r + sg_magicconst - 4.5 * z >= 0.0 or r >= log(z):
-                    return x * beta
-        return draw
 
     def __repr__(self) -> str:
         return f"RngStream(root_seed={self.root_seed}, label={self.label!r})"

@@ -99,15 +99,6 @@ class AirtimeTable:
         return rows
 
 
-class TxQueue(deque):
-    """Bounded FIFO; a deque, so ``len``, ``append`` and ``popleft`` run at
-    C speed. ``Station.enqueue_packet`` enforces the capacity."""
-
-    def __init__(self, capacity: int):
-        super().__init__()
-        self.capacity = capacity
-
-
 class FixedRate:
     """Trivial controller: one mode for every frame."""
 
@@ -285,7 +276,8 @@ class Station:
         self.log_tx = getattr(event_log, "tx", None)
         self.log_rx = getattr(event_log, "rx", None)
         self.log_drop = getattr(event_log, "drop", None)
-        self.queue = TxQueue(params.queue_capacity)
+        # bounded FIFO; enqueue_packet enforces params.queue_capacity
+        self.queue: deque = deque()
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
         # reception draws and FER memo for frames this station receives
@@ -324,7 +316,7 @@ class Station:
     def enqueue_packet(self, packet) -> str:
         """Append packet to the queue, or tail-drop it when the queue is full."""
         queue = self.queue
-        if len(queue) >= queue.capacity:
+        if len(queue) >= self.params.queue_capacity:
             self.tail_drop(packet.seq)
             return DROPPED_FULL
         queue.append(packet)
@@ -394,9 +386,7 @@ class Station:
         exchange = _Exchange(frame, mode, airtime, now, data_end,
                              data_end + self.params.sifs_us + airtime.ack_us)
         self.medium.begin_tx(exchange)
-        peer = self.peer
-        if peer._timer is not None:   # else on_medium_busy has nothing to freeze
-            peer.on_medium_busy(now)
+        self.peer.on_medium_busy(now)
         self._exchange = exchange
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,

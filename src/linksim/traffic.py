@@ -158,7 +158,8 @@ class UdpSource:
         """The arrival due at now; a dequeue that refills passes its time."""
         station = self.station
         queue = station.queue
-        if len(queue) >= queue.capacity:
+        capacity = station.params.queue_capacity
+        if len(queue) >= capacity:
             station.tail_drop(self.next_seq)
         else:
             # Packet(...) without its Python-level __new__
@@ -169,7 +170,7 @@ class UdpSource:
         self.next_seq += 1
         next_t = self._next_us = now + self._gap_us
         if next_t < self.cfg.stop_us:
-            if (self._park and len(queue) >= queue.capacity
+            if (self._park and len(queue) >= capacity
                     and station.producers == 1):
                 station.parked = self
             else:

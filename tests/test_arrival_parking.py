@@ -269,8 +269,9 @@ def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):
     emit = traffic.UdpSource._emit
 
     def checking_emit(self):
-        queue = self.station.queue
-        met_full_queue.append(len(queue) >= queue.capacity)
+        station = self.station
+        met_full_queue.append(
+            len(station.queue) >= station.params.queue_capacity)
         emit(self)
 
     with monkeypatch.context() as m:

@@ -165,20 +165,3 @@ def test_randint_rejects_an_empty_range():
     with pytest.raises(ValueError):
         ref.randrange(5, 5)
     assert stream.random() == ref.random()
-
-
-@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.25, 3.0])
-def test_gamma_sampler_equals_gammavariate(alpha):
-    stream, ref = draw_pair(label=f"gamma.{alpha}")
-    beta = 7.3e-9 / alpha   # a received power in W over m, as Channel uses
-    draw = stream.gamma_sampler(alpha, beta)
-    n = 100_000
-    assert [draw() for _ in range(n)] == \
-        [ref.gammavariate(alpha, beta) for _ in range(n)]
-    assert stream._rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.5, 0.0), (-1.0, 2.0)])
-def test_gamma_sampler_rejects_a_nonpositive_parameter(alpha, beta):
-    with pytest.raises(ValueError):
-        RngStream(1, "g").gamma_sampler(alpha, beta)
