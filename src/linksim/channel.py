@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 from .engine import RngStream
@@ -30,6 +31,8 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.tx_power_dbm <= 17.0:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, ClassVar
 
 from . import phy
 from .channel import Channel
@@ -29,13 +30,14 @@ DROPPED_FULL = "dropped_full"
 
 @dataclass(frozen=True)
 class DcfParams:
-    slot_us: int = 9
-    sifs_us: int = 16
-    difs_us: int = 34
-    cw_min: int = 15
-    cw_max: int = 1023
+    # 802.11a OFDM timing, the same in every run
+    slot_us: ClassVar[int] = 9
+    sifs_us: ClassVar[int] = 16
+    difs_us: ClassVar[int] = 34       # SIFS + 2 slots
+    cw_min: ClassVar[int] = 15
+    cw_max: ClassVar[int] = 1023
+    ack_bytes: ClassVar[int] = 14
     retry_limit: int = 7
-    ack_bytes: int = 14
     queue_capacity: int = 500
     # Rates eligible for control responses; ACKs go out at the highest
     # basic rate not above the data rate. A single low basic rate keeps
@@ -43,13 +45,6 @@ class DcfParams:
     basic_rates_mbps: tuple[int, ...] = (6,)
 
     def __post_init__(self) -> None:
-        if self.difs_us != self.sifs_us + 2 * self.slot_us:
-            raise ValueError("difs must equal sifs + 2*slot")
-        for cw in (self.cw_min, self.cw_max):
-            if cw < 1 or (cw + 1) & cw:
-                raise ValueError(f"contention window {cw} not of form 2^k - 1")
-        if self.cw_max < self.cw_min:
-            raise ValueError("cw_max must be >= cw_min")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         if self.queue_capacity < 1:
@@ -60,10 +55,10 @@ class DcfParams:
             phy.mode_for_rate(rate)
 
 
-def ack_mode_for(data_mode: PhyMode, params: DcfParams) -> PhyMode:
+def ack_mode_for(data_mode: PhyMode, basic_rates_mbps: tuple[int, ...]) -> PhyMode:
     """Highest basic rate <= the data rate; lowest basic rate as fallback."""
-    eligible = [r for r in params.basic_rates_mbps if r <= data_mode.data_rate_mbps]
-    rate = max(eligible) if eligible else min(params.basic_rates_mbps)
+    eligible = [r for r in basic_rates_mbps if r <= data_mode.data_rate_mbps]
+    rate = max(eligible) if eligible else min(basic_rates_mbps)
     return phy.mode_for_rate(rate)
 
 
@@ -72,31 +67,23 @@ class Airtime:
 
     __slots__ = ("data_us", "ack_mode", "ack_us", "expected_us")
 
-    def __init__(self, mpdu_bytes: int, mode: PhyMode, params: DcfParams):
+    def __init__(self, mpdu_bytes: int, mode: PhyMode,
+                 basic_rates_mbps: tuple[int, ...]):
+        p = DcfParams
         self.data_us = frame_duration_us(mpdu_bytes, mode)
-        self.ack_mode = ack_mode_for(mode, params)
-        self.ack_us = frame_duration_us(params.ack_bytes, self.ack_mode)
+        self.ack_mode = ack_mode_for(mode, basic_rates_mbps)
+        self.ack_us = frame_duration_us(p.ack_bytes, self.ack_mode)
         # DIFS + mean backoff + DATA + SIFS + ACK
-        self.expected_us = (params.difs_us + params.slot_us * params.cw_min / 2.0
-                            + params.sifs_us + self.data_us + self.ack_us)
+        self.expected_us = (p.difs_us + p.slot_us * p.cw_min / 2.0
+                            + p.sifs_us + self.data_us + self.ack_us)
 
 
-class AirtimeTable:
-    """Airtime of every mode at each MPDU size, computed once per size.
-
-    ``rows(mpdu_bytes)[mode.id]`` belongs to ``mode``.
-    """
-
-    def __init__(self, params: DcfParams):
-        self.params = params
-        self._rows: dict[int, list[Airtime]] = {}
-
-    def rows(self, mpdu_bytes: int) -> list[Airtime]:
-        rows = self._rows.get(mpdu_bytes)
-        if rows is None:
-            rows = [Airtime(mpdu_bytes, m, self.params) for m in MODES]
-            self._rows[mpdu_bytes] = rows
-        return rows
+@cache
+def airtime_rows(mpdu_bytes: int,
+                 basic_rates_mbps: tuple[int, ...]) -> tuple[Airtime, ...]:
+    """Each mode's airtime at mpdu_bytes, by mode id: one tuple per process
+    for every station and rate controller with these basic rates."""
+    return tuple(Airtime(mpdu_bytes, m, basic_rates_mbps) for m in MODES)
 
 
 class FixedRate:
@@ -128,8 +115,8 @@ class Minstrel:
     PROBE_PERIOD = 10
 
     def __init__(self, params: DcfParams, rng: RngStream):
-        self.params = params
         self.rng = rng
+        self.basic_rates_mbps = params.basic_rates_mbps
         n = len(MODES)
         self.ewma = [0.0] * n
         self.window_attempts = [0] * n
@@ -141,7 +128,6 @@ class Minstrel:
         self._all_tried = False
         # mpdu_bytes -> _argmax_tput(mpdu_bytes), valid until the EWMA changes
         self._ranking: dict[int, tuple[int, float]] = {}
-        self.airtime = AirtimeTable(params)
 
     def update_window(self, mode_id: int, attempts: int, successes: int) -> None:
         """Fold one interval's counters for one mode into its EWMA."""
@@ -164,7 +150,7 @@ class Minstrel:
         self._next_update_us = now_us - (now_us % interval) + interval
 
     def _argmax_tput(self, mpdu_bytes: int) -> tuple[int, float]:
-        rows = self.airtime.rows(mpdu_bytes)
+        rows = airtime_rows(mpdu_bytes, self.basic_rates_mbps)
         bits = 8 * mpdu_bytes
         best = 0
         best_tput = -1.0
@@ -194,8 +180,8 @@ class Minstrel:
         if self.frame_count % self.PROBE_PERIOD == 0:
             r = self.rng.randint(0, len(MODES) - 2)
             cand = r if r < best else r + 1
-            expected_us = self.airtime.rows(mpdu_bytes)[cand].expected_us
-            if (8 * mpdu_bytes / expected_us > best_tput
+            rows = airtime_rows(mpdu_bytes, self.basic_rates_mbps)
+            if (8 * mpdu_bytes / rows[cand].expected_us > best_tput
                     or not self.probed_this_interval[cand]):
                 self.probed_this_interval[cand] = True
                 return MODES[cand]
@@ -283,7 +269,6 @@ class Station:
         # reception draws and FER memo for frames this station receives
         self._rx_rng: RngStream | None = None
         self._rx_memo: dict = {}
-        self.airtime = AirtimeTable(params)
         self._root_seed = root_seed
         self.rx_handlers: list[Callable] = []
         # traffic sources and apps that enqueue into this station's queue
@@ -339,7 +324,8 @@ class Station:
         # the mode holds for every attempt, and so does its airtime row
         mode = self._mode = self.rate_control.select(frame.mpdu_bytes,
                                                      self.engine.clock_us)
-        self._airtime = self.airtime.rows(frame.mpdu_bytes)[mode.id]
+        self._airtime = airtime_rows(frame.mpdu_bytes,
+                                     self.params.basic_rates_mbps)[mode.id]
         self._arm_access(idle_floor_us, self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:
             # a source parks only on a full queue, so this dequeue ends the

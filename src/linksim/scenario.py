@@ -21,6 +21,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import takewhile
+from numbers import Real
 from operator import add
 from pathlib import Path
 from typing import Callable
@@ -31,7 +32,7 @@ from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
 from .engine import EventQueue, RngStream
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
-from .traces import DirectedLink, MobilityTrace, SnrTrace, TraceCsvRecorder
+from .traces import DirectedLink, MobilityTrace, TraceCsvRecorder
 from .traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
 PING = "ping"
@@ -54,11 +55,10 @@ class ScenarioConfig:
     mobility_file: Path | None = None
     # propagation
     model: str = FRIIS
-    trace_file: Path | None = None
-    snr_trace: SnrTrace | None = None            # API injection
-    gamma: float = 2.0
-    ref_distance_m: float = 1.0
-    nakagami_m: float | None = None
+    trace_file: Path | None = None    # model = trace: its only SNR source
+    gamma: float = 2.0                # logdist only
+    ref_distance_m: float = 1.0       # logdist only
+    nakagami_m: float | None = None   # analytic models; None: no fading
     radio: RadioParams = field(default_factory=RadioParams)
     # traffic
     traffic_kind: str = UDP_UNI
@@ -102,6 +102,12 @@ class ScenarioConfig:
             value = stop_us if name == "stop_us" else getattr(self, name)
             if type(value) is not int:   # bool too
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "nakagami_m":
+                continue   # no fading
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def _bool(raw: str) -> bool:
@@ -156,9 +162,11 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
-# ScenarioConfig fields that the text path parses to an int
+# ScenarioConfig fields that the text path parses to an int, and to a float
 _INT_FIELDS = tuple(name for name, to in _SCHEMA.values()
                     if to in (int, _seconds_to_us))
+_REAL_FIELDS = tuple(name for name, to in _SCHEMA.values()
+                     if to is float and name != "radio")
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
@@ -333,9 +341,11 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
 
 def _construct(cfg: ScenarioConfig) -> BuiltRun:
     inputs: dict[str, str] = {}     # in load order, as manifests list them
-    trace = cfg.snr_trace
-    if trace is None and cfg.trace_file is not None:
+    trace = None
+    if cfg.trace_file is not None:
         trace = _load(cfg.trace_file, traces.parse_snr_trace, inputs)
+    elif cfg.model == TRACE:   # as the text path words it
+        raise ConfigError("[propagation] trace model requires trace_file")
     if cfg.mobility_file is not None:
         mobility = _load(cfg.mobility_file, traces.parse_mobility, inputs)
     else:
@@ -361,7 +371,7 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
             raise ConfigError(f"link {link}: {exc}") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
-                    basic_rates_mbps=cfg.basic_rates_mbps)
+                    basic_rates_mbps=tuple(cfg.basic_rates_mbps))
 
     fixed_mode = phy.mode_for_rate(cfg.fixed_mode_mbps)
     if cfg.rate_control == "minstrel":

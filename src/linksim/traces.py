@@ -29,6 +29,7 @@ MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
 
 _NODE_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _MAX_T_US = 2**63 - 1   # timestamps are stored as int64
+_GAP_WARNING_US = 1_000_000   # a longer per-link SNR sample gap is logged
 # A trace is read in chunks of at least this many bytes (characters for str
 # input), each ending just after a newline.
 _CHUNK = 1 << 16
@@ -252,13 +253,12 @@ class SnrTrace:
         return self._series == other._series
 
 
-def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
+def parse_snr_trace(data: str | bytes) -> SnrTrace:
     """Parse the canonical SNR trace CSV.
 
     Rows may come in any order. Duplicate timestamps on one link collapse to
-    the last occurrence in file order. Per-link gaps longer than
-    gap_warning_s trigger a logged warning (hold-last lookup still applies
-    across the gap).
+    the last occurrence in file order. Per-link gaps longer than one second
+    trigger a logged warning (hold-last lookup still applies across the gap).
     """
     series: dict[DirectedLink, tuple[array, array]] = {}
     stores = {}     # (tx, rx) fields as written -> that link's (times, values)
@@ -276,14 +276,13 @@ def parse_snr_trace(data: str | bytes, gap_warning_s: float = 1.0) -> SnrTrace:
             raise TraceFormatError(line_no, f"non-finite snr_db: {snr.strip()!r}")
         store[0].append(t_us)
         store[1].append(snr_db)
-    gap_limit = int(gap_warning_s * 1_000_000)
     for link, (times, values) in series.items():
         if not all(map(lt, times, islice(times, 1, None))):
             last = dict(zip(times, values))     # the last value per time
             times = array("q", sorted(last))
             series[link] = (times, array("d", map(last.__getitem__, times)))
         gap = max(map(sub, islice(times, 1, None), times), default=0)
-        if gap > gap_limit:
+        if gap > _GAP_WARNING_US:
             logger.warning(
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,

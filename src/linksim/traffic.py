@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import EventQueue
-from .mac import Station
+from .mac import Station, airtime_rows
 
 DEFAULT_HEADER_OVERHEAD = 56   # 8 transport + 20 IP + 28 MAC/FCS
 
@@ -112,7 +112,8 @@ class UdpSource:
         self._mpdu_bytes = cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
-        data_us = [row.data_us for row in station.airtime.rows(self._mpdu_bytes)]
+        data_us = [row.data_us for row in airtime_rows(
+            self._mpdu_bytes, station.params.basic_rates_mbps)]
         self._park = (station.log_drop is None
                       and self._parking_is_exact(data_us))
         self._refill = self._refill_is_exact(data_us)

@@ -18,7 +18,7 @@ from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              accuracy_gain, compare_runs)
 from linksim.phy import MODES, frame_duration_us, frame_success_probability
 from linksim.scenario import CsvEventLog, ScenarioConfig, build, simulate
-from linksim.traces import TraceCsvRecorder, parse_snr_trace
+from linksim.traces import TraceCsvRecorder
 
 NODES = {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
 
@@ -33,9 +33,16 @@ def constant_trace(ab_db: float, ba_db: float) -> str:
             f"0,ClientA,Master,{ba_db}\n")
 
 
-def trace_cfg(trace_text: str, **kw) -> ScenarioConfig:
+def write_trace(tmp_path, trace_text: str):
+    """trace_text written to a new file under tmp_path."""
+    path = tmp_path / f"trace{len(list(tmp_path.iterdir()))}.csv"
+    path.write_text(trace_text, encoding="utf-8")
+    return path
+
+
+def trace_cfg(tmp_path, trace_text: str, **kw) -> ScenarioConfig:
     return ScenarioConfig(nodes=dict(NODES), model="trace",
-                          snr_trace=parse_snr_trace(trace_text),
+                          trace_file=write_trace(tmp_path, trace_text),
                           src="Master", dst="ClientA", **kw)
 
 
@@ -104,7 +111,7 @@ def test_criterion_03_nakagami_mean_preservation():
                    f"|var/mean²-1/m|={var_err:.4f} (<{0.03 / 1.25:.4f})")
 
 
-def test_criterion_04_record_replay_fidelity():
+def test_criterion_04_record_replay_fidelity(tmp_path):
     duration = 60
     base = dict(duration_s=duration, seed=21, src="Master", dst="ClientA",
                 traffic_kind="udp_uni")
@@ -115,9 +122,9 @@ def test_criterion_04_record_replay_fidelity():
                                              TraceCsvRecorder(trace_buf)))
 
     trace_text = trace_buf.getvalue()
-    trace = parse_snr_trace(trace_text)
     replay_cfg = ScenarioConfig(nodes=dict(NODES), model="trace",
-                                snr_trace=trace, **base)
+                                trace_file=write_trace(tmp_path, trace_text),
+                                **base)
     log_replay = io.StringIO()
     simulate(build(replay_cfg), event_log=CsvEventLog(log_replay))
 
@@ -145,8 +152,9 @@ def test_criterion_04_record_replay_fidelity():
             f"({len(recorded_rows)} recorded receptions)")
 
 
-def test_criterion_05_saturation_throughput_band():
-    cfg = trace_cfg(constant_trace(35.0, 35.0), duration_s=300, seed=5)
+def test_criterion_05_saturation_throughput_band(tmp_path):
+    cfg = trace_cfg(tmp_path, constant_trace(35.0, 35.0), duration_s=300,
+                    seed=5)
     run = simulate(build(cfg))
     goodput = run.mean_throughput_mbps("udp.Master->ClientA")
     verdict(5, 26.0 <= goodput <= 32.0,
@@ -154,11 +162,11 @@ def test_criterion_05_saturation_throughput_band():
             "(band [26, 32])")
 
 
-def test_criterion_06_rtt_floor_and_processing_shift():
+def test_criterion_06_rtt_floor_and_processing_shift(tmp_path):
     mins = {}
     for delay in (0, 300):
-        cfg = trace_cfg(constant_trace(35.0, 35.0), duration_s=60, seed=11,
-                        traffic_kind="ping", processing_delay_us=delay)
+        cfg = trace_cfg(tmp_path, constant_trace(35.0, 35.0), duration_s=60,
+                        seed=11, traffic_kind="ping", processing_delay_us=delay)
         run = simulate(build(cfg))
         mins[delay] = run.min_rtt_us()
     floor_ok = 350 <= mins[0] <= 650
@@ -216,15 +224,16 @@ def test_criterion_07_error_model_properties():
             f"reception MC: {'; '.join(details)}")
 
 
-def test_criterion_08_dcf_closed_form():
-    cfg = trace_cfg(constant_trace(60.0, 60.0), duration_s=60, seed=17,
-                    rate_control="fixed", fixed_mode_mbps=54)
+def test_criterion_08_dcf_closed_form(tmp_path):
+    cfg = trace_cfg(tmp_path, constant_trace(60.0, 60.0), duration_s=60,
+                    seed=17, rate_control="fixed", fixed_mode_mbps=54)
     run = simulate(build(cfg))
     goodput = run.mean_throughput_mbps("udp.Master->ClientA")
     params = DcfParams()
     mode = phy.mode_for_rate(54)
     t_data = frame_duration_us(1472 + 56, mode)
-    t_ack = frame_duration_us(params.ack_bytes, ack_mode_for(mode, params))
+    t_ack = frame_duration_us(params.ack_bytes,
+                              ack_mode_for(mode, params.basic_rates_mbps))
     cycle = (params.difs_us + params.slot_us * params.cw_min / 2
              + t_data + params.sifs_us + t_ack)
     closed_form = 1472 * 8 / cycle
@@ -234,10 +243,11 @@ def test_criterion_08_dcf_closed_form():
             f"{closed_form:.3f} Mbit/s: {100 * rel:.2f}% (< 2%)")
 
 
-def test_criterion_09_degradation_ordering():
+def test_criterion_09_degradation_ordering(tmp_path):
     results = {}
     for snr_db in (8.0, 15.0, 35.0):
-        cfg = trace_cfg(constant_trace(snr_db, snr_db), duration_s=60, seed=23)
+        cfg = trace_cfg(tmp_path, constant_trace(snr_db, snr_db),
+                        duration_s=60, seed=23)
         run = simulate(build(cfg))
         st = run.stats["Master"]
         results[snr_db] = (run.mean_throughput_mbps("udp.Master->ClientA"),
@@ -253,12 +263,12 @@ def test_criterion_09_degradation_ordering():
             + " > ".join(f"{a:.3f}" for a in attempts))
 
 
-def test_criterion_10_asymmetric_link_replay():
+def test_criterion_10_asymmetric_link_replay(tmp_path):
     trace_text = constant_trace(35.0, 10.0)
     goodput = {}
     for src, dst in (("Master", "ClientA"), ("ClientA", "Master")):
         cfg = ScenarioConfig(nodes=dict(NODES), model="trace",
-                             snr_trace=parse_snr_trace(trace_text),
+                             trace_file=write_trace(tmp_path, trace_text),
                              duration_s=60, seed=29, traffic_kind="udp_uni",
                              src=src, dst=dst)
         run = simulate(build(cfg))

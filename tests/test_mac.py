@@ -4,16 +4,20 @@ import collections
 import io
 import random
 import statistics
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from linksim import mac
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue, RngStream
-from linksim.mac import (ACCEPTED, DROPPED_FULL, AirtimeTable, DcfParams,
-                         FixedRate, Minstrel, ack_mode_for,
+from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
+                         Minstrel, Station, ack_mode_for, airtime_rows,
                          build_point_to_point)
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
-from linksim.scenario import CsvEventLog
+from linksim.scenario import CsvEventLog, build, parse_config, simulate
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import Packet
 
@@ -101,29 +105,59 @@ def test_backoff_zero_window_and_determinism():
 
 
 def test_ack_mode_rule():
-    multi = DcfParams(basic_rates_mbps=(6, 12, 24))
+    multi = (6, 12, 24)
     assert ack_mode_for(mode_for_rate(54), multi).data_rate_mbps == 24
     assert ack_mode_for(mode_for_rate(18), multi).data_rate_mbps == 12
     assert ack_mode_for(mode_for_rate(9), multi).data_rate_mbps == 6
-    assert ack_mode_for(mode_for_rate(54), DCF).data_rate_mbps == 6
+    assert ack_mode_for(mode_for_rate(54), (6,)).data_rate_mbps == 6
 
 
 
 @pytest.mark.parametrize("basic_rates", [(6,), (6, 12, 24)])
 def test_airtime_table_equals_per_frame_airtime(basic_rates):
-    params = DcfParams(basic_rates_mbps=basic_rates)
-    table = AirtimeTable(params)
     # stations index the rows of the default mode table by mode id
     assert [m.id for m in MODES] == list(range(len(MODES)))
     for mpdu_bytes in (14, 1528, 2328):
-        rows = table.rows(mpdu_bytes)
-        assert table.rows(mpdu_bytes) is rows
+        rows = airtime_rows(mpdu_bytes, basic_rates)
+        assert airtime_rows(mpdu_bytes, basic_rates) is rows
         assert len(rows) == len(MODES)
         for mode, row in zip(MODES, rows):
+            ack_mode = ack_mode_for(mode, basic_rates)
             assert row.data_us == frame_duration_us(mpdu_bytes, mode)
-            assert row.ack_mode == ack_mode_for(mode, params)
-            assert row.ack_us == frame_duration_us(params.ack_bytes,
-                                                   ack_mode_for(mode, params))
+            assert row.ack_mode == ack_mode
+            assert row.ack_us == frame_duration_us(DCF.ack_bytes, ack_mode)
+
+
+def test_one_airtime_table_serves_both_stations_and_both_minstrels(
+        monkeypatch):
+    read = collections.defaultdict(set)   # (mpdu, mode id) -> Airtime ids
+    readers = set()
+    rows_of = mac.airtime_rows
+
+    def spy(mpdu_bytes, basic_rates_mbps):
+        readers.add(sys._getframe(1).f_locals["self"])
+        rows = rows_of(mpdu_bytes, basic_rates_mbps)
+        for mode_id, row in enumerate(rows):
+            read[mpdu_bytes, mode_id].add(id(row))
+        return rows
+
+    monkeypatch.setattr(mac, "airtime_rows", spy)
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "scenarios"
+                       / "udp_bidirectional.ini")
+    simulate(build(replace(cfg, duration_s=1, log_events=False)))
+    kinds = collections.Counter(type(r) for r in readers)
+    assert kinds == {Station: 2, Minstrel: 2}
+    assert read and all(len(ids) == 1 for ids in read.values())
+
+
+def test_dcf_timing_is_802_11a_ofdm():
+    assert (DCF.slot_us, DCF.sifs_us, DCF.difs_us) == (9, 16, 34)
+    assert DCF.difs_us == DCF.sifs_us + 2 * DCF.slot_us
+    assert (DCF.cw_min, DCF.cw_max) == (15, 1023)
+    for cw in (DCF.cw_min, DCF.cw_max):
+        assert (cw + 1) & cw == 0          # of the form 2^k - 1
+    assert DCF.ack_bytes == 14
+    assert T_ACK_6 == 44
 
 # -- single-frame exchange ----------------------------------------------
 
@@ -496,9 +530,9 @@ def test_minstrel_cached_ranking_matches_per_frame_ranking():
 
 
 def test_dcf_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):      # 802.11a timing is not a setting
         DcfParams(difs_us=30)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         DcfParams(cw_min=14)
     with pytest.raises(ValueError):
         DcfParams(retry_limit=0)

@@ -269,10 +269,10 @@ def test_record_trace_rejects_replay_config(tmp_path):
         execute_record(parse_config(cfg_path), tmp_path / "x.csv")
 
 
-def test_run_scenario_with_injected_trace():
+def test_run_scenario_with_injected_trace(tmp_path):
+    (tmp_path / "link.csv").write_text(CONST_35, encoding="utf-8")
     cfg = ScenarioConfig(
-        duration_s=1, seed=5, model="trace",
-        snr_trace=parse_snr_trace(CONST_35),
+        duration_s=1, seed=5, model="trace", trace_file=tmp_path / "link.csv",
         nodes={"Master": (0, 0, 0), "ClientA": (6, 0, 0)},
         traffic_kind="udp_uni", src="Master", dst="ClientA",
     )
@@ -286,6 +286,14 @@ def test_one_built_run_simulates_the_same_twice():
                   duration_s=1)
     built = build(cfg)
     assert simulate(built) == simulate(built)
+
+
+def test_basic_rates_given_as_a_list_run_as_the_tuple():
+    # the rates key the airtime table that every station shares
+    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
+                  duration_s=1)
+    assert simulate(build(replace(cfg, basic_rates_mbps=[6, 12]))) \
+        == simulate(build(replace(cfg, basic_rates_mbps=(6, 12))))
 
 
 def _config(text):
@@ -457,6 +465,43 @@ def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
     message = f"{field} must be an integer"
     with pytest.raises(ConfigError, match=message):
         build(cfg)
+    with pytest.raises(ConfigError, match=message):
+        execute_run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# A number set in code must be a real number and not a bool, as the text
+# path parses each as a float: True ran as 1 (m = 1, gamma = 1, 1 bit/s).
+@pytest.mark.parametrize("field, value", [
+    ("nakagami_m", True), ("gamma", True), ("offered_load_bps", True),
+    ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None)])
+def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
+        tmp_path, field, value):
+    cfg = replace(parse_config_text(BASE), **{field: value})
+    message = f"{field} must be a real number"
+    with pytest.raises(ConfigError, match=message):
+        build(cfg)
+    with pytest.raises(ConfigError, match=message):
+        execute_run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["tx_power_dbm", "rf_gain_db_per_end",
+                                   "bandwidth_hz", "center_freq_hz",
+                                   "noise_figure_db"])
+@pytest.mark.parametrize("value", [True, "17"])
+def test_radio_params_reject_a_bool_or_non_real_number(field, value):
+    # a RadioParams that would run cannot be made, so no config holds one
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        RadioParams(**{field: value})
+
+
+def test_a_replay_without_trace_file_is_rejected_with_the_text_message(
+        tmp_path):
+    message = re.escape("[propagation] trace model requires trace_file")
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(BASE.replace("model = friis", "model = trace"))
+    cfg = replace(parse_config_text(BASE), model="trace")
     with pytest.raises(ConfigError, match=message):
         execute_run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()

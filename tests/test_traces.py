@@ -121,8 +121,9 @@ def test_gap_warning_logged(caplog):
         parse_snr_trace(text)
     assert any("gap" in rec.message for rec in caplog.records)
     caplog.clear()
+    at_limit = "t_us,tx,rx,snr_db\n0,A,B,10.0\n1000000,A,B,11.0\n"   # 1 s
     with caplog.at_level(logging.WARNING, logger="linksim.traces"):
-        parse_snr_trace(text, gap_warning_s=10.0)
+        parse_snr_trace(at_limit)
     assert not caplog.records
 
 
@@ -330,7 +331,7 @@ def oracle_rows(data, header, n_fields, what):
         raise TraceFormatError(len(lines), f"no {what} in file")
 
 
-def oracle_parse_snr_trace(data, gap_warning_s=1.0):
+def oracle_parse_snr_trace(data):
     raw = {}
     for line_no, t_us, fields in oracle_rows(data, SNR_HEADER, 4, "samples"):
         tx = _oracle_validate_node_id(line_no, fields[1])
@@ -340,7 +341,7 @@ def oracle_parse_snr_trace(data, gap_warning_s=1.0):
         snr_db = _oracle_parse_float(line_no, fields[3], "snr_db")
         raw.setdefault((tx, rx), []).append((t_us, line_no, snr_db))
     series = {}
-    gap_limit = int(gap_warning_s * 1_000_000)
+    gap_limit = 1_000_000   # a longer gap is logged
     for (tx, rx), rows in raw.items():
         rows.sort()
         times, values = [], []
