@@ -21,6 +21,14 @@ SPEED_OF_LIGHT = 299_792_458.0
 MIN_FRIIS_DISTANCE_M = 0.5   # near-field guard
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RadioParams:
     tx_power_dbm: float = 17.0
@@ -31,10 +39,7 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_real(name, value)
         if not 0.0 <= self.tx_power_dbm <= 17.0:
             raise ValueError(f"tx_power_dbm out of [0, 17]: {self.tx_power_dbm}")
         if not self.bandwidth_hz > 0:
@@ -69,9 +74,10 @@ class PropagationSpec:
         else:
             if self.trace is not None:
                 raise ValueError(f"{self.model} model must not carry a trace")
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_real("gamma", self.gamma)
+        check_real("ref_distance_m", self.ref_distance_m)
+        if self.nakagami_m is not None:
+            check_real("nakagami_m", self.nakagami_m)
         if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.ref_distance_m > 0:

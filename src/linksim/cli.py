@@ -115,6 +115,10 @@ def _cmd_compare(args) -> int:
 
     reference = load(args.reference)
     candidates = [load(p) for p in args.candidates]
+    unknown = set(shifts) - {s.label for s in (reference, *candidates)}
+    if unknown:
+        raise ConfigError(f"--shift names no loaded series: "
+                          f"{', '.join(sorted(unknown))}")
     report = metrics.compare_runs(reference, candidates, metric_kind=kind)
     written = metrics.write_report(report, args.out_dir)
     sys.stdout.write(report.to_text())

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import takewhile
 from operator import add
 from pathlib import Path
 from typing import Iterable
@@ -320,18 +322,49 @@ def compare_runs(reference: PerSecondSeries,
 
 
 def write_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json, report.txt, and one CDF CSV per candidate."""
+    """Write report.json, report.txt, and one CDF CSV per candidate.
+
+    They appear together once every write has completed (see ``staged``).
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = out / "report.json"
-    path.write_text(report.to_json(), encoding="utf-8")
-    written.append(path)
-    path = out / "report.txt"
-    path.write_text(report.to_text(), encoding="utf-8")
-    written.append(path)
+    files = {"report.json": report.to_json(), "report.txt": report.to_text()}
     for c in report.candidates:
-        path = out / f"cdf_{c.label}.csv"
-        path.write_text(_cdf_csv(c.cdf), encoding="utf-8")
-        written.append(path)
-    return written
+        files[f"cdf_{c.label}.csv"] = _cdf_csv(c.cdf)
+    with staged(out) as stage:
+        for name, text in files.items():
+            stage(name).write_text(text, encoding="utf-8")
+    return [out / name for name in files]
+
+
+@contextmanager
+def staged(directory: Path):
+    """Yield stage(name), the temp path in directory that stands for name.
+
+    When the block completes, each staged file is renamed to its name in the
+    order it was staged. When the block raises, none is: the temp files are
+    removed, with the directories made here for them, so a failed run or
+    report leaves no partial file, and the files that an earlier one left in
+    directory stay as they were. Run artifacts and reports both go through
+    this, which lives here because ``scenario`` imports this module.
+    """
+    made = list(takewhile(lambda d: not d.exists(),
+                          (directory, *directory.parents)))
+    directory.mkdir(parents=True, exist_ok=True)
+    pending: list[tuple[Path, Path]] = []
+
+    def stage(name: str) -> Path:
+        tmp = directory / (name + ".tmp")
+        pending.append((tmp, directory / name))
+        return tmp
+
+    try:
+        yield stage
+    except BaseException:
+        for tmp, _ in pending:
+            tmp.unlink(missing_ok=True)
+        with suppress(OSError):     # one that something else wrote into stays
+            for made_dir in made:   # deepest first
+                made_dir.rmdir()
+        raise
+    for tmp, path in pending:
+        tmp.replace(path)

@@ -16,19 +16,15 @@ import configparser
 import hashlib
 import io
 import json
-import math
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import takewhile
-from numbers import Real
 from operator import add
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, metrics, phy, traces
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
-                      RadioParams, mean_rx_power_dbm)
+                      RadioParams, check_real, mean_rx_power_dbm)
 from .engine import EventQueue, RngStream
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
@@ -81,33 +77,38 @@ class ScenarioConfig:
     base_dir: Path | None = None
 
     def validate(self) -> None:
-        """Check the rules that no part of the run owns; ``build`` calls this
-        and checks every other value through the part that owns it."""
-        if not 0 < self.duration_s < math.inf:   # nan fails too
-            raise ConfigError("duration_s must be finite and > 0")
+        """Check the type of every value first, as the text path parses it
+        (see ``_SCHEMA``), then the rules that no part of the run owns."""
+        for name, to in _SCHEMA.values():
+            value = getattr(self, name)
+            if name == "radio" or value is None and name in _OPTIONAL:
+                continue   # RadioParams checks its own values
+            if to is float:
+                check_real(name, value)
+            elif to in (int, _seconds_to_us) and type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            elif to is _bool and type(value) is not bool:
+                raise ConfigError(f"{name} must be a bool, got {value!r}")
+            elif to is _rates and not (isinstance(value, (tuple, list)) and
+                                       all(type(r) is int for r in value)):
+                raise ConfigError(f"{name} must be a list of rates, got {value!r}")
+        for node, position in (self.nodes or {}).items():
+            if not isinstance(position, (tuple, list)) or len(position) != 3:
+                raise ConfigError(f"[nodes] {node}: expected (x, y, z), got "
+                                  f"{position!r}")
+            for axis, coordinate in zip("xyz", position):
+                check_real(f"[nodes] {node} {axis}", coordinate)
+        if not self.duration_s > 0:
+            raise ConfigError("duration_s must be > 0")
         if self.nodes is not None and self.mobility_file is not None:
             raise ConfigError("[nodes] cannot mix mobility_file with positions")
         if self.nodes is None and self.mobility_file is None:
             raise ConfigError("[nodes] must define positions or mobility_file")
         stop_us = self.start_us if self.stop_us is None else self.stop_us
-        if not 0 <= self.start_us <= stop_us:   # written so that nan fails too
+        if not 0 <= self.start_us <= stop_us:
             raise ConfigError("traffic window must satisfy 0 <= start <= stop")
-        if stop_us == math.inf:
-            raise ConfigError("traffic window must be finite")
-        if not 0 <= self.processing_delay_us < math.inf:
-            raise ConfigError("processing_delay_us must be finite and >= 0")
-        # the clock counts whole µs, RngStream formats the seed as %d, and
-        # sizes and counts are whole; the text path parses each as an int
-        for name in _INT_FIELDS:
-            value = stop_us if name == "stop_us" else getattr(self, name)
-            if type(value) is not int:   # bool too
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "nakagami_m":
-                continue   # no fading
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        if self.processing_delay_us < 0:
+            raise ConfigError("processing_delay_us must be >= 0")
 
 
 def _bool(raw: str) -> bool:
@@ -162,11 +163,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
-# ScenarioConfig fields that the text path parses to an int, and to a float
-_INT_FIELDS = tuple(name for name, to in _SCHEMA.values()
-                    if to in (int, _seconds_to_us))
-_REAL_FIELDS = tuple(name for name, to in _SCHEMA.values()
-                     if to is float and name != "radio")
+_OPTIONAL = ("stop_us", "nakagami_m")   # None: no stop, no fading
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
@@ -180,10 +177,7 @@ _MODEL_KEYS = {
 
 def _convert(section: str, key: str, raw: str, to: Callable):
     try:
-        value = to(raw)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(raw)   # nan and inf would pass every range check
-        return value
+        return to(raw)
     except (ValueError, OverflowError):   # int() of an infinite number of µs
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
@@ -332,8 +326,8 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
     run that owns it. Writes nothing, so a run that fails here leaves no
     artifact behind.
     """
-    cfg.validate()
     try:
+        cfg.validate()
         return _construct(cfg)
     except ValueError as exc:   # from a part, or a ConfigError: same message
         raise ConfigError(str(exc)) from None
@@ -478,11 +472,11 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
 
     Every artifact appears at once, manifest last, when the run and all its
     writes have completed; a run that raises leaves none of them (see
-    ``_staged``).
+    ``metrics.staged``).
     """
     built = build(cfg)
     outputs: list[str] = []
-    with _staged(Path(out_dir)) as stage:
+    with metrics.staged(Path(out_dir)) as stage:
         if cfg.log_events:
             with open(stage("events.csv"), "w", encoding="utf-8",
                       newline="") as fh:
@@ -540,42 +534,10 @@ def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
         raise ConfigError("cannot record a trace from a trace-replay run")
     built = build(cfg)
     path = Path(out_file)
-    with _staged(path.parent) as stage:
+    with metrics.staged(path.parent) as stage:
         with open(stage(path.name), "w", encoding="utf-8", newline="") as fh:
             run = simulate(built, event_log=TraceCsvRecorder(fh))
     return run
-
-
-@contextmanager
-def _staged(directory: Path):
-    """Yield stage(name), the temp path in directory that stands for name.
-
-    When the block completes, each staged file is renamed to its name in the
-    order it was staged. When the block raises, none is: the temp files are
-    removed, with the directories made here for them, so a failed run leaves
-    no partial file and an earlier run's files in directory stay as they were.
-    """
-    made = list(takewhile(lambda d: not d.exists(),
-                          (directory, *directory.parents)))
-    directory.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []
-
-    def stage(name: str) -> Path:
-        tmp = directory / (name + ".tmp")
-        staged.append((tmp, directory / name))
-        return tmp
-
-    try:
-        yield stage
-    except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-        with suppress(OSError):     # one that something else wrote into stays
-            for made_dir in made:   # deepest first
-                made_dir.rmdir()
-        raise
-    for tmp, path in staged:
-        tmp.replace(path)
 
 
 def rerun_from_manifest(manifest_path: str | Path,

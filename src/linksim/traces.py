@@ -345,9 +345,6 @@ class MobilityTrace:
     @classmethod
     def static(cls, positions: dict[str, tuple[float, float, float]]) -> "MobilityTrace":
         """Trace for nodes that never move (one waypoint at t=0 each)."""
-        for node, position in positions.items():
-            if not all(map(math.isfinite, position)):
-                raise ValueError(f"node {node!r} position not finite: {position}")
         return cls({
             node: [Waypoint(0, x, y, z)] for node, (x, y, z) in positions.items()
         })

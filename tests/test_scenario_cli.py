@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from linksim import cli, scenario
-from linksim.channel import Channel, RadioParams
+from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.metrics import PerSecondSeries
 from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
                               execute_record, execute_run, parse_config,
@@ -404,6 +404,15 @@ NON_FINITE = {
 }
 
 
+def _api_config(section, key, value):
+    """FADING made in code, with NON_FINITE's (section, key) set to value."""
+    cfg = parse_config_text(FADING)
+    if section == "nodes":
+        return replace(cfg, nodes={**cfg.nodes, key: (6.0, value, 0.0)})
+    field = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
+    return replace(cfg, **{field: value})
+
+
 @pytest.mark.parametrize("section, key", sorted(NON_FINITE))
 def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
                                                            section, key):
@@ -411,7 +420,19 @@ def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_path), "--out-dir", str(out),
                      "--duration", "1"]) == 1
-    assert f"error: [{section}] {key}: cannot parse" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if _SCHEMA.get((section, key), (key, float))[1] is not float:
+        # no integer parses from nan or inf
+        assert f"error: [{section}] {key}: cannot parse" in err
+    elif section == "radio":   # RadioParams is made as the text is parsed
+        assert f"error: [radio]: {key} must be finite" in err
+    else:
+        name = f"[nodes] {key} y" if section == "nodes" else key
+        assert f"error: {name} must be finite" in err
+        # the gate in build gives the one message on both paths
+        with pytest.raises(ConfigError) as api_error:
+            build(_api_config(section, key, math.nan))
+        assert err == f"error: {api_error.value}\n"
     assert cli.main(["record-trace", str(cfg_path),
                      "-o", str(out / "trace.csv")]) == 1
     assert not out.exists()
@@ -419,13 +440,7 @@ def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
 
 # NON_FINITE's twin for a config made in code: the same values, nan and inf,
 # set with RadioParams(...) for [radio] keys and with replace(cfg, ...) for
-# the rest. (section, key) -> what the error message names.
-API_MESSAGE = {("traffic", "start_s"): "traffic window",
-               ("traffic", "stop_s"): "traffic window",
-               # an infinite load leaves no gap between packets
-               ("traffic", "offered_load_bps"): "offered.load"}
-
-
+# the rest. The error names the field, or the node, that holds the value.
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("section, key", sorted(NON_FINITE))
 def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
@@ -434,13 +449,8 @@ def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             RadioParams(**{key: value})
         return
-    cfg = parse_config_text(FADING)
-    if section == "nodes":
-        cfg = replace(cfg, nodes={**cfg.nodes, key: (6.0, value, 0.0)})
-    else:
-        field = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
-        cfg = replace(cfg, **{field: value})
-    message = API_MESSAGE.get((section, key), key)
+    cfg = _api_config(section, key, value)
+    message = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
     with pytest.raises(ConfigError, match=message):
         build(cfg)
     with pytest.raises(ConfigError, match=message):
@@ -451,14 +461,16 @@ def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
 # A time, the seed, a size or a count set in code must be an int, as the
 # text path parses each: a float time failed inside simulate or ran on a
 # float clock, a float seed ran as its integer part while the manifest
-# recorded the float, and a float or bool size or count ran silently.
+# recorded the float, and a float or bool size or count ran silently; a
+# str or None time raised a bare TypeError.
 @pytest.mark.parametrize("field, value", [
     ("duration_s", 1.5), ("duration_s", 2.0), ("seed", 1.5), ("seed", True),
     ("start_us", 0.5), ("stop_us", 1_500_000.0),
     ("interval_us", 100_000.5), ("processing_delay_us", 0.5),
     ("payload_bytes", 1000.5), ("payload_bytes", True),
     ("queue_capacity", 2.5), ("retry_limit", 2.5),
-    ("fixed_mode_mbps", 54.0)])
+    ("fixed_mode_mbps", 54.0), ("duration_s", "5"), ("start_us", "0"),
+    ("processing_delay_us", None)])
 def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
         tmp_path, field, value):
     cfg = replace(parse_config_text(BASE), **{field: value})
@@ -471,19 +483,31 @@ def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
 
 
 # A number set in code must be a real number and not a bool, as the text
-# path parses each as a float: True ran as 1 (m = 1, gamma = 1, 1 bit/s).
+# path parses each as a float: True ran as 1 (m = 1, gamma = 1, 1 bit/s). A
+# flag must be a bool and the ACK rates a list, as the text path parses
+# them: log_events = "no" ran with the log on, and a str coordinate or a
+# bare rate raised a bare TypeError.
 @pytest.mark.parametrize("field, value", [
     ("nakagami_m", True), ("gamma", True), ("offered_load_bps", True),
-    ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None)])
+    ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None),
+    ("nodes", {"Master": (0, 0, 0), "ClientA": ("6", 0, 0)}),
+    ("basic_rates_mbps", 6), ("log_events", "no")])
 def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
         tmp_path, field, value):
     cfg = replace(parse_config_text(BASE), **{field: value})
-    message = f"{field} must be a real number"
+    message = {"nodes": re.escape("[nodes] ClientA x must be a real number"),
+               "basic_rates_mbps": "basic_rates_mbps must be a list of rates",
+               "log_events": "log_events must be a bool"}.get(
+                   field, f"{field} must be a real number")
     with pytest.raises(ConfigError, match=message):
         build(cfg)
     with pytest.raises(ConfigError, match=message):
         execute_run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+    if field in ("gamma", "ref_distance_m", "nakagami_m"):
+        # PropagationSpec, the part that owns the value, checks it alike
+        with pytest.raises(ValueError, match=message):
+            PropagationSpec("logdist", **{field: value})
 
 
 @pytest.mark.parametrize("field", ["tx_power_dbm", "rf_gain_db_per_end",
@@ -722,3 +746,57 @@ def test_cli_compare_shift(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["table"][0]["mean"] == 0.0
     assert doc["samples_kept"] == 5
+
+
+def test_cli_compare_shift_of_an_unknown_label_is_a_config_error(tmp_path,
+                                                                  capsys):
+    from linksim.metrics import THROUGHPUT_KBPS
+    pr, pl = tmp_path / "r.csv", tmp_path / "l.csv"
+    PerSecondSeries(THROUGHPUT_KBPS, "real", {0: 100.0, 1: 90.0}).save(pr)
+    PerSecondSeries(THROUGHPUT_KBPS, "late", {0: 80.0, 1: 70.0}).save(pl)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--metric", "throughput", "--reference", str(pr),
+                   str(pl), "--shift", "late=1", "--shift", "typo=5",
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert "error: --shift names no loaded series: typo" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_report_write_leaves_no_report_file(tmp_path, capsys,
+                                                     monkeypatch):
+    from linksim.metrics import THROUGHPUT_KBPS
+    pr, pa, pb = tmp_path / "r.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+    PerSecondSeries(THROUGHPUT_KBPS, "real", {0: 100.0, 1: 90.0}).save(pr)
+    PerSecondSeries(THROUGHPUT_KBPS, "a", {0: 80.0, 1: 70.0}).save(pa)
+    PerSecondSeries(THROUGHPUT_KBPS, "b", {0: 60.0, 1: 95.0}).save(pb)
+
+    def compare(out_dir, *candidates):
+        return cli.main(["compare", "--metric", "throughput", "--reference",
+                         str(pr), *map(str, candidates),
+                         "--out-dir", str(out_dir)])
+
+    out = tmp_path / "cmp"
+    assert compare(out, pa) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"report.json", "report.txt", "cdf_a.csv"}
+    write_text = Path.write_text
+    writes = []
+
+    def failing_write_text(self, data, *args, **kwargs):
+        writes.append(self.name)
+        if len(writes) == 2:
+            raise OSError("no space left on device")
+        return write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    fresh = tmp_path / "fresh"
+    assert compare(fresh, pa, pb) == 2
+    assert writes == ["report.json.tmp", "report.txt.tmp"]
+    assert "runtime error: no space left on device" in capsys.readouterr().err
+    assert not fresh.exists()   # no report file, *.tmp or directory
+    # a failed report into an earlier report's directory leaves it as it was
+    writes.clear()
+    assert compare(out, pb, pa) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
