@@ -172,41 +172,25 @@ def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
 
 @dataclass
 class Channel:
-    """Bound SNR source for one simulation instance.
+    """SNR source for one simulation instance, made with its run's seed.
 
     Each link has one source, a function of the frame time in µs that
-    returns the SNR in dB, built by ``prepare`` or at the link's first frame:
-    a replayed link holds its trace's last sample, a link whose nodes never
-    move keeps its link budget (and takes one fading draw per frame when
-    fading is configured), and a link with a moving node runs ``link_snr``.
-    The channel owns the per-link fading streams so that replaying a
-    recorded trace consumes exactly the same non-fading streams as the
-    original run.
+    returns the SNR in dB, built at the link's first frame: a replayed link
+    holds its trace's last sample, a link whose nodes never move keeps its
+    link budget (and takes one fading draw per frame when fading is
+    configured), and a link with a moving node runs ``link_snr``. The
+    channel owns the per-link fading streams, rooted at ``seed``, so that
+    replaying a recorded trace consumes exactly the same non-fading streams
+    as the original run. A fresh channel starts every stream afresh.
     """
 
     spec: PropagationSpec
     params: RadioParams
     mobility: MobilityTrace
+    seed: int
 
     def __post_init__(self) -> None:
-        self._root_seed = 0
         self._sources: dict[DirectedLink, Callable[[int], float]] = {}
-
-    def bind_seed(self, root_seed: int) -> None:
-        """Start every fading stream afresh from root_seed."""
-        self._root_seed = root_seed
-        for link in self._sources:
-            self._sources[link] = self._source(link)
-
-    def prepare(self, link: DirectedLink) -> None:
-        """Build link's SNR source now rather than at its first frame.
-
-        Raises KeyError when a replayed trace has no samples for link, and
-        ValueError when static nodes are closer than the path loss model
-        admits, which per-frame evaluation would only find at the first
-        frame.
-        """
-        self._sources[link] = self._source(link)
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
         source = self._sources.get(link)
@@ -221,8 +205,7 @@ class Channel:
             # SnrTrace.snr_at, inlined as this runs once per frame
             return lambda t_us: values[max(bisect_right(times, t_us) - 1, 0)]
         m = spec.nakagami_m
-        rng = None if m is None else RngStream(self._root_seed,
-                                               f"fading.{link}")
+        rng = None if m is None else RngStream(self.seed, f"fading.{link}")
         mobility = self.mobility
         if not mobility.is_static(link.tx) or not mobility.is_static(link.rx):
             return lambda t_us: link_snr(spec, self.params, link, mobility,

@@ -194,23 +194,6 @@ class Minstrel:
         self.total_attempts[i] += attempts
 
 
-class _Exchange:
-    """One in-flight DATA(+ACK) exchange owned by its sender."""
-
-    __slots__ = ("frame", "mode", "airtime", "t_start", "data_end",
-                 "reservation_end", "collided")
-
-    def __init__(self, frame, mode, airtime, t_start, data_end,
-                 reservation_end):
-        self.frame = frame
-        self.mode = mode
-        self.airtime = airtime
-        self.t_start = t_start
-        self.data_end = data_end
-        self.reservation_end = reservation_end
-        self.collided = False
-
-
 class Medium:
     """Shared half-duplex medium between exactly two stations.
 
@@ -221,16 +204,6 @@ class Medium:
 
     def __init__(self) -> None:
         self.busy_until = 0
-        self._last: _Exchange | None = None
-
-    def begin_tx(self, exchange: _Exchange) -> None:
-        """Admit a transmission; it collides with one that starts with it."""
-        last = self._last
-        if last is not None and last.t_start == exchange.t_start:
-            last.collided = exchange.collided = True
-        self._last = exchange
-        if exchange.reservation_end > self.busy_until:
-            self.busy_until = exchange.reservation_end
 
 
 @dataclass
@@ -280,7 +253,10 @@ class Station:
         self._frame = None
         self._mode: PhyMode | None = None
         self._airtime: Airtime | None = None   # of _frame at _mode
-        self._exchange: _Exchange | None = None
+        # the attempt in flight, or the last one
+        self._t_start = -1
+        self._data_end = 0
+        self._collided = False
         self._attempts = 0
         self._mac_seq = 0
         self._timer = None
@@ -329,10 +305,10 @@ class Station:
         self._arm_access(idle_floor_us, self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:
             # a source parks only on a full queue, so this dequeue ends the
-            # exchange self._exchange at the current clock
+            # last attempt at the current clock
             source, self.parked = self.parked, None
             source.on_dequeue(self.engine.clock_us,
-                              self._exchange.airtime.data_us)
+                              self._data_end - self._t_start)
 
     def _arm_access(self, idle_floor_us: int, slots: int) -> None:
         p = self.params
@@ -364,29 +340,33 @@ class Station:
     def _on_access_granted(self) -> None:
         self._timer = None
         now = self.engine.clock_us
-        frame = self._frame
-        mode = self._mode
         airtime = self._airtime
+        peer = self.peer
         self._attempts += 1
-        data_end = now + airtime.data_us
-        exchange = _Exchange(frame, mode, airtime, now, data_end,
-                             data_end + self.params.sifs_us + airtime.ack_us)
-        self.medium.begin_tx(exchange)
-        self.peer.on_medium_busy(now)
-        self._exchange = exchange
+        self._t_start = now
+        # each station has one attempt in flight: the peer's collides with
+        # this one exactly when it started in the same µs
+        self._collided = peer._t_start == now
+        if self._collided:
+            peer._collided = True
+        data_end = self._data_end = now + airtime.data_us
+        reservation_end = data_end + self.params.sifs_us + airtime.ack_us
+        medium = self.medium
+        if reservation_end > medium.busy_until:
+            medium.busy_until = reservation_end
+        peer.on_medium_busy(now)
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,
-                        mode.data_rate_mbps, frame.seq, self._attempts,
-                        airtime.data_us)
+                        self._mode.data_rate_mbps, self._frame.seq,
+                        self._attempts, airtime.data_us)
         self.engine.schedule(data_end, self._on_data_end)
 
     def _on_data_end(self) -> None:
-        exchange = self._exchange
-        t = exchange.data_end
-        frame = exchange.frame
-        mode = exchange.mode
+        t = self._data_end
+        frame = self._frame
+        mode = self._mode
         peer = self.peer
-        if exchange.collided:
+        if self._collided:
             outcome = COLLIDED
             if self.log_rx is not None:
                 self.log_rx(t, peer.node, "data", self._tx_link,
@@ -402,42 +382,43 @@ class Station:
                             snr_db, outcome)
         if outcome == DELIVERED:
             peer._deliver(frame, self._mac_seq, t)
-            self._handle_ack(exchange)
+            self._handle_ack()
         else:
-            self._handle_failure(exchange)
+            self._handle_failure()
 
-    def _handle_ack(self, exchange: _Exchange) -> None:
+    def _handle_ack(self) -> None:
         """Receiver ACKs after SIFS; the ACK itself crosses the reverse link."""
         peer = self.peer
-        ack_end = exchange.reservation_end
-        ack_mode = exchange.airtime.ack_mode
+        airtime = self._airtime
+        ack_start = self._data_end + self.params.sifs_us
+        ack_end = ack_start + airtime.ack_us
+        ack_mode = airtime.ack_mode
+        seq = self._frame.seq
         peer.stats.acks_sent += 1
         snr_db = self.channel.snr(self._rx_link, ack_end)
         outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
                               self._rx_rng, self._rx_memo)
         if self.log_tx is not None:
-            self.log_tx(exchange.data_end + self.params.sifs_us, peer.node,
-                        "ack", self._rx_link, ack_mode.data_rate_mbps,
-                        exchange.frame.seq, self._attempts,
-                        exchange.airtime.ack_us)
+            self.log_tx(ack_start, peer.node, "ack", self._rx_link,
+                        ack_mode.data_rate_mbps, seq, self._attempts,
+                        airtime.ack_us)
         if self.log_rx is not None:
             self.log_rx(ack_end, self.node, "ack", self._rx_link,
-                        ack_mode.data_rate_mbps, exchange.frame.seq,
-                        self._attempts, snr_db, outcome)
+                        ack_mode.data_rate_mbps, seq, self._attempts,
+                        snr_db, outcome)
         if outcome == DELIVERED:
             self._complete(success=True, next_floor_us=ack_end)
         else:
-            self._handle_failure(exchange)
+            self._handle_failure()
 
-    def _handle_failure(self, exchange: _Exchange) -> None:
+    def _handle_failure(self) -> None:
         p = self.params
-        timeout_at = (exchange.data_end + p.sifs_us + exchange.airtime.ack_us
+        timeout_at = (self._data_end + p.sifs_us + self._airtime.ack_us
                       + p.slot_us)
         if self._attempts > p.retry_limit:
             if self.log_drop is not None:
-                self.log_drop(exchange.data_end, self.node,
-                              exchange.frame.seq, self._attempts,
-                              "retry_limit")
+                self.log_drop(self._data_end, self.node, self._frame.seq,
+                              self._attempts, "retry_limit")
             self._complete(success=False, next_floor_us=timeout_at)
         else:
             self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)

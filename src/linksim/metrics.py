@@ -325,14 +325,24 @@ def write_report(report: ComparisonReport, out_dir: str | Path) -> list[Path]:
     """Write report.json, report.txt, and one CDF CSV per candidate.
 
     They appear together once every write has completed (see ``staged``).
+    Then the CDFs of an earlier report in out_dir that this one does not
+    write are removed, by the names its report.json lists.
     """
     out = Path(out_dir)
     files = {"report.json": report.to_json(), "report.txt": report.to_text()}
     for c in report.candidates:
         files[f"cdf_{c.label}.csv"] = _cdf_csv(c.cdf)
+    try:
+        earlier = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        stale = {f"cdf_{row['run']}.csv" for row in earlier["table"]}
+    except (OSError, ValueError, LookupError, TypeError):
+        stale = set()   # no earlier report, or none that this wrote
     with staged(out) as stage:
         for name, text in files.items():
             stage(name).write_text(text, encoding="utf-8")
+    for name in stale - files.keys():
+        if (out / name).parent == out:   # never a path outside out_dir
+            (out / name).unlink(missing_ok=True)
     return [out / name for name in files]
 
 

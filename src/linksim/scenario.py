@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import io
 import json
+import os
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
@@ -81,10 +82,18 @@ class ScenarioConfig:
         (see ``_SCHEMA``), then the rules that no part of the run owns."""
         for name, to in _SCHEMA.values():
             value = getattr(self, name)
-            if name == "radio" or value is None and name in _OPTIONAL:
-                continue   # RadioParams checks its own values
-            if to is float:
+            if value is None and name in _OPTIONAL:
+                continue
+            if name == "radio":   # RadioParams checks its own values
+                if not isinstance(value, RadioParams):
+                    raise ConfigError(f"radio must be a RadioParams, got "
+                                      f"{value!r}")
+            elif to is float:
                 check_real(name, value)
+            elif to is str and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+            elif to is Path and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
             elif to in (int, _seconds_to_us) and type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             elif to is _bool and type(value) is not bool:
@@ -92,6 +101,9 @@ class ScenarioConfig:
             elif to is _rates and not (isinstance(value, (tuple, list)) and
                                        all(type(r) is int for r in value)):
                 raise ConfigError(f"{name} must be a list of rates, got {value!r}")
+        if self.nodes is not None and not isinstance(self.nodes, dict):
+            raise ConfigError(f"nodes must be a dict of positions, got "
+                              f"{self.nodes!r}")
         for node, position in (self.nodes or {}).items():
             if not isinstance(position, (tuple, list)) or len(position) != 3:
                 raise ConfigError(f"[nodes] {node}: expected (x, y, z), got "
@@ -163,7 +175,8 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
-_OPTIONAL = ("stop_us", "nakagami_m")   # None: no stop, no fading
+# None: no output directory set, no file, no stop, no fading
+_OPTIONAL = ("out_dir", "mobility_file", "trace_file", "stop_us", "nakagami_m")
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
@@ -311,7 +324,8 @@ class BuiltRun:
     """Every part of one run that a config error can stop, built up front."""
 
     cfg: ScenarioConfig
-    channel: Channel
+    spec: PropagationSpec
+    mobility: MobilityTrace
     dcf: DcfParams
     rate_control: Callable[[str], object]
     udp_flows: list[UdpFlowConfig]
@@ -350,19 +364,18 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
     spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
                            ref_distance_m=cfg.ref_distance_m,
                            nakagami_m=cfg.nakagami_m)
-    channel = Channel(spec, cfg.radio, mobility)
     run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):
-        if trace is not None and link not in trace.links():
-            raise ConfigError(f"SNR trace has no samples for link {link}")
-        try:
-            channel.prepare(link)
-            if trace is None:   # the path loss model must admit every distance
+        if trace is not None:
+            if link not in trace.links():
+                raise ConfigError(f"SNR trace has no samples for link {link}")
+        else:   # the path loss model must admit every distance
+            try:
                 mean_rx_power_dbm(spec, cfg.radio, mobility.min_distance(
                     link.tx, link.rx, 0, run_end_us))
-        except ValueError as exc:
-            raise ConfigError(f"link {link}: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"link {link}: {exc}") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
                     basic_rates_mbps=tuple(cfg.basic_rates_mbps))
@@ -398,7 +411,8 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
         ]
     else:
         raise ConfigError(f"unknown traffic kind {cfg.traffic_kind!r}")
-    return BuiltRun(cfg, channel, dcf, rate_control, udp_flows, ping, inputs)
+    return BuiltRun(cfg, spec, mobility, dcf, rate_control, udp_flows, ping,
+                    inputs)
 
 
 def _load(path: Path, parse, inputs: dict[str, str]):
@@ -420,10 +434,11 @@ def _load(path: Path, parse, inputs: dict[str, str]):
 def simulate(built: BuiltRun, event_log=None) -> SimRun:
     """Execute one built simulation instance, returning its metrics."""
     cfg = built.cfg
-    built.channel.bind_seed(cfg.seed)   # one built run simulates the same each time
+    # a fresh channel per run, so one built run simulates the same each time
+    channel = Channel(built.spec, cfg.radio, built.mobility, cfg.seed)
     engine = EventQueue()
     st_src, st_dst, _ = build_point_to_point(
-        engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
+        engine, channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
         rate_control_factory=built.rate_control, event_log=event_log)
     stations = {st.node: st for st in (st_src, st_dst)}
     sinks: dict[str, UdpSink] = {}

@@ -288,8 +288,8 @@ def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):
 def pair(event_log):
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n0,A,B,60\n0,B,A,60\n")
     channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                      MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}))
-    channel.bind_seed(1)
+                      MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}),
+                      1)
     engine = EventQueue()
     st_a, st_b, _ = build_point_to_point(
         engine, channel, DcfParams(queue_capacity=2), 1, "A", "B",

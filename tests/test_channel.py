@@ -10,6 +10,7 @@ from linksim.channel import (Channel, PropagationSpec, RadioParams,
                              link_snr, log_distance_path_loss,
                              noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
+from linksim.scenario import ConfigError, ScenarioConfig, build
 from linksim.traces import (DirectedLink, MobilityTrace, SnrTrace, Waypoint,
                             parse_snr_trace)
 
@@ -169,26 +170,11 @@ def test_channel_fading_stream_is_per_link_and_seeded():
     spec = PropagationSpec("friis", nakagami_m=1.25)
 
     def draws(seed):
-        ch = Channel(spec, RadioParams(), static_mobility(6.0))
-        ch.bind_seed(seed)
+        ch = Channel(spec, RadioParams(), static_mobility(6.0), seed)
         return [ch.snr(AB, 0) for _ in range(50)]
 
     assert draws(1) == draws(1)
     assert draws(1) != draws(2)
-
-
-def test_bind_seed_restarts_a_static_faded_link():
-    ch = Channel(PropagationSpec("friis", nakagami_m=1.25), RadioParams(),
-                 static_mobility(6.0))
-    ch.prepare(AB)
-
-    def draws(seed):
-        ch.bind_seed(seed)
-        return [ch.snr(AB, 0) for _ in range(50)]
-
-    first = draws(1)
-    assert draws(2) != first
-    assert draws(1) == first
 
 
 def moving_mobility() -> MobilityTrace:
@@ -230,11 +216,10 @@ SOURCE_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(SOURCE_KINDS))
 def test_static_link_snr_is_link_snr_bit_for_bit(kind):
-    """Every SNR source equals link_snr (snr_at for a replay) bit for bit,
-    whether bind_seed comes before prepare, after it, or without it."""
+    """Every SNR source equals link_snr (snr_at for a replay) bit for bit."""
     spec, mobility = SOURCE_KINDS[kind]()
     params = RadioParams()
-    # a link budget computed once, in prepare
+    # a link budget computed once, at the link's first frame
     budget = spec.model != "trace" and mobility.is_static("B")
     lookups = []
     distance = mobility.link_distance
@@ -257,27 +242,12 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
     elif budget:
         assert distinct == 1
 
-    for order in ("bind_then_prepare", "prepare_then_bind", "unprepared"):
-        ch = Channel(spec, params, mobility)
-        if order == "bind_then_prepare":
-            ch.bind_seed(5)
-        if order != "unprepared":
-            for link in (AB, BA):
-                ch.prepare(link)
-        if order == "bind_then_prepare" and budget:
-            assert len(lookups) == 2    # one per link, in prepare
-        if order != "bind_then_prepare":
-            ch.bind_seed(5)
-        for _ in range(2):          # a second bind_seed repeats the draws
-            before = len(lookups)
-            fast = {link: [ch.snr(link, t) for t in times]
-                    for link in (AB, BA)}
-            if budget and order != "unprepared":
-                assert len(lookups) == before   # no per-frame geometry
-            for link in (AB, BA):
-                assert [x.hex() for x in fast[link]] == hexes[link], order
-            ch.bind_seed(5)
-        lookups.clear()
+    ch = Channel(spec, params, mobility, 5)
+    fast = {link: [ch.snr(link, t) for t in times] for link in (AB, BA)}
+    if budget:
+        assert len(lookups) == 2    # one per link, no per-frame geometry
+    for link in (AB, BA):
+        assert [x.hex() for x in fast[link]] == hexes[link]
 
 
 def test_replayed_link_snr_is_snr_at_bit_for_bit():
@@ -286,14 +256,12 @@ def test_replayed_link_snr_is_snr_at_bit_for_bit():
     trace = SnrTrace({AB: (times, [rng.uniform(-5, 40) for _ in times]),
                       BA: ([500], [12.5])})
     ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                 static_mobility(6.0))
-    for link in (AB, BA):
-        ch.prepare(link)
+                 static_mobility(6.0), 1)
     queries = [0, 2_000_000, *times, *(t - 1 for t in times),
                *(t + 1 for t in times)]
     expected = {link: [trace.snr_at(link, t) for t in queries]
                 for link in (AB, BA)}
-    trace.snr_at = None     # a prepared link reads its table, not the trace
+    trace.snr_at = None     # a replayed link reads its table, not the trace
     for link in (AB, BA):
         assert [ch.snr(link, t) for t in queries] == expected[link]
 
@@ -304,22 +272,23 @@ def test_moving_node_snr_changes_over_time():
         "B": [Waypoint(0, 6.0, 0.0, 0.0), Waypoint(1_000_000, 60.0, 0.0, 0.0)],
     })
     spec = PropagationSpec("friis")
-    ch = Channel(spec, RadioParams(), mobility)
-    ch.prepare(AB)
+    ch = Channel(spec, RadioParams(), mobility, 1)
     snrs = [ch.snr(AB, t) for t in (0, 500_000, 1_000_000)]
     assert snrs[0] > snrs[1] > snrs[2]
     assert snrs == [link_snr(spec, RadioParams(), AB, mobility, t)
                     for t in (0, 500_000, 1_000_000)]
 
 
-@pytest.mark.parametrize("spec, d_m", [
-    (PropagationSpec("friis"), 0.3),
-    (PropagationSpec("logdist", gamma=3.0, ref_distance_m=10.0), 6.0),
+@pytest.mark.parametrize("model, d_m", [
+    (dict(model="friis"), 0.3),
+    (dict(model="logdist", gamma=3.0, ref_distance_m=10.0), 6.0),
 ])
-def test_prepare_rejects_static_nodes_too_close(spec, d_m):
-    ch = Channel(spec, RadioParams(), static_mobility(d_m))
-    with pytest.raises(ValueError, match="below reference distance"):
-        ch.prepare(AB)
+def test_build_rejects_static_nodes_too_close(model, d_m):
+    cfg = ScenarioConfig(nodes={"A": (0, 0, 0), "B": (d_m, 0, 0)}, src="A",
+                         dst="B", **model)
+    with pytest.raises(ConfigError,
+                       match="link A->B: below reference distance"):
+        build(cfg)
 
 
 def test_dbm_w_round_trip():

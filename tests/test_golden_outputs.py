@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from linksim import cli
+from linksim.channel import Channel
 from linksim.engine import EventQueue
 from linksim.mac import build_point_to_point
 from linksim.scenario import CsvEventLog, build, execute_run, parse_config
@@ -118,13 +119,13 @@ def udp_and_ping_one_queue(out: Path) -> None:
     """A saturating UDP source and a ping app feed one station's queue."""
     cfg = bundled("udp_unidirectional", queue_capacity=8)
     built = build(cfg)
-    built.channel.bind_seed(cfg.seed)
+    channel = Channel(built.spec, cfg.radio, built.mobility, cfg.seed)
     engine = EventQueue()
     end_us = cfg.duration_s * 1_000_000
     out.mkdir()
     with open(out / "events.csv", "w", encoding="utf-8", newline="") as fh:
         st_src, st_dst, _ = build_point_to_point(
-            engine, built.channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
+            engine, channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
             rate_control_factory=built.rate_control,
             event_log=CsvEventLog(fh))
         UdpSource(engine, st_src, built.udp_flows[0], "udp")

@@ -36,8 +36,7 @@ def make_link(snr_ab: float, snr_ba: float, seed: int = 1,
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n" + "\n".join(rows) + "\n")
     mobility = MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)})
     channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                      mobility)
-    channel.bind_seed(seed)
+                      mobility, seed)
     engine = EventQueue()
     buf = io.StringIO()
     log = CsvEventLog(buf)

@@ -1,6 +1,7 @@
 """Scenario configs, run artifacts, reproducibility, and the CLI surface."""
 
 import hashlib
+import io
 import json
 import math
 import re
@@ -12,10 +13,10 @@ import pytest
 from linksim import cli, scenario
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.metrics import PerSecondSeries
-from linksim.scenario import (_SCHEMA, ConfigError, ScenarioConfig, build,
-                              execute_record, execute_run, parse_config,
-                              parse_config_text, rerun_from_manifest,
-                              simulate)
+from linksim.scenario import (_SCHEMA, ConfigError, CsvEventLog,
+                              ScenarioConfig, build, execute_record,
+                              execute_run, parse_config, parse_config_text,
+                              rerun_from_manifest, simulate)
 from linksim.traces import parse_snr_trace
 
 
@@ -281,11 +282,21 @@ def test_run_scenario_with_injected_trace(tmp_path):
 
 
 def test_one_built_run_simulates_the_same_twice():
-    # fading streams restart from the seed on each simulate
+    # each simulate makes its own channel, so the fading streams of a
+    # static link start afresh from the seed
     cfg = replace(parse_config(REPO / "scenarios" / "logdist_fading.ini"),
-                  duration_s=1)
+                  duration_s=1, traffic_kind="udp_bidi")
     built = build(cfg)
-    assert simulate(built) == simulate(built)
+    runs, logs = [], []
+    for _ in range(2):
+        buf = io.StringIO()
+        runs.append(simulate(built, event_log=CsvEventLog(buf)))
+        logs.append(buf.getvalue())
+    assert runs[0] == runs[1]
+    assert logs[0] == logs[1]     # events.csv, byte for byte
+    faded = {row.split(",")[9] for row in logs[0].splitlines()[1:]
+             if ",rx,data," in row and not row.endswith(",collided")}
+    assert len(faded) > 1000      # a fading draw per frame
 
 
 def test_basic_rates_given_as_a_list_run_as_the_tuple():
@@ -317,8 +328,8 @@ GRAZING = "0,Master,0,0,0\n0,ClientA,6,0.5,0\n2000000,ClientA,-6,0.5,0\n"
 
 def test_moving_nodes_at_an_admitted_distance_build(tmp_path):
     built = build(parse_config(_moving_config(GRAZING)(tmp_path)))
-    assert built.channel.mobility.min_distance("Master", "ClientA",
-                                               0, 2_000_000) == 0.5
+    assert built.mobility.min_distance("Master", "ClientA",
+                                       0, 2_000_000) == 0.5
 
 
 # One invalid value for each part that build() constructs, plus the traffic
@@ -508,6 +519,40 @@ def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
         # PropagationSpec, the part that owns the value, checks it alike
         with pytest.raises(ValueError, match=message):
             PropagationSpec("logdist", **{field: value})
+
+
+# (field, value, message): a wrong container, path or string on the API path
+WRONG_TYPES = [
+    ("nodes", [("Master", (0, 0, 0)), ("ClientA", (6, 0, 0))],
+     "nodes must be a dict of positions"),
+    ("radio", None, "radio must be a RadioParams"),
+    ("radio", {"tx_power_dbm": 17.0}, "radio must be a RadioParams"),
+    ("mobility_file", 5, "mobility_file must be a path"),
+    ("trace_file", 5, "trace_file must be a path"),
+    ("out_dir", 5, "out_dir must be a string"),
+    ("model", None, "model must be a string"),
+    ("traffic_kind", b"udp_uni", "traffic_kind must be a string"),
+    ("src", 1, "src must be a string"),
+    ("dst", None, "dst must be a string"),
+    ("rate_control", ["fixed"], "rate_control must be a string"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", WRONG_TYPES)
+def test_a_wrong_container_path_or_string_is_a_config_error(
+        tmp_path, capsys, monkeypatch, field, value, message):
+    cfg = replace(parse_config_text(BASE), **{field: value})
+    if field == "mobility_file":
+        cfg = replace(cfg, nodes=None)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build(cfg)
+    # the CLI exits 1 with the same message, before any output directory
+    monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "scenario.ini", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["tx_power_dbm", "rf_gain_db_per_end",
@@ -718,6 +763,34 @@ def test_cli_compare_end_to_end(tmp_path, capsys):
         assert label in table
     assert len(json.loads((out_dir / "report.json").read_text())["table"]) == 5
     assert (out_dir / "cdf_replay.csv").exists()
+
+
+def test_a_compare_into_an_earlier_reports_directory_removes_its_cdfs(
+        tmp_path):
+    from linksim.metrics import THROUGHPUT_KBPS
+    paths = {}
+    for label, value in (("real", 100.0), ("a", 80.0), ("b", 60.0),
+                         ("c", 90.0)):
+        paths[label] = tmp_path / f"{label}.csv"
+        PerSecondSeries(THROUGHPUT_KBPS, label,
+                        {0: value, 1: value}).save(paths[label])
+
+    def compare(*candidates):
+        return cli.main(["compare", "--metric", "throughput", "--reference",
+                         str(paths["real"]),
+                         *(str(paths[c]) for c in candidates),
+                         "--out-dir", str(out)])
+
+    out = tmp_path / "cmp"
+    assert compare("a", "c") == 0
+    # a file the report does not name stays, though it looks like a CDF
+    (out / "cdf_kept.csv").write_text("value,fraction\n", encoding="utf-8")
+    assert compare("b", "c") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cdf_b.csv", "cdf_c.csv", "cdf_kept.csv", "report.json",
+        "report.txt"]
+    assert [row["run"] for row in json.loads(
+        (out / "report.json").read_text())["table"]] == ["b", "c"]
 
 
 def test_cli_compare_kind_mismatch(tmp_path):

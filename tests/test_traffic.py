@@ -23,8 +23,8 @@ def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
         f"t_us,tx,rx,snr_db\n0,A,B,{snr_db}\n0,B,A,{snr_db}\n"
     )
     channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                      MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}))
-    channel.bind_seed(seed)
+                      MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}),
+                      seed)
     engine = EventQueue()
     mode = mode_for_rate(rate_mbps)
     st_a, st_b, _ = build_point_to_point(
