@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -108,7 +107,10 @@ def _cmd_compare(args) -> int:
     shifts = _parse_shifts(args.shift)
 
     def load(path: Path) -> metrics.PerSecondSeries:
-        series = metrics.PerSecondSeries.load(path)
+        try:
+            series = metrics.PerSecondSeries.load(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read series {path}: {exc}") from None
         if series.label in shifts:
             series = series.shifted(shifts[series.label])
         return series
@@ -127,7 +129,6 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

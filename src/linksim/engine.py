@@ -6,10 +6,19 @@ independent runs can execute concurrently in separate processes or threads.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from typing import Callable
+
+# The interpreter's builtin SHA-256, as random.py takes its sha512: hashlib
+# would map OpenSSL's libcrypto (~3.6 MB) to hash a few hundred bytes.
+try:
+    from _sha2 import sha256            # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class SchedulingError(ValueError):
@@ -32,7 +41,7 @@ class RngStream:
             raise ValueError("stream label must be non-empty")
         self.root_seed = root_seed
         self.label = label
-        digest = hashlib.sha256(
+        digest = sha256(
             b"%d\x1f%s" % (root_seed, label.encode("utf-8"))
         ).digest()
         self._rng = random.Random(int.from_bytes(digest[:16], "big"))

@@ -13,7 +13,6 @@ bad value raises ConfigError from it before a run writes its first file.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import json
 import os
@@ -26,7 +25,7 @@ from typing import Callable
 from . import __version__, metrics, phy, traces
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
                       RadioParams, check_real, mean_rx_power_dbm)
-from .engine import EventQueue, RngStream
+from .engine import EventQueue, RngStream, sha256
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
 from .traces import DirectedLink, MobilityTrace, TraceCsvRecorder
@@ -419,12 +418,16 @@ def _load(path: Path, parse, inputs: dict[str, str]):
     """parse(the bytes of path), keeping their sha256 in inputs.
 
     The run's manifest certifies these bytes, the ones the run parsed. A
-    malformed file stops the run with a ConfigError that names it. parse is
-    passed as ``traces.parse_*``, looked up at each load, so a wrapper set
-    on the module (as the benchmark's tracer sets) sees every load.
+    missing, unreadable or malformed file stops the run with a ConfigError
+    that names it. parse is passed as ``traces.parse_*``, looked up at each
+    load, so a wrapper set on the module (as the benchmark's tracer sets)
+    sees every load.
     """
-    data = Path(path).read_bytes()
-    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    inputs[str(path)] = sha256(data).hexdigest()
     try:
         return parse(data)
     except ValueError as exc:
@@ -531,7 +534,7 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
             "duration_s": cfg.duration_s,
             "overrides": overrides or {},
             "base_dir": str(cfg.base_dir) if cfg.base_dir else None,
-            "config_sha256": hashlib.sha256(
+            "config_sha256": sha256(
                 (cfg.config_text or "").encode("utf-8")
             ).hexdigest(),
             "config_text": cfg.config_text,

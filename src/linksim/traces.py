@@ -12,7 +12,6 @@ positions are piecewise-linear between waypoints and clamped outside them.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from array import array
@@ -21,8 +20,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from operator import add, itemgetter, lt, mul, sub
-
-logger = logging.getLogger(__name__)
 
 SNR_HEADER = "t_us,tx,rx,snr_db"
 MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
@@ -283,7 +280,8 @@ def parse_snr_trace(data: str | bytes) -> SnrTrace:
             series[link] = (times, array("d", map(last.__getitem__, times)))
         gap = max(map(sub, islice(times, 1, None), times), default=0)
         if gap > _GAP_WARNING_US:
-            logger.warning(
+            import logging      # loaded only when a trace has such a gap
+            logging.getLogger(__name__).warning(
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,
             )

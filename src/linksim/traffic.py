@@ -7,6 +7,7 @@ therefore fill a 1500-byte IP packet without fragmentation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -210,28 +211,28 @@ class UdpSource:
 
 
 class UdpSink:
-    """Records (rx_time_us, payload_bytes, seq) per delivered packet.
+    """Records (rx_time_us, payload_bytes) per delivered packet.
 
-    Receive timestamps include the receiving node's processing delay.
+    Receive timestamps include the receiving node's processing delay. They
+    are kept as int64 (8 bytes a sample); the payload sizes stay a list,
+    whose entries are all the flow's one payload int.
     """
 
     def __init__(self, station: Station, flow: str,
                  processing_delay_us: int = 0):
         self.flow = flow
         self._delay_us = processing_delay_us
-        self.rx_t_us: list[int] = []
+        self.rx_t_us = array("q")
         self.rx_bytes: list[int] = []
-        self.rx_seq: list[int] = []
         station.rx_handlers.append(self._on_rx)
 
     def _on_rx(self, packet: Packet, t_us: int) -> None:
         if packet.kind == UDP_DATA and packet.flow == self.flow:
             self.rx_t_us.append(t_us + self._delay_us)
             self.rx_bytes.append(packet.payload_bytes)
-            self.rx_seq.append(packet.seq)
 
     def records(self):
-        return zip(self.rx_t_us, self.rx_bytes, self.rx_seq)
+        return zip(self.rx_t_us, self.rx_bytes)
 
 
 class PingApp:

@@ -46,6 +46,20 @@ class DiscardLog:
         pass
 
 
+class SeqSink(UdpSink):
+    """A UdpSink that also records each received packet's sequence number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rx_seq = []
+
+    def _on_rx(self, packet, t_us):
+        received = len(self.rx_t_us)
+        super()._on_rx(packet, t_us)
+        if len(self.rx_t_us) > received:
+            self.rx_seq.append(packet.seq)
+
+
 def bundled(name, **overrides):
     return replace(parse_config(SCENARIOS / f"{name}.ini"), duration_s=2,
                    **overrides)
@@ -59,7 +73,7 @@ def run(built, event_log, monkeypatch):
     sources = []
     dispatched = []
 
-    class RecordingSink(traffic.UdpSink):
+    class RecordingSink(SeqSink):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             sinks.append(self)
@@ -304,7 +318,7 @@ def two_sources_one_queue(event_log, with_ping):
     for flow in ("udp.A->B.1", "udp.A->B.2"):
         UdpSource(engine, st_a, UdpFlowConfig("A", "B", stop_us=200_000),
                   flow)
-        sinks.append(UdpSink(st_b, flow))
+        sinks.append(SeqSink(st_b, flow))
         udp_sources += 1
         if with_ping:   # the second producer is a ping requester
             app = PingApp(engine, st_a, st_b,

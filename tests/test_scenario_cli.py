@@ -726,6 +726,38 @@ def test_cli_usage_and_config_errors(tmp_path):
     assert cli.main(["run", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("missing", ["link.csv", "mob.csv"])
+def test_cli_run_with_a_missing_input_file_is_a_config_error(tmp_path, capsys,
+                                                             missing):
+    (tmp_path / "link.csv").write_text(CONST_35, encoding="utf-8")
+    (tmp_path / "mob.csv").write_text("t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n"
+                                      "0,ClientA,6,0,0\n", encoding="utf-8")
+    cfg_path = write_config(tmp_path, BASE.replace(
+        "Master = 0,0,0\nClientA = 6,0,0", "mobility_file = mob.csv").replace(
+        "model = friis", "model = trace\ntrace_file = link.csv"))
+    (tmp_path / missing).unlink()
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path / missing}: ")
+    assert not out_dir.exists()
+
+
+def test_cli_compare_with_a_missing_series_is_a_config_error(tmp_path, capsys):
+    from linksim.metrics import THROUGHPUT_KBPS
+    present = tmp_path / "real.csv"
+    PerSecondSeries(THROUGHPUT_KBPS, "real", {0: 1.0}).save(present)
+    missing = tmp_path / "gone.csv"
+    out_dir = tmp_path / "cmp"
+    for reference, candidate in ((missing, present), (present, missing)):
+        assert cli.main(["compare", "--metric", "throughput", "--reference",
+                         str(reference), str(candidate),
+                         "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read series {missing}: ")
+    assert not out_dir.exists()
+
+
 def test_cli_record_trace(tmp_path):
     cfg_path = write_config(tmp_path, BASE)
     out = tmp_path / "rec.csv"

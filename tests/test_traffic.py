@@ -18,6 +18,20 @@ def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
     return list(range(cfg.start_us, cfg.stop_us, cfg.gap_us))
 
 
+class SeqSink(UdpSink):
+    """A UdpSink that also records each received packet's sequence number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rx_seq = []
+
+    def _on_rx(self, packet, t_us):
+        received = len(self.rx_t_us)
+        super()._on_rx(packet, t_us)
+        if len(self.rx_t_us) > received:
+            self.rx_seq.append(packet.seq)
+
+
 def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
     trace = parse_snr_trace(
         f"t_us,tx,rx,snr_db\n0,A,B,{snr_db}\n0,B,A,{snr_db}\n"
@@ -89,10 +103,10 @@ def test_source_feeds_sink_exactly():
     cfg = UdpFlowConfig("A", "B", offered_load_bps=2e6, payload_bytes=500,
                         start_us=0, stop_us=100_000)
     UdpSource(engine, st_a, cfg, "udp.A->B")
-    sink = UdpSink(st_b, "udp.A->B")
+    sink = SeqSink(st_b, "udp.A->B")
     engine.run_until(1_000_000)
     times = list(sink.rx_t_us)
-    seqs = list(sink.rx_seq)
+    seqs = sink.rx_seq
     assert len(times) == len(udp_arrival_times(cfg))
     assert times == sorted(times)
     assert seqs == sorted(seqs)          # no reordering in this MAC
