@@ -151,15 +151,11 @@ def mean_rx_power_dbm(spec: PropagationSpec, params: RadioParams,
 def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
              mobility: MobilityTrace, t_us: int,
              fading_rng: RngStream | None = None) -> float:
-    """Receiver SNR in dB for one frame on link at t_us.
+    """Receiver SNR in dB for one frame on link at t_us, of an analytic model.
 
-    Trace replay returns the recorded value and ignores params. Analytic
-    models derive rx power from the distance at t_us; when fading is
+    The rx power follows from the distance at t_us; when fading is
     configured a fresh draw is taken from fading_rng (one per frame).
     """
-    if spec.model == TRACE:
-        assert spec.trace is not None
-        return spec.trace.snr_at(link, t_us)
     d_m = mobility.link_distance(link.tx, link.rx, t_us)
     rx_dbm = mean_rx_power_dbm(spec, params, d_m)
     if spec.nakagami_m is not None:

@@ -111,6 +111,8 @@ def _cmd_compare(args) -> int:
             series = metrics.PerSecondSeries.load(path)
         except OSError as exc:
             raise ConfigError(f"cannot read series {path}: {exc}") from None
+        except ValueError as exc:   # a malformed row, or bytes not UTF-8
+            raise ConfigError(f"{path}: {exc}") from None
         if series.label in shifts:
             series = series.shifted(shifts[series.label])
         return series

@@ -2,8 +2,9 @@
 
 Stations run the classic contention cycle (DIFS, uniform backoff with freeze
 on busy, DATA, SIFS, ACK) with exponential contention-window doubling and a
-bounded retry chain. The medium is reserved NAV-style for the whole
-DATA+SIFS+ACK exchange; transmissions that start in the same slot collide.
+bounded retry chain. Each station reserves the medium NAV-style for its
+whole DATA+SIFS+ACK exchange and arms its access only after both stations'
+reservations end; transmissions that start in the same µs collide.
 
 Rate control is either a fixed mode or a Minstrel-style controller keeping
 per-mode EWMA success statistics with periodic lookaround probing.
@@ -194,18 +195,6 @@ class Minstrel:
         self.total_attempts[i] += attempts
 
 
-class Medium:
-    """Shared half-duplex medium between exactly two stations.
-
-    A station arms its access only after ``busy_until``, and the other
-    station's pending access is deferred when a transmission begins, so two
-    data frames overlap only when both start in the same µs.
-    """
-
-    def __init__(self) -> None:
-        self.busy_until = 0
-
-
 @dataclass
 class StationStats:
     data_frames: int = 0          # MAC frames completed (delivered or dropped)
@@ -220,15 +209,14 @@ class StationStats:
 class Station:
     """One 802.11 DCF endpoint: queue, contention, retransmissions, rate control."""
 
-    def __init__(self, node: str, engine: EventQueue, medium: Medium,
+    def __init__(self, node: str, peer_node: str, engine: EventQueue,
                  channel: Channel, params: DcfParams, root_seed: int,
                  rate_control, event_log=None):
         self.node = node
         self.engine = engine
-        self.medium = medium
         self.channel = channel
         self.params = params
-        self.peer: Station | None = None
+        self.peer: Station | None = None   # the station at peer_node
         self.rate_control = rate_control
         # an observer gets the rows whose callbacks it defines; one without
         # ``drop`` takes no queue-full rows, so sources may skip those arrivals
@@ -240,9 +228,10 @@ class Station:
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
         # reception draws and FER memo for frames this station receives
-        self._rx_rng: RngStream | None = None
+        self._rx_rng = RngStream(root_seed, f"phy.rx.{peer_node}->{node}")
         self._rx_memo: dict = {}
-        self._root_seed = root_seed
+        self._tx_link = DirectedLink(node, peer_node)
+        self._rx_link = DirectedLink(peer_node, node)
         self.rx_handlers: list[Callable] = []
         # traffic sources and apps that enqueue into this station's queue
         self.producers = 0
@@ -256,6 +245,7 @@ class Station:
         # the attempt in flight, or the last one
         self._t_start = -1
         self._data_end = 0
+        self._reserved_until = 0   # end of its DATA+SIFS+ACK reservation
         self._collided = False
         self._attempts = 0
         self._mac_seq = 0
@@ -263,14 +253,6 @@ class Station:
         self._slots = 0
         self._difs_end = 0
         self._last_rx_seq: int | None = None
-        self._tx_link: DirectedLink | None = None
-        self._rx_link: DirectedLink | None = None
-
-    def attach_peer(self, peer: "Station") -> None:
-        self.peer = peer
-        self._rx_rng = RngStream(self._root_seed, f"phy.rx.{peer.node}->{self.node}")
-        self._tx_link = DirectedLink(self.node, peer.node)
-        self._rx_link = DirectedLink(peer.node, self.node)
 
     # -- transmit path -------------------------------------------------
 
@@ -312,9 +294,12 @@ class Station:
 
     def _arm_access(self, idle_floor_us: int, slots: int) -> None:
         p = self.params
+        # a frame queued during its own ACK waits out that ACK too
         idle_from = self.engine.clock_us
-        if self.medium.busy_until > idle_from:
-            idle_from = self.medium.busy_until
+        if self._reserved_until > idle_from:
+            idle_from = self._reserved_until
+        if self.peer._reserved_until > idle_from:
+            idle_from = self.peer._reserved_until
         if idle_floor_us > idle_from:
             idle_from = idle_floor_us
         self._difs_end = idle_from + p.difs_us
@@ -335,7 +320,7 @@ class Station:
             remaining = self._slots - min(consumed, self._slots)
         else:
             remaining = self._slots
-        self._arm_access(self.medium.busy_until, remaining)
+        self._arm_access(t_busy_us, remaining)
 
     def _on_access_granted(self) -> None:
         self._timer = None
@@ -350,10 +335,7 @@ class Station:
         if self._collided:
             peer._collided = True
         data_end = self._data_end = now + airtime.data_us
-        reservation_end = data_end + self.params.sifs_us + airtime.ack_us
-        medium = self.medium
-        if reservation_end > medium.busy_until:
-            medium.busy_until = reservation_end
+        self._reserved_until = data_end + self.params.sifs_us + airtime.ack_us
         peer.on_medium_busy(now)
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,
@@ -458,13 +440,11 @@ def build_point_to_point(engine: EventQueue, channel: Channel,
                          params: DcfParams, root_seed: int,
                          node_a: str, node_b: str,
                          rate_control_factory, event_log=None,
-                         ) -> tuple["Station", "Station", Medium]:
-    """Wire two stations onto one medium with symmetric configuration."""
-    medium = Medium()
-    st_a = Station(node_a, engine, medium, channel, params, root_seed,
+                         ) -> tuple[Station, Station]:
+    """Two stations with symmetric configuration, each the other's peer."""
+    st_a = Station(node_a, node_b, engine, channel, params, root_seed,
                    rate_control_factory(node_a), event_log=event_log)
-    st_b = Station(node_b, engine, medium, channel, params, root_seed,
+    st_b = Station(node_b, node_a, engine, channel, params, root_seed,
                    rate_control_factory(node_b), event_log=event_log)
-    st_a.attach_peer(st_b)
-    st_b.attach_peer(st_a)
-    return st_a, st_b, medium
+    st_a.peer, st_b.peer = st_b, st_a
+    return st_a, st_b

@@ -104,6 +104,10 @@ class ScenarioConfig:
             raise ConfigError(f"nodes must be a dict of positions, got "
                               f"{self.nodes!r}")
         for node, position in (self.nodes or {}).items():
+            # a node id names series labels and trace rows: the trace id set
+            if not (isinstance(node, str) and traces._NODE_ID_RE.match(node)):
+                raise ConfigError(f"[nodes] invalid node id {node!r} "
+                                  f"(allowed: letters, digits, _.-)")
             if not isinstance(position, (tuple, list)) or len(position) != 3:
                 raise ConfigError(f"[nodes] {node}: expected (x, y, z), got "
                                   f"{position!r}")
@@ -440,7 +444,7 @@ def simulate(built: BuiltRun, event_log=None) -> SimRun:
     # a fresh channel per run, so one built run simulates the same each time
     channel = Channel(built.spec, cfg.radio, built.mobility, cfg.seed)
     engine = EventQueue()
-    st_src, st_dst, _ = build_point_to_point(
+    st_src, st_dst = build_point_to_point(
         engine, channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
         rate_control_factory=built.rate_control, event_log=event_log)
     stations = {st.node: st for st in (st_src, st_dst)}

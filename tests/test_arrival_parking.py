@@ -305,7 +305,7 @@ def pair(event_log):
                       MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}),
                       1)
     engine = EventQueue()
-    st_a, st_b, _ = build_point_to_point(
+    st_a, st_b = build_point_to_point(
         engine, channel, DcfParams(queue_capacity=2), 1, "A", "B",
         lambda node: FixedRate(MODES[0]), event_log=event_log)
     return engine, st_a, st_b

@@ -123,16 +123,15 @@ def test_propagation_spec_validation():
         PropagationSpec("warp")
 
 
-def test_link_snr_trace_replay_is_verbatim():
+def test_channel_snr_trace_replay_is_verbatim():
     trace = parse_snr_trace(
         "t_us,tx,rx,snr_db\n1000000,A,B,23.5\n2000000,A,B,19.25\n"
     )
-    spec = PropagationSpec("trace", trace=trace)
-    params = RadioParams()
-    mob = static_mobility(6.0)
-    assert link_snr(spec, params, AB, mob, 1_000_000) == 23.5
-    assert link_snr(spec, params, AB, mob, 1_500_000) == 23.5
-    assert link_snr(spec, params, AB, mob, 2_000_000) == 19.25
+    ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
+                 static_mobility(6.0), 1)
+    assert ch.snr(AB, 1_000_000) == 23.5
+    assert ch.snr(AB, 1_500_000) == 23.5
+    assert ch.snr(AB, 2_000_000) == 19.25
 
 
 def test_link_snr_friis_composition():

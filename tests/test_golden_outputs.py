@@ -124,7 +124,7 @@ def udp_and_ping_one_queue(out: Path) -> None:
     end_us = cfg.duration_s * 1_000_000
     out.mkdir()
     with open(out / "events.csv", "w", encoding="utf-8", newline="") as fh:
-        st_src, st_dst, _ = build_point_to_point(
+        st_src, st_dst = build_point_to_point(
             engine, channel, built.dcf, cfg.seed, cfg.src, cfg.dst,
             rate_control_factory=built.rate_control,
             event_log=CsvEventLog(fh))

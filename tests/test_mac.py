@@ -19,7 +19,7 @@ from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
 from linksim.scenario import CsvEventLog, build, parse_config, simulate
 from linksim.traces import MobilityTrace, parse_snr_trace
-from linksim.traffic import Packet
+from linksim.traffic import DEFAULT_HEADER_OVERHEAD, Packet
 
 DCF = DcfParams()
 T_DATA_1500_54 = 244
@@ -41,12 +41,12 @@ def make_link(snr_ab: float, snr_ba: float, seed: int = 1,
     buf = io.StringIO()
     log = CsvEventLog(buf)
     mode = mode_for_rate(rate_mbps)
-    st_a, st_b, medium = build_point_to_point(
+    st_a, st_b = build_point_to_point(
         engine, channel, params, seed, "A", "B",
         rate_control_factory=lambda node: FixedRate(mode),
         event_log=log,
     )
-    return engine, st_a, st_b, medium, buf
+    return engine, st_a, st_b, buf
 
 
 def parse_log(buf: io.StringIO) -> list[dict]:
@@ -63,7 +63,7 @@ def packet(seq=0, mpdu=1500, kind="udp", flow="udp.A->B"):
 
 
 def test_queue_fifo_and_tail_drop():
-    engine, st_a, _, _, buf = make_link(
+    engine, st_a, _, buf = make_link(
         60.0, 60.0, params=DcfParams(queue_capacity=3))
     assert st_a.enqueue_packet(packet(0)) == ACCEPTED   # taken into service
     for seq in (1, 2, 3):
@@ -162,7 +162,7 @@ def test_dcf_timing_is_802_11a_ofdm():
 
 
 def test_clean_exchange_timing_and_accounting():
-    engine, st_a, st_b, _, buf = make_link(60.0, 60.0)
+    engine, st_a, st_b, buf = make_link(60.0, 60.0)
     st_a.enqueue_packet(packet())
     engine.run_until(10_000)
     rows = parse_log(buf)
@@ -193,7 +193,7 @@ def test_clean_exchange_timing_and_accounting():
 
 
 def test_saturation_cycle_back_to_back():
-    engine, st_a, _, _, buf = make_link(60.0, 60.0)
+    engine, st_a, _, buf = make_link(60.0, 60.0)
     for seq in range(3):
         st_a.enqueue_packet(packet(seq))
     engine.run_until(50_000)
@@ -221,7 +221,7 @@ class SpyRng:
 
 def test_retry_after_corruption_then_success():
     # A->B starts in a dead channel and recovers after 1.5 ms
-    engine, st_a, st_b, _, buf = make_link(
+    engine, st_a, st_b, buf = make_link(
         -60.0, 60.0, switch_at_us=1500, snr_ab_after=60.0)
     spy = SpyRng(st_a.backoff_rng)
     st_a.backoff_rng = spy
@@ -247,7 +247,7 @@ def test_retry_after_corruption_then_success():
 
 
 def test_drop_after_retry_limit():
-    engine, st_a, st_b, _, buf = make_link(-60.0, 60.0)
+    engine, st_a, st_b, buf = make_link(-60.0, 60.0)
     st_a.enqueue_packet(packet())
     engine.run_until(1_000_000)
     rows = parse_log(buf)
@@ -263,7 +263,7 @@ def test_drop_after_retry_limit():
 
 def test_cw_doubles_up_to_max_during_retries():
     params = DcfParams(retry_limit=12)
-    engine, st_a, _, _, _ = make_link(-60.0, 60.0, params=params)
+    engine, st_a, _, _ = make_link(-60.0, 60.0, params=params)
     spy = SpyRng(st_a.backoff_rng)
     st_a.backoff_rng = spy
     st_a.enqueue_packet(packet())
@@ -274,7 +274,7 @@ def test_cw_doubles_up_to_max_during_retries():
 
 def test_ack_loss_retries_and_dedup():
     # data always arrives, ACKs never do
-    engine, st_a, st_b, _, buf = make_link(60.0, -60.0)
+    engine, st_a, st_b, buf = make_link(60.0, -60.0)
     delivered = []
     st_b.rx_handlers.append(lambda pkt, t: delivered.append((pkt.seq, t)))
     st_a.enqueue_packet(packet())
@@ -287,7 +287,7 @@ def test_ack_loss_retries_and_dedup():
 
 def test_queue_drop_is_logged_not_raised():
     params = DcfParams(queue_capacity=2)
-    engine, st_a, _, _, buf = make_link(60.0, 60.0, params=params)
+    engine, st_a, _, buf = make_link(60.0, 60.0, params=params)
     outcomes = [st_a.enqueue_packet(packet(seq)) for seq in range(5)]
     # first packet goes into service immediately, two queue slots remain
     assert outcomes == [ACCEPTED, ACCEPTED, ACCEPTED, DROPPED_FULL, DROPPED_FULL]
@@ -298,7 +298,7 @@ def test_queue_drop_is_logged_not_raised():
 
 
 def test_half_duplex_medium_under_contention():
-    engine, st_a, st_b, _, buf = make_link(60.0, 60.0)
+    engine, st_a, st_b, buf = make_link(60.0, 60.0)
     for seq in range(40):
         st_a.enqueue_packet(packet(seq, flow="udp.A->B"))
         st_b.enqueue_packet(packet(seq, flow="udp.B->A"))
@@ -332,7 +332,7 @@ def test_half_duplex_medium_under_contention():
 ], ids=["default_queue", "queue_capacity_1", "low_snr_retries"])
 def test_data_frames_collide_exactly_when_they_start_together(
         snr_ab, rate_mbps, params):
-    engine, st_a, st_b, _, buf = make_link(snr_ab, 60.0, rate_mbps=rate_mbps,
+    engine, st_a, st_b, buf = make_link(snr_ab, 60.0, rate_mbps=rate_mbps,
                                            params=params)
     seqs = iter(range(1_000_000))
 
@@ -366,8 +366,48 @@ def test_data_frames_collide_exactly_when_they_start_together(
         assert any(r["outcome"] == "corrupted" for r in rows)
 
 
+@pytest.mark.parametrize("scenario, overrides", [
+    ("udp_bidirectional", {}),
+    ("logdist_fading", {}),
+    ("ping_idle_link", {}),
+    # below saturation a frame is often queued while its sender's own ACK
+    # is still on the air
+    ("udp_unidirectional", {"offered_load_bps": 10e6}),
+], ids=["udp_bidirectional", "logdist_fading", "ping_idle_link",
+        "udp_unidirectional_10M"])
+def test_data_starts_wait_out_every_earlier_reservation(scenario, overrides):
+    """Each data frame starts at least DIFS after the DATA+SIFS+ACK
+    reservation of every data frame that started before it; one that starts
+    in the same µs as the previous one collides with it."""
+    cfg = replace(parse_config(Path(__file__).resolve().parent.parent
+                               / "scenarios" / f"{scenario}.ini"),
+                  duration_s=3, **overrides)
+    buf = io.StringIO()
+    simulate(build(cfg), event_log=CsvEventLog(buf))
+    rows = airtime_rows(cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD,
+                        tuple(cfg.basic_rates_mbps))
+    data = sorted((int(r["t_us"]), int(r["dur_us"]), int(r["mode_mbps"]))
+                  for r in parse_log(buf)
+                  if r["event"] == "tx" and r["kind"] == "data")
+    assert data
+    busy_until = latest_end = 0
+    prev_start = None
+    same_us_starts = 0
+    for start, dur_us, rate in data:
+        if start == prev_start:
+            same_us_starts += 1
+        else:
+            busy_until = latest_end   # of every reservation started earlier
+            assert start >= busy_until + DCF.difs_us, (
+                f"data at {start} µs, medium busy until {busy_until} µs")
+        prev_start = start
+        ack_us = rows[mode_for_rate(rate).id].ack_us
+        latest_end = max(latest_end, start + dur_us + DCF.sifs_us + ack_us)
+    assert (same_us_starts > 0) == (scenario == "udp_bidirectional")
+
+
 def test_phy_attempts_bounded_per_frame():
-    engine, st_a, _, _, buf = make_link(11.0, 60.0, rate_mbps=18)
+    engine, st_a, _, buf = make_link(11.0, 60.0, rate_mbps=18)
     for seq in range(60):
         st_a.enqueue_packet(packet(seq))
     engine.run_until(1_000_000)

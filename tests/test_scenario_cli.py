@@ -697,6 +697,32 @@ def test_manifest_hashes_the_input_bytes_the_run_parsed(tmp_path,
     assert _digest(trace) != parsed[trace]
 
 
+@pytest.mark.parametrize("name", ["Mas ter", "Mas>ter"])
+def test_a_node_id_outside_the_trace_id_set_exits_1_before_any_file(
+        tmp_path, capsys, name):
+    """A node id names series labels and trace rows, so one that neither
+    admits stops the run in build, before simulated time 0."""
+    cfg_path = write_config(tmp_path, BASE.replace("Master", name))
+    out = tmp_path / "out"
+    trace = tmp_path / "t.csv"
+    message = f"[nodes] invalid node id {name!r} (allowed: letters, digits, _.-)"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cli.main(["record-trace", str(cfg_path), "-o", str(trace)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not trace.exists()
+    base = parse_config_text(BASE)
+    for node in (name, 1):   # the same gate on a config made in code
+        cfg = replace(base, nodes={node: (0.0, 0.0, 0.0),
+                                   "ClientA": (6.0, 0.0, 0.0)})
+        message = f"[nodes] invalid node id {node!r}"
+        for run in (build, lambda c: execute_run(c, out),
+                    lambda c: execute_record(c, trace)):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run(cfg)
+    assert not out.exists() and not trace.exists()
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -755,6 +781,31 @@ def test_cli_compare_with_a_missing_series_is_a_config_error(tmp_path, capsys):
                          "--out-dir", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read series {missing}: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# label=bad kind=throughput_kbps\nsecond,value\n0,1.0\n1,x\n",
+     "line 4: malformed row '1,x'"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff"),
+], ids=["malformed_row", "not_utf8"])
+def test_cli_compare_names_the_series_it_cannot_parse(tmp_path, capsys, text,
+                                                      message):
+    from linksim.metrics import THROUGHPUT_KBPS
+    good = tmp_path / "real.csv"
+    PerSecondSeries(THROUGHPUT_KBPS, "real", {0: 1.0}).save(good)
+    bad = tmp_path / "bad.csv"
+    if isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "cmp"
+    for reference, candidate in ((bad, good), (good, bad)):
+        assert cli.main(["compare", "--metric", "throughput", "--reference",
+                         str(reference), str(candidate),
+                         "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
     assert not out_dir.exists()
 
 

@@ -41,7 +41,7 @@ def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
                       seed)
     engine = EventQueue()
     mode = mode_for_rate(rate_mbps)
-    st_a, st_b, _ = build_point_to_point(
+    st_a, st_b = build_point_to_point(
         engine, channel, DcfParams(), seed, "A", "B",
         rate_control_factory=lambda node: FixedRate(mode),
     )
