@@ -354,11 +354,11 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
     inputs: dict[str, str] = {}     # in load order, as manifests list them
     trace = None
     if cfg.trace_file is not None:
-        trace = _load(cfg.trace_file, traces.parse_snr_trace, inputs)
+        trace = _load(cfg.trace_file, traces.read_snr_trace, inputs)
     elif cfg.model == TRACE:   # as the text path words it
         raise ConfigError("[propagation] trace model requires trace_file")
     if cfg.mobility_file is not None:
-        mobility = _load(cfg.mobility_file, traces.parse_mobility, inputs)
+        mobility = _load(cfg.mobility_file, traces.read_mobility, inputs)
     else:
         mobility = MobilityTrace.static(cfg.nodes)
     for node in (cfg.src, cfg.dst):
@@ -418,24 +418,26 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                     inputs)
 
 
-def _load(path: Path, parse, inputs: dict[str, str]):
-    """parse(the bytes of path), keeping their sha256 in inputs.
+def _load(path: Path, read, inputs: dict[str, str]):
+    """read(path opened in binary, a hash), keeping the file's sha256 in inputs.
 
-    The run's manifest certifies these bytes, the ones the run parsed. A
-    missing, unreadable or malformed file stops the run with a ConfigError
-    that names it. parse is passed as ``traces.parse_*``, looked up at each
-    load, so a wrapper set on the module (as the benchmark's tracer sets)
-    sees every load.
+    read streams the file once, passing each chunk it reads to the hash as
+    it parses it, so the run's manifest certifies the bytes the run parsed
+    while the file is never held whole. A missing, unreadable or malformed
+    file stops the run with a ConfigError that names it. read is passed as
+    ``traces.read_*``, looked up at each load, so a wrapper set on the
+    module sees every load.
     """
+    digest = sha256()
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            loaded = read(fh, digest.update)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    inputs[str(path)] = sha256(data).hexdigest()
-    try:
-        return parse(data)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    inputs[str(path)] = digest.hexdigest()
+    return loaded
 
 
 def simulate(built: BuiltRun, event_log=None) -> SimRun:

@@ -12,6 +12,7 @@ positions are piecewise-linear between waypoints and clamped outside them.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from array import array
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from operator import add, itemgetter, lt, mul, sub
+from typing import BinaryIO, Callable
 
 SNR_HEADER = "t_us,tx,rx,snr_db"
 MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
@@ -108,54 +110,75 @@ def _parse_float(line_no: int, field: str, what: str) -> float:
     return value
 
 
-def _decode(data: bytes, start: int, end: int) -> str:
-    """data[start:end] decoded as UTF-8.
+def _decode(block: bytes, offset: int) -> str:
+    """block decoded as UTF-8, block being its input's bytes from offset on.
 
-    A decode error counts its position from the start of data, as decoding
-    the whole of data would.
+    A decode error counts its position from the start of the input, as
+    decoding the whole input would. Its ``object`` is block preceded by
+    offset zero bytes, because CPython names a single bad byte by its value
+    only when ``start`` indexes ``object``; only this error path pays for
+    that padding.
     """
     try:
-        return data[start:end].decode("utf-8")
+        return block.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise UnicodeDecodeError(exc.encoding, data, start + exc.start,
-                                 start + exc.end, exc.reason) from None
+        raise UnicodeDecodeError(exc.encoding, bytes(offset) + block,
+                                 offset + exc.start, offset + exc.end,
+                                 exc.reason) from None
 
 
-def _line_chunks(data: str | bytes):
-    """Yield the lines of data, one list per chunk of it.
+def _line_chunks(source: str | bytes | BinaryIO, on_block=None):
+    """Yield the lines of source, one list per chunk of it.
 
-    Together the lists hold the lines that splitlines() of the whole text
-    gives, while only one chunk is decoded and split at a time. A chunk
-    ends just after a "\\n", which never splits a "\\r\\n" pair or a
-    UTF-8 sequence. Bytes that are not all ASCII are checked as UTF-8 before
-    the first chunk is yielded, so a bad byte is reported before any row
-    error, as decoding the whole file first would report it.
+    source is a str, bytes or an open binary file, read once. Together the
+    lists hold the lines that splitlines() of the whole text gives, while
+    only one chunk is read, decoded and split at a time. A chunk ends just
+    after the first "\\n" past ``_CHUNK`` bytes (characters for a str), which
+    never splits a "\\r\\n" pair or a UTF-8 sequence. on_block, if given, is
+    called with the bytes of each chunk before they are decoded.
     """
-    is_bytes = isinstance(data, bytes)
-    newline = b"\n" if is_bytes else "\n"
-    spans = []
-    start = 0
-    while start < len(data):
-        end = data.find(newline, start + _CHUNK) + 1 or len(data)
-        spans.append((start, end))
-        start = end
-    if is_bytes and not data.isascii():
-        for start, end in spans:
-            _decode(data, start, end)
-    for start, end in spans:
-        chunk = _decode(data, start, end) if is_bytes else data[start:end]
-        yield chunk.splitlines()
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _CHUNK) + 1 or len(source)
+            yield source[start:end].splitlines()
+            start = end
+        return
+    fh = io.BytesIO(source) if isinstance(source, bytes) else source
+    offset = 0
+    while block := fh.read(_CHUNK) + fh.readline():
+        if on_block is not None:
+            on_block(block)
+        yield _decode(block, offset).splitlines()
+        offset += len(block)
 
 
-def _rows(data: str | bytes, header: str, n_fields: int, what: str):
-    """Yield (line_no, t_us, fields) for each non-blank row of a trace CSV.
+def _read(source: str | bytes | BinaryIO, parse, on_block=None):
+    """parse(the line chunks of source), a trace read in one pass.
+
+    A bad UTF-8 byte anywhere in source is reported ahead of an earlier row
+    error, as decoding the whole file first would report it: on a row error
+    the rest of source is decoded before the error is raised.
+    """
+    chunks = _line_chunks(source, on_block)
+    try:
+        return parse(chunks)
+    except TraceFormatError:
+        for _ in chunks:
+            pass
+        raise
+
+
+def _rows(chunks, header: str, n_fields: int, what: str):
+    """Yield (line_no, t_us, fields) for each non-blank row of a trace CSV,
+    whose lines chunks yields in lists, as ``_line_chunks`` does.
 
     Checks what both trace kinds share: the header, the field count and an
     integer timestamp in the first field from 0 to 2**63 - 1. Raises when
     the file holds no row, naming the rows as ``what``. The fields keep the
     whitespace around them; each parser strips what it uses.
     """
-    lines = chain.from_iterable(_line_chunks(data))
+    lines = chain.from_iterable(chunks)
     first = next(lines, None)
     if first is None:
         raise TraceFormatError(1, "empty file")
@@ -257,10 +280,25 @@ def parse_snr_trace(data: str | bytes) -> SnrTrace:
     the last occurrence in file order. Per-link gaps longer than one second
     trigger a logged warning (hold-last lookup still applies across the gap).
     """
+    return _read(data, _snr_trace)
+
+
+def read_snr_trace(fh: BinaryIO,
+                   on_block: Callable[[bytes], object]) -> SnrTrace:
+    """parse_snr_trace of the open binary file fh, read once in chunks.
+
+    on_block is called with the bytes of each chunk before they are parsed,
+    so a caller can hash the bytes it parsed without holding them.
+    """
+    return _read(fh, _snr_trace, on_block)
+
+
+def _snr_trace(chunks) -> SnrTrace:
     series: dict[DirectedLink, tuple[array, array]] = {}
     stores = {}     # (tx, rx) fields as written -> that link's (times, values)
     isfinite = math.isfinite
-    for line_no, t_us, (_, tx, rx, snr) in _rows(data, SNR_HEADER, 4, "samples"):
+    for line_no, t_us, (_, tx, rx, snr) in _rows(chunks, SNR_HEADER, 4,
+                                                  "samples"):
         store = stores.get((tx, rx))
         if store is None:
             store = stores[tx, rx] = _link_store(series, line_no, tx, rx)
@@ -422,9 +460,20 @@ class MobilityTrace:
 
 def parse_mobility(data: str | bytes) -> MobilityTrace:
     """Parse the canonical mobility CSV. Duplicate (node, t) pairs are errors."""
+    return _read(data, _mobility)
+
+
+def read_mobility(fh: BinaryIO,
+                  on_block: Callable[[bytes], object]) -> MobilityTrace:
+    """parse_mobility of the open binary file fh, as read_snr_trace reads."""
+    return _read(fh, _mobility, on_block)
+
+
+def _mobility(chunks) -> MobilityTrace:
     per_node: dict[str, list[Waypoint]] = {}
     seen: set[tuple[str, int]] = set()
-    for line_no, t_us, fields in _rows(data, MOBILITY_HEADER, 5, "waypoints"):
+    for line_no, t_us, fields in _rows(chunks, MOBILITY_HEADER, 5,
+                                       "waypoints"):
         node = _validate_node_id(line_no, fields[1])
         if (node, t_us) in seen:
             raise TraceFormatError(line_no, f"duplicate waypoint for {node!r} at {t_us} µs")

@@ -1,9 +1,11 @@
 """Scenario configs, run artifacts, reproducibility, and the CLI surface."""
 
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -695,6 +697,66 @@ def test_manifest_hashes_the_input_bytes_the_run_parsed(tmp_path,
         str(path): digest for path, digest in parsed.items()}
     assert list(doc["inputs"]) == [str(trace), str(mobility)]
     assert _digest(trace) != parsed[trace]
+
+
+def _replay_over(tmp_path, trace_bytes):
+    """The path of a trace file holding trace_bytes, and a config replaying it."""
+    trace = tmp_path / "link.csv"
+    trace.write_bytes(trace_bytes)
+    return trace, write_config(tmp_path, BASE.replace(
+        "model = friis", "model = trace\ntrace_file = link.csv"))
+
+
+def _rows_over_chunks(newline):
+    """Trace rows on both links that fill more than three read chunks."""
+    rows = ["t_us,tx,rx,snr_db"] + [
+        f"{t * 100},{('Master', 'ClientA')[t % 2]},"
+        f"{('ClientA', 'Master')[t % 2]},{t % 40}.5" for t in range(12_000)]
+    return newline.join(rows)
+
+
+@pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"),
+                                          ("\n", "")],
+                         ids=["lf", "crlf", "no_final_newline"])
+def test_a_streamed_input_is_hashed_and_parsed_byte_for_byte(tmp_path, newline,
+                                                             end):
+    trace, cfg_path = _replay_over(
+        tmp_path, (_rows_over_chunks(newline) + end).encode("utf-8"))
+    data = trace.read_bytes()
+    assert len(data) > 3 * scenario.traces._CHUNK
+    cfg = replace(parse_config(cfg_path), duration_s=1, log_events=False)
+    built = build(cfg)
+    expected = parse_snr_trace(data)
+    assert built.spec.trace == expected
+    assert built.spec.trace.links() == expected.links()
+    execute_run(cfg, tmp_path / "out")
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert doc["inputs"] == {str(trace): hashlib.sha256(data).hexdigest()}
+
+
+def test_a_read_error_after_open_is_a_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    trace, cfg_path = _replay_over(
+        tmp_path, (_rows_over_chunks("\n") + "\n").encode("utf-8"))
+    read_snr_trace = scenario.traces.read_snr_trace
+
+    class FailsAfterOneChunk:
+        def __init__(self, fh):
+            self.fh = fh
+            self.readline = fh.readline
+
+        def read(self, size):
+            if self.fh.tell():
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return self.fh.read(size)
+
+    monkeypatch.setattr(scenario.traces, "read_snr_trace", lambda fh, on_block:
+                        read_snr_trace(FailsAfterOneChunk(fh), on_block))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {trace}: [Errno 5] {os.strerror(errno.EIO)}\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("name", ["Mas ter", "Mas>ter"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from linksim import cli, traces
+from linksim import cli, scenario, traces
 from linksim.traces import (MOBILITY_HEADER, SNR_HEADER, DirectedLink,
                             MobilityTrace, SnrTrace, TraceCsvRecorder,
                             TraceFormatError, Waypoint, parse_mobility,
@@ -560,13 +560,27 @@ def _bad_utf8_cases():
 
 @pytest.mark.parametrize("case", sorted(_bad_utf8_cases()))
 def test_a_bad_utf8_byte_is_named_as_in_the_whole_file(tmp_path, capsys, case):
+    _assert_bad_byte_named(tmp_path, capsys, case, "A = 0,0,0\nB = 6,0,0\n",
+                           "model = trace\ntrace_file = link.csv\n")
+
+
+@pytest.mark.parametrize("case", sorted(_bad_utf8_cases()))
+def test_a_bad_utf8_byte_in_a_mobility_file_is_named_as_in_the_whole_file(
+        tmp_path, capsys, case):
+    # the SNR header is a row error at line 1 of a mobility file, which a
+    # bad byte anywhere after it outranks
+    _assert_bad_byte_named(tmp_path, capsys, case, "mobility_file = link.csv\n",
+                           "model = friis\n")
+
+
+def _assert_bad_byte_named(tmp_path, capsys, case, nodes, propagation):
     data = _bad_utf8_cases()[case]
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
     (tmp_path / "link.csv").write_bytes(data)
     (tmp_path / "scn.ini").write_text(
-        "[scenario]\nduration_s = 1\n[nodes]\nA = 0,0,0\nB = 6,0,0\n"
-        "[propagation]\nmodel = trace\ntrace_file = link.csv\n"
+        f"[scenario]\nduration_s = 1\n[nodes]\n{nodes}"
+        f"[propagation]\n{propagation}"
         "[traffic]\nkind = udp_uni\nsrc = A\ndst = B\n", encoding="utf-8")
     out = tmp_path / "out"
     assert cli.main(["run", str(tmp_path / "scn.ini"),
@@ -576,6 +590,13 @@ def test_a_bad_utf8_byte_is_named_as_in_the_whole_file(tmp_path, capsys, case):
     assert whole.value.start > traces._CHUNK and not out.exists()
 
 
+def _long_trace(n):
+    """An SNR trace of n samples on A->B and B->A, in time order."""
+    return (SNR_HEADER + "\n" + "".join(
+        f"{t * 250},{'AB'[t % 2]},{'BA'[t % 2]},{(t * 7919 % 4000) / 97!r}\n"
+        for t in range(n))).encode("utf-8")
+
+
 def test_parse_keeps_16_bytes_per_sample():
     """A 200k-row trace parses in memory bounded by the samples kept.
 
@@ -583,9 +604,7 @@ def test_parse_keeps_16_bytes_per_sample():
     text, but not for a second copy of the samples or for the text itself.
     """
     n = 200_000
-    data = (SNR_HEADER + "\n" + "".join(
-        f"{t * 250},{'AB'[t % 2]},{'BA'[t % 2]},{(t * 7919 % 4000) / 97!r}\n"
-        for t in range(n))).encode("utf-8")
+    data = _long_trace(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -596,3 +615,22 @@ def test_parse_keeps_16_bytes_per_sample():
     assert sorted(trace.links()) == [AB, BA]
     assert (peak - before) / n <= 24
     assert (kept - before) / n <= 20
+
+
+def test_build_streams_a_trace_file_in_24_bytes_per_sample(tmp_path):
+    """Loading a 200k-row trace file never holds the file's text whole."""
+    n = 200_000
+    (tmp_path / "link.csv").write_bytes(_long_trace(n))
+    cfg = scenario.parse_config_text(
+        "[nodes]\nA = 0,0,0\nB = 6,0,0\n[propagation]\nmodel = trace\n"
+        "trace_file = link.csv\n[traffic]\nkind = udp_uni\nsrc = A\ndst = B\n",
+        base_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = scenario.build(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(built.spec.trace.links()) == [AB, BA]
+    assert (peak - before) / n <= 24
