@@ -113,18 +113,18 @@ def _parse_float(line_no: int, field: str, what: str) -> float:
 def _decode(block: bytes, offset: int) -> str:
     """block decoded as UTF-8, block being its input's bytes from offset on.
 
-    A decode error counts its position from the start of the input, as
-    decoding the whole input would. Its ``object`` is block preceded by
-    offset zero bytes, because CPython names a single bad byte by its value
-    only when ``start`` indexes ``object``; only this error path pays for
-    that padding.
+    A bad byte raises a ValueError worded as decoding the whole input words
+    it, the byte's value and its position counted from the input's start,
+    without holding the input up to that byte.
     """
     try:
         return block.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise UnicodeDecodeError(exc.encoding, bytes(offset) + block,
-                                 offset + exc.start, offset + exc.end,
-                                 exc.reason) from None
+        start, end = offset + exc.start, offset + exc.end
+        where = (f"byte 0x{block[exc.start]:02x} in position {start}"
+                 if end - start == 1 else f"bytes in position {start}-{end - 1}")
+        raise ValueError(f"'{exc.encoding}' codec can't decode {where}: "
+                         f"{exc.reason}") from None
 
 
 def _line_chunks(source: str | bytes | BinaryIO, on_block=None):
@@ -133,17 +133,12 @@ def _line_chunks(source: str | bytes | BinaryIO, on_block=None):
     source is a str, bytes or an open binary file, read once. Together the
     lists hold the lines that splitlines() of the whole text gives, while
     only one chunk is read, decoded and split at a time. A chunk ends just
-    after the first "\\n" past ``_CHUNK`` bytes (characters for a str), which
-    never splits a "\\r\\n" pair or a UTF-8 sequence. on_block, if given, is
-    called with the bytes of each chunk before they are decoded.
+    after the first "\\n" past ``_CHUNK`` bytes, which never splits a
+    "\\r\\n" pair or a UTF-8 sequence. on_block, if given, is called with
+    the bytes of each chunk before they are decoded.
     """
     if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            end = source.find("\n", start + _CHUNK) + 1 or len(source)
-            yield source[start:end].splitlines()
-            start = end
-        return
+        source = source.encode()
     fh = io.BytesIO(source) if isinstance(source, bytes) else source
     offset = 0
     while block := fh.read(_CHUNK) + fh.readline():
