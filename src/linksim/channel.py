@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from numbers import Real
 from typing import Callable
 
 from .engine import RngStream
+from .record import Frozen, Record
 from .traces import DirectedLink, MobilityTrace, SnrTrace
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -29,8 +29,7 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(Frozen):
     tx_power_dbm: float = 17.0
     rf_gain_db_per_end: float = -7.0   # antenna gain minus inline attenuator
     bandwidth_hz: float = 20e6
@@ -53,8 +52,7 @@ FRIIS = "friis"
 LOGDIST = "logdist"
 
 
-@dataclass(frozen=True)
-class PropagationSpec:
+class PropagationSpec(Frozen):
     """Which SNR source drives the link: trace replay or an analytic model."""
 
     model: str
@@ -166,8 +164,7 @@ def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
     return rx_dbm - noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
 
 
-@dataclass
-class Channel:
+class Channel(Record):
     """SNR source for one simulation instance, made with its run's seed.
 
     Each link has one source, a function of the frame time in µs that

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, metrics
+from .record import replace
 from .scenario import (ConfigError, execute_record, execute_run, parse_config)
 
 

@@ -13,14 +13,14 @@ per-mode EWMA success statistics with periodic lookaround probing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, ClassVar
+from typing import Callable
 
 from . import phy
 from .channel import Channel
 from .engine import EventQueue, RngStream
 from .phy import DELIVERED, MODES, PhyMode, frame_duration_us
+from .record import Frozen, Record
 from .traces import DirectedLink
 
 COLLIDED = "collided"
@@ -29,15 +29,14 @@ ACCEPTED = "accepted"
 DROPPED_FULL = "dropped_full"
 
 
-@dataclass(frozen=True)
-class DcfParams:
-    # 802.11a OFDM timing, the same in every run
-    slot_us: ClassVar[int] = 9
-    sifs_us: ClassVar[int] = 16
-    difs_us: ClassVar[int] = 34       # SIFS + 2 slots
-    cw_min: ClassVar[int] = 15
-    cw_max: ClassVar[int] = 1023
-    ack_bytes: ClassVar[int] = 14
+class DcfParams(Frozen):
+    # 802.11a OFDM timing, the same in every run: unannotated, so not fields
+    slot_us = 9
+    sifs_us = 16
+    difs_us = 34   # SIFS + 2 slots
+    cw_min = 15
+    cw_max = 1023
+    ack_bytes = 14
     retry_limit: int = 7
     queue_capacity: int = 500
     # Rates eligible for control responses; ACKs go out at the highest
@@ -195,8 +194,7 @@ class Minstrel:
         self.total_attempts[i] += attempts
 
 
-@dataclass
-class StationStats:
+class StationStats(Record):
     data_frames: int = 0          # MAC frames completed (delivered or dropped)
     data_attempts: int = 0        # PHY transmissions of data frames
     frames_delivered: int = 0

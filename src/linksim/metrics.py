@@ -14,12 +14,13 @@ import json
 import math
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import takewhile
 from operator import add
 from pathlib import Path
 from typing import Iterable
+
+from .record import Record
 
 THROUGHPUT_KBPS = "throughput_kbps"
 RTT_MEDIAN_MS = "rtt_median_ms"
@@ -28,13 +29,12 @@ KINDS = (THROUGHPUT_KBPS, RTT_MEDIAN_MS)
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.:>-]+\Z")
 
 
-@dataclass
-class PerSecondSeries:
+class PerSecondSeries(Record):
     """One run's per-second metric values, keyed by second index."""
 
     kind: str
     label: str
-    values: dict[int, float] = field(default_factory=dict)
+    values: dict[int, float] = {}
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -175,8 +175,7 @@ def percentile(values: Iterable[float], p: float) -> float:
     return ordered[max(rank, 1) - 1]
 
 
-@dataclass
-class CandidateResult:
+class CandidateResult(Record):
     label: str
     p90: float
     p50: float
@@ -185,8 +184,7 @@ class CandidateResult:
     cdf: list[tuple[float, float]]
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Record):
     metric_kind: str
     reference_label: str
     candidates: list[CandidateResult]

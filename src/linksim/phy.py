@@ -9,8 +9,9 @@ spectrum, then frame success as (1-pe)^bits over the data bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+from .record import Frozen
 
 PREAMBLE_US = 20        # PLCP preamble + SIGNAL
 SYMBOL_US = 4
@@ -25,8 +26,7 @@ class Modulation(Enum):
     QAM64 = "qam64"
 
 
-@dataclass(frozen=True)
-class PhyMode:
+class PhyMode(Frozen):
     id: int
     modulation: Modulation
     coding_rate: str

@@ -16,7 +16,6 @@ import configparser
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -28,6 +27,7 @@ from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
 from .engine import EventQueue, RngStream, sha256
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
+from .record import Record, replace
 from .traces import DirectedLink, MobilityTrace, TraceCsvRecorder
 from .traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
 
@@ -40,8 +40,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(Record):
     duration_s: int = 300
     seed: int = 1
     log_events: bool = True
@@ -55,7 +54,7 @@ class ScenarioConfig:
     gamma: float = 2.0                # logdist only
     ref_distance_m: float = 1.0       # logdist only
     nakagami_m: float | None = None   # analytic models; None: no fading
-    radio: RadioParams = field(default_factory=RadioParams)
+    radio: RadioParams = RadioParams()
     # traffic
     traffic_kind: str = UDP_UNI
     src: str = "Master"
@@ -297,8 +296,7 @@ class CsvEventLog:
         self._write(f"{t},{node},drop,data,,,{seq},{attempts},,,{reason}\n")
 
 
-@dataclass
-class SimRun:
+class SimRun(Record):
     """Results of one simulation execution."""
 
     seed: int
@@ -322,8 +320,7 @@ class SimRun:
         return min(rtt for _, rtt in self.rtt_samples)
 
 
-@dataclass
-class BuiltRun:
+class BuiltRun(Record):
     """Every part of one run that a config error can stop, built up front."""
 
     cfg: ScenarioConfig

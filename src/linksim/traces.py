@@ -17,11 +17,12 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from operator import add, itemgetter, lt, mul, sub
 from typing import BinaryIO, Callable
+
+from .record import Frozen
 
 SNR_HEADER = "t_us,tx,rx,snr_db"
 MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
@@ -65,8 +66,7 @@ class DirectedLink(tuple):
         return f"{self[0]}->{self[1]}"
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(Frozen):
     t_us: int
     x_m: float
     y_m: float

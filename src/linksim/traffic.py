@@ -8,11 +8,11 @@ therefore fill a 1500-byte IP packet without fragmentation.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import EventQueue
 from .mac import Station, airtime_rows
+from .record import Frozen
 
 DEFAULT_HEADER_OVERHEAD = 56   # 8 transport + 20 IP + 28 MAC/FCS
 
@@ -36,8 +36,7 @@ def _round_half_up_us(seconds: float) -> int:
     return int(seconds * 1e6 + 0.5)
 
 
-@dataclass(frozen=True)
-class UdpFlowConfig:
+class UdpFlowConfig(Frozen):
     src: str
     dst: str
     offered_load_bps: float = 54e6
@@ -64,8 +63,7 @@ class UdpFlowConfig:
         return _round_half_up_us(self.payload_bytes * 8 / self.offered_load_bps)
 
 
-@dataclass(frozen=True)
-class PingConfig:
+class PingConfig(Frozen):
     src: str
     dst: str
     interval_us: int = 100_000

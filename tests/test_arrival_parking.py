@@ -15,7 +15,6 @@ arrival's time, so the two paths are compared with and without that refill.
 """
 
 import io
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
 from linksim.mac import DcfParams, FixedRate, Station, build_point_to_point
 from linksim.phy import MODES
+from linksim.record import replace
 from linksim.scenario import (UDP_BIDI, CsvEventLog, build, execute_record,
                               execute_run, parse_config, simulate)
 from linksim.traces import MobilityTrace, parse_snr_trace

@@ -3,8 +3,10 @@
 A run hashes a few hundred bytes of seed labels and config text, so it takes
 SHA-256 from the interpreter's builtin module rather than ``hashlib``, whose
 OpenSSL backend costs a process ~3.6 MB. ``logging`` is loaded only for the
-warning about a gapped SNR trace. Each check starts a fresh interpreter,
-since this test process has loaded both modules already.
+warning about a gapped SNR trace. Records come from ``linksim.record``, not
+``dataclasses``, which would load ``inspect`` and ``ast`` with it. Each check
+starts a fresh interpreter, since this test process has loaded these modules
+already.
 """
 
 import hashlib
@@ -44,12 +46,13 @@ assert cli.main(["compare", "--metric", "throughput", "--reference",
                  f"{run}/throughput_Master_to_ClientA.csv",
                  f"{run}/throughput_ClientA_to_Master.csv",
                  "--out-dir", f"{out}/compare"]) == 0
-print(" ".join(m for m in ("hashlib", "_hashlib", "logging")
-               if m in sys.modules))
+print(" ".join(m for m in ("hashlib", "_hashlib", "logging", "dataclasses",
+                           "inspect", "ast") if m in sys.modules))
 """
 
 
-def test_run_record_and_compare_load_no_hashlib_or_logging(tmp_path):
+def test_run_record_and_compare_load_no_hashlib_logging_or_dataclasses(
+        tmp_path):
     proc = python(RUN_RECORD_COMPARE, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
@@ -84,9 +87,9 @@ import json, sys
 if sys.argv[3] == "hashlib":
     sys.modules["_sha2"] = sys.modules["_sha256"] = None   # no builtin SHA-256
     import hashlib
-from dataclasses import replace
 from linksim import engine
 from linksim.engine import RngStream
+from linksim.record import replace
 from linksim.scenario import execute_run, parse_config
 
 if sys.argv[3] == "hashlib":

@@ -11,7 +11,6 @@ say so in CHANGES.md.
 """
 
 import hashlib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from linksim import cli
 from linksim.channel import Channel
 from linksim.engine import EventQueue
 from linksim.mac import build_point_to_point
+from linksim.record import replace
 from linksim.scenario import CsvEventLog, build, execute_run, parse_config
 from linksim.traffic import PingApp, PingConfig, UdpSource
 

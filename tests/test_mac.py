@@ -5,7 +5,6 @@ import io
 import random
 import statistics
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
                          Minstrel, Station, ack_mode_for, airtime_rows,
                          build_point_to_point)
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
+from linksim.record import replace
 from linksim.scenario import CsvEventLog, build, parse_config, simulate
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import DEFAULT_HEADER_OVERHEAD, Packet

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from linksim import cli, scenario
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.metrics import PerSecondSeries
+from linksim.record import replace
 from linksim.scenario import (_SCHEMA, ConfigError, CsvEventLog,
                               ScenarioConfig, build, execute_record,
                               execute_run, parse_config, parse_config_text,
