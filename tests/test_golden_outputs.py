@@ -3,7 +3,7 @@
 Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
 and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
 match the values below; each analytic scenario's ``record-trace`` file is
-pinned the same way, and so is the ``events.csv`` of three logged runs on
+pinned the same way, and so is the ``events.csv`` of five logged runs on
 paths no bundled scenario reaches. A speed-up that changes one byte of
 output fails here. ``manifest.json`` is left out because it records the absolute
 ``base_dir`` of the config. Re-pin only for a deliberate output change, and
@@ -100,6 +100,10 @@ LOGGED = {
         "71d8d7904819dbfed99d496d488157caa4b3c9dc4221e0975d1514ff548068c6",
     "udp_bidirectional_queue_1":
         "1af8508bf2e5bfeb0b44fe6c2708fa955f767998fd2569e41d41636aabb1570f",
+    "walk_friis":
+        "79b9e64d1d94141d8e60b24d29966cc045397ccc6606709f2ac35fb6c2270c9d",
+    "walk_logdist_fading":
+        "594269659cfa316f273b8ef94e13b444a36ff665f631c274ad3d4792e5182898",
 }
 
 
@@ -135,6 +139,19 @@ def udp_and_ping_one_queue(out: Path) -> None:
         engine.run_until(end_us)
 
 
+# ClientA walks 5 -> 70 -> 5 m away from Master and back over a 2 s run
+WALK = ("t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n0,ClientA,5,0,0\n"
+        "1000000,ClientA,70,0,0\n2000000,ClientA,5,0,0\n")
+
+
+def walk(out: Path, **propagation) -> None:
+    """A logged udp_unidirectional run over WALK, written next to out."""
+    path = out.parent / "walk.csv"
+    path.write_text(WALK, encoding="utf-8")
+    execute_run(bundled("udp_unidirectional", nodes=None, mobility_file=path,
+                        **propagation), out)
+
+
 LOGGED_RUNS = {
     # both producers enqueue and meet a full queue throughout
     "udp_and_ping_one_queue": udp_and_ping_one_queue,
@@ -144,6 +161,11 @@ LOGGED_RUNS = {
     # every arrival during an exchange meets a full queue
     "udp_bidirectional_queue_1": lambda out: execute_run(
         bundled("udp_bidirectional", queue_capacity=1), out),
+    # a moving node: free space, no fading
+    "walk_friis": walk,
+    # a moving node with a Nakagami draw per frame
+    "walk_logdist_fading": lambda out: walk(out, model="logdist", gamma=3.0,
+                                            nakagami_m=1.0),
 }
 
 
