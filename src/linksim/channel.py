@@ -110,17 +110,6 @@ def log_distance_path_loss(d_m: float, gamma: float, ref_distance_m: float,
     return ref_loss + 10.0 * gamma * math.log10(d_m / ref_distance_m)
 
 
-def apply_nakagami(power_w: float, m: float, rng: RngStream) -> float:
-    """One Nakagami-m block-fading draw: gamma with shape m, mean power_w."""
-    if power_w < 0:
-        raise ValueError("power_w must be >= 0")
-    if not m >= 0.5:
-        raise ValueError("m must be >= 0.5")
-    if power_w == 0.0:
-        return 0.0
-    return rng.gamma(m, power_w / m)
-
-
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise floor: -174 dBm/Hz integrated over the bandwidth plus NF."""
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
@@ -146,32 +135,15 @@ def mean_rx_power_dbm(spec: PropagationSpec, params: RadioParams,
     return params.tx_power_dbm + 2.0 * params.rf_gain_db_per_end - loss_db
 
 
-def link_snr(spec: PropagationSpec, params: RadioParams, link: DirectedLink,
-             mobility: MobilityTrace, t_us: int,
-             fading_rng: RngStream | None = None) -> float:
-    """Receiver SNR in dB for one frame on link at t_us, of an analytic model.
-
-    The rx power follows from the distance at t_us; when fading is
-    configured a fresh draw is taken from fading_rng (one per frame).
-    """
-    d_m = mobility.link_distance(link.tx, link.rx, t_us)
-    rx_dbm = mean_rx_power_dbm(spec, params, d_m)
-    if spec.nakagami_m is not None:
-        if fading_rng is None:
-            raise ValueError("fading configured but no fading stream supplied")
-        rx_dbm = w_to_dbm(apply_nakagami(dbm_to_w(rx_dbm), spec.nakagami_m,
-                                         fading_rng))
-    return rx_dbm - noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
-
-
 class Channel(Record):
     """SNR source for one simulation instance, made with its run's seed.
 
     Each link has one source, a function of the frame time in µs that
-    returns the SNR in dB, built at the link's first frame: a replayed link
-    holds its trace's last sample, a link whose nodes never move keeps its
-    link budget (and takes one fading draw per frame when fading is
-    configured), and a link with a moving node runs ``link_snr``. The
+    returns the SNR in dB, built at the link's first frame. A replayed link
+    holds its trace's last sample. An analytic link's SNR is a function of
+    the distance between its ends: the link budget, then one fading draw per
+    frame when fading is configured. A link whose ends never move takes that
+    distance once; a link with a moving end takes it at every frame. The
     channel owns the per-link fading streams, rooted at ``seed``, so that
     replaying a recorded trace consumes exactly the same non-fading streams
     as the original run. A fresh channel starts every stream afresh.
@@ -197,23 +169,26 @@ class Channel(Record):
             times, values = spec.trace.series(link)
             # SnrTrace.snr_at, inlined as this runs once per frame
             return lambda t_us: values[max(bisect_right(times, t_us) - 1, 0)]
-        m = spec.nakagami_m
-        rng = None if m is None else RngStream(self.seed, f"fading.{link}")
-        mobility = self.mobility
-        if not mobility.is_static(link.tx) or not mobility.is_static(link.rx):
-            return lambda t_us: link_snr(spec, self.params, link, mobility,
-                                         t_us, rng)
-        params = self.params
-        d_m = mobility.link_distance(link.tx, link.rx, 0)
-        rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+        params, m = self.params, spec.nakagami_m
         noise_dbm = noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
-        snr_db = rx_dbm - noise_dbm
-        if m is not None:
-            power_w = dbm_to_w(rx_dbm)
-            if power_w > 0.0:
-                gamma, scale = rng.gamma, power_w / m
-                # w_to_dbm(apply_nakagami(power_w, m, rng)) - noise, inlined
-                return lambda t_us: (10.0 * math.log10(
-                    max(gamma(m, scale), 1e-300)) + 30.0 - noise_dbm)
-            snr_db = w_to_dbm(0.0) - noise_dbm   # apply_nakagami draws nothing
-        return lambda t_us: snr_db
+        rng = None if m is None else RngStream(self.seed, f"fading.{link}")
+
+        def at(d_m: float) -> Callable[[int], float]:
+            """The link's source while its ends are d_m meters apart."""
+            rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+            snr_db = rx_dbm - noise_dbm
+            if m is not None:
+                power_w = dbm_to_w(rx_dbm)
+                if power_w > 0.0:
+                    gamma, scale = rng.gamma, power_w / m
+                    # w_to_dbm(a gamma draw of shape m, mean power_w) - noise
+                    return lambda t_us: (10.0 * math.log10(
+                        max(gamma(m, scale), 1e-300)) + 30.0 - noise_dbm)
+                snr_db = w_to_dbm(0.0) - noise_dbm   # zero power takes no draw
+            return lambda t_us: snr_db
+
+        tx, rx = link
+        track, distance = self.mobility.track, self.mobility.link_distance
+        if len(track(tx)[0]) == len(track(rx)[0]) == 1:   # neither end moves
+            return at(distance(tx, rx, 0))
+        return lambda t_us: at(distance(tx, rx, t_us))(t_us)

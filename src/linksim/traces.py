@@ -22,8 +22,6 @@ from itertools import chain, islice
 from operator import add, itemgetter, lt, mul, sub
 from typing import BinaryIO, Callable
 
-from .record import Frozen
-
 SNR_HEADER = "t_us,tx,rx,snr_db"
 MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
 
@@ -64,17 +62,6 @@ class DirectedLink(tuple):
 
     def __str__(self) -> str:
         return f"{self[0]}->{self[1]}"
-
-
-class Waypoint(Frozen):
-    t_us: int
-    x_m: float
-    y_m: float
-    z_m: float
-
-    @property
-    def position(self) -> tuple[float, float, float]:
-        return (self.x_m, self.y_m, self.z_m)
 
 
 def _validate_node_id(line_no: int, node_id: str) -> str:
@@ -359,51 +346,60 @@ class TraceCsvRecorder:
 
 
 class MobilityTrace:
-    """Per-node waypoint sequences with linear interpolation between them."""
+    """Per-node waypoint tracks with linear interpolation between them.
 
-    def __init__(self, waypoints: dict[str, list[Waypoint]]):
-        if not waypoints:
+    Each node holds one ``(times, xs, ys, zs)`` tuple of typed arrays, int64
+    microseconds and float64 metres, so a waypoint takes 32 bytes. The arrays
+    are copies of what the constructor is given, so the trace is immutable
+    after construction.
+    """
+
+    def __init__(self, tracks: dict[str, tuple]):
+        if not tracks:
             raise ValueError("mobility trace must contain at least one node")
-        for node, seq in waypoints.items():
-            if not seq:
+        self._tracks = {}
+        for node, (times, *axes) in tracks.items():
+            times = array("q", times)
+            xs, ys, zs = (array("d", axis) for axis in axes)
+            if not times:
                 raise ValueError(f"node {node!r} has no waypoints")
-            times = [w.t_us for w in seq]
-            if any(b <= a for a, b in zip(times, times[1:])):
+            if not len(times) == len(xs) == len(ys) == len(zs):
+                raise ValueError(f"node {node!r} has columns of unequal length")
+            if not all(map(lt, times, islice(times, 1, None))):
                 raise ValueError(f"node {node!r} waypoints not strictly increasing")
-        self._waypoints = {node: list(seq) for node, seq in waypoints.items()}
-        self._times = {node: [w.t_us for w in seq] for node, seq in waypoints.items()}
+            self._tracks[node] = (times, xs, ys, zs)
 
     @classmethod
     def static(cls, positions: dict[str, tuple[float, float, float]]) -> "MobilityTrace":
         """Trace for nodes that never move (one waypoint at t=0 each)."""
         return cls({
-            node: [Waypoint(0, x, y, z)] for node, (x, y, z) in positions.items()
+            node: ([0], [x], [y], [z]) for node, (x, y, z) in positions.items()
         })
 
     def nodes(self) -> list[str]:
-        return list(self._waypoints)
+        return list(self._tracks)
 
-    def is_static(self, node: str) -> bool:
-        """True when node has exactly one waypoint, so it never moves."""
-        self._require(node)
-        return len(self._waypoints[node]) == 1
+    def track(self, node: str) -> tuple[array, array, array, array]:
+        """The (times, xs, ys, zs) arrays of node, shared: callers must not
+        change them."""
+        try:
+            return self._tracks[node]
+        except KeyError:
+            raise KeyError(f"no mobility data for node {node!r}") from None
 
     def position_at(self, node: str, t_us: int) -> tuple[float, float, float]:
         """Interpolated position; clamps to the first/last waypoint outside them."""
-        self._require(node)
-        seq = self._waypoints[node]
-        times = self._times[node]
+        times, xs, ys, zs = self.track(node)
         idx = bisect_right(times, t_us) - 1
         if idx < 0:
-            return seq[0].position
-        if idx >= len(seq) - 1:
-            return seq[-1].position
-        a, b = seq[idx], seq[idx + 1]
-        frac = (t_us - a.t_us) / (b.t_us - a.t_us)
+            return (xs[0], ys[0], zs[0])
+        if idx >= len(times) - 1:
+            return (xs[-1], ys[-1], zs[-1])
+        frac = (t_us - times[idx]) / (times[idx + 1] - times[idx])
         return (
-            a.x_m + frac * (b.x_m - a.x_m),
-            a.y_m + frac * (b.y_m - a.y_m),
-            a.z_m + frac * (b.z_m - a.z_m),
+            xs[idx] + frac * (xs[idx + 1] - xs[idx]),
+            ys[idx] + frac * (ys[idx + 1] - ys[idx]),
+            zs[idx] + frac * (zs[idx + 1] - zs[idx]),
         )
 
     def link_distance(self, a: str, b: str, t_us: int) -> float:
@@ -419,9 +415,8 @@ class MobilityTrace:
         each such segment the squared distance is a quadratic in time and its
         minimum has a closed form.
         """
-        for node in (a, b):
-            self._require(node)
-        inner = {t for t in self._times[a] + self._times[b] if t0_us < t < t1_us}
+        waypoint_times = chain(self.track(a)[0], self.track(b)[0])
+        inner = {t for t in waypoint_times if t0_us < t < t1_us}
         cuts = sorted(inner | {t0_us, t1_us})
 
         def offset(t_us: int) -> tuple[float, ...]:
@@ -443,14 +438,10 @@ class MobilityTrace:
             p = q
         return best
 
-    def _require(self, node: str) -> None:
-        if node not in self._waypoints:
-            raise KeyError(f"no mobility data for node {node!r}")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MobilityTrace):
             return NotImplemented
-        return self._waypoints == other._waypoints
+        return self._tracks == other._tracks
 
 
 def parse_mobility(data: str | bytes) -> MobilityTrace:
@@ -465,7 +456,7 @@ def read_mobility(fh: BinaryIO,
 
 
 def _mobility(chunks) -> MobilityTrace:
-    per_node: dict[str, list[Waypoint]] = {}
+    tracks: dict[str, tuple[array, array, array, array]] = {}
     seen: set[tuple[str, int]] = set()
     for line_no, t_us, fields in _rows(chunks, MOBILITY_HEADER, 5,
                                        "waypoints"):
@@ -476,7 +467,11 @@ def _mobility(chunks) -> MobilityTrace:
         x = _parse_float(line_no, fields[2], "x_m")
         y = _parse_float(line_no, fields[3], "y_m")
         z = _parse_float(line_no, fields[4], "z_m")
-        per_node.setdefault(node, []).append(Waypoint(t_us, x, y, z))
-    for seq in per_node.values():
-        seq.sort(key=lambda w: w.t_us)
-    return MobilityTrace(per_node)
+        if node not in tracks:
+            tracks[node] = (array("q"), array("d"), array("d"), array("d"))
+        for column, value in zip(tracks[node], (t_us, x, y, z)):
+            column.append(value)
+    for node, track in tracks.items():
+        order = sorted(range(len(track[0])), key=track[0].__getitem__)
+        tracks[node] = [map(column.__getitem__, order) for column in track]
+    return MobilityTrace(tracks)

@@ -10,15 +10,15 @@ import math
 import pytest
 
 from linksim import phy
-from linksim.channel import (apply_nakagami, friis_path_loss,
-                             log_distance_path_loss)
+from linksim.channel import (Channel, PropagationSpec, RadioParams,
+                             friis_path_loss, log_distance_path_loss)
 from linksim.engine import RngStream
 from linksim.mac import DcfParams, ack_mode_for
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              accuracy_gain, compare_runs)
 from linksim.phy import MODES, frame_duration_us, frame_success_probability
 from linksim.scenario import CsvEventLog, ScenarioConfig, build, simulate
-from linksim.traces import TraceCsvRecorder
+from linksim.traces import DirectedLink, MobilityTrace, TraceCsvRecorder
 
 NODES = {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
 
@@ -94,12 +94,18 @@ def test_criterion_02_log_distance_gamma2_equals_friis():
 
 
 def test_criterion_03_nakagami_mean_preservation():
-    rng = RngStream(9, "fading.acceptance")
+    # the SNR draws of a faded static link, as linear power over its mean
+    link = DirectedLink("Master", "ClientA")
+    mobility = MobilityTrace.static(NODES)
+    mean_db = Channel(PropagationSpec("friis"), RadioParams(), mobility,
+                      9).snr(link, 0)
+    channel = Channel(PropagationSpec("friis", nakagami_m=1.25), RadioParams(),
+                      mobility, 9)
     n = 1_000_000
     total = 0.0
     total_sq = 0.0
-    for _ in range(n):
-        x = apply_nakagami(1.0, 1.25, rng)
+    for t_us in range(n):
+        x = 10 ** ((channel.snr(link, t_us) - mean_db) / 10)
         total += x
         total_sq += x * x
     mean = total / n

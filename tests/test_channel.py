@@ -6,13 +6,11 @@ import random
 import pytest
 
 from linksim.channel import (Channel, PropagationSpec, RadioParams,
-                             apply_nakagami, dbm_to_w, friis_path_loss,
-                             link_snr, log_distance_path_loss,
-                             noise_power_dbm, w_to_dbm)
+                             dbm_to_w, friis_path_loss, log_distance_path_loss,
+                             mean_rx_power_dbm, noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
 from linksim.scenario import ConfigError, ScenarioConfig, build
-from linksim.traces import (DirectedLink, MobilityTrace, SnrTrace, Waypoint,
-                            parse_snr_trace)
+from linksim.traces import DirectedLink, MobilityTrace, SnrTrace, parse_snr_trace
 
 AB = DirectedLink("A", "B")
 BA = DirectedLink("B", "A")
@@ -21,6 +19,51 @@ F = 5.22e9
 
 def static_mobility(d_m: float) -> MobilityTrace:
     return MobilityTrace.static({"A": (0, 0, 0), "B": (d_m, 0, 0)})
+
+
+def apply_nakagami(power_w, m, rng):
+    """One Nakagami-m block-fading draw: gamma with shape m, mean power_w.
+
+    The fading draw the channel made before it built every analytic link in
+    one place, kept verbatim as an oracle.
+    """
+    if power_w < 0:
+        raise ValueError("power_w must be >= 0")
+    if not m >= 0.5:
+        raise ValueError("m must be >= 0.5")
+    if power_w == 0.0:
+        return 0.0
+    return rng.gamma(m, power_w / m)
+
+
+def link_snr(spec, params, link, mobility, t_us, fading_rng=None):
+    """Receiver SNR in dB for one frame on link at t_us, of an analytic model.
+
+    The per-frame SNR the channel computed before it built every analytic
+    link in one place, kept verbatim as an oracle.
+    """
+    d_m = mobility.link_distance(link.tx, link.rx, t_us)
+    rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+    if spec.nakagami_m is not None:
+        if fading_rng is None:
+            raise ValueError("fading configured but no fading stream supplied")
+        rx_dbm = w_to_dbm(apply_nakagami(dbm_to_w(rx_dbm), spec.nakagami_m,
+                                         fading_rng))
+    return rx_dbm - noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
+
+
+def fading_draws(m: float, n: int, seed: int) -> list[float]:
+    """n rx powers of a static link with Nakagami-m fading, over its mean.
+
+    Each is one Channel.snr draw converted back to linear power and divided
+    by the power of the same link without fading.
+    """
+    mobility = static_mobility(6.0)
+    mean_db = Channel(PropagationSpec("friis"), RadioParams(), mobility,
+                      seed).snr(AB, 0)
+    ch = Channel(PropagationSpec("friis", nakagami_m=m), RadioParams(),
+                 mobility, seed)
+    return [10 ** ((ch.snr(AB, t) - mean_db) / 10) for t in range(n)]
 
 
 def test_friis_reference_values():
@@ -64,19 +107,12 @@ def test_noise_power_values():
     assert noise_power_dbm(1.0, 0.0) == pytest.approx(-174.0, abs=1e-12)
 
 
-def test_nakagami_zero_power():
-    rng = RngStream(1, "fading.t")
-    assert all(apply_nakagami(0.0, 1.25, rng) == 0.0 for _ in range(10))
-
-
 def test_nakagami_mean_and_variance():
-    rng = RngStream(2, "fading.mc")
     n = 200_000
     for m in (0.5, 1.25, 5.0):
         total = 0.0
         total_sq = 0.0
-        for _ in range(n):
-            x = apply_nakagami(1.0, m, rng)
+        for x in fading_draws(m, n, 2):
             total += x
             total_sq += x * x
         mean = total / n
@@ -86,20 +122,11 @@ def test_nakagami_mean_and_variance():
 
 
 def test_nakagami_large_m_is_nearly_deterministic():
-    rng = RngStream(3, "fading.large")
     n = 20_000
-    draws = [apply_nakagami(2.5, 1e4, rng) for _ in range(n)]
+    draws = fading_draws(1e4, n, 3)
     mean = sum(draws) / n
     var = sum((x - mean) ** 2 for x in draws) / n
     assert var / mean ** 2 < 1e-3
-
-
-def test_nakagami_validation():
-    rng = RngStream(4, "fading.v")
-    with pytest.raises(ValueError):
-        apply_nakagami(-1.0, 1.25, rng)
-    with pytest.raises(ValueError):
-        apply_nakagami(1.0, 0.4, rng)
 
 
 def test_radio_params_bounds():
@@ -134,35 +161,21 @@ def test_channel_snr_trace_replay_is_verbatim():
     assert ch.snr(AB, 2_000_000) == 19.25
 
 
-def test_link_snr_friis_composition():
-    spec = PropagationSpec("friis")
+def test_channel_snr_friis_composition():
     params = RadioParams(tx_power_dbm=17.0, rf_gain_db_per_end=-7.0,
                          noise_figure_db=7.0)
-    got = link_snr(spec, params, AB, static_mobility(6.0), 0)
-    assert got == pytest.approx(34.6255, abs=1e-3)
+    ch = Channel(PropagationSpec("friis"), params, static_mobility(6.0), 1)
+    assert ch.snr(AB, 0) == pytest.approx(34.6255, abs=1e-3)
 
 
-def test_link_snr_monotone_in_distance():
+def test_channel_snr_monotone_in_distance():
     spec = PropagationSpec("friis")
     params = RadioParams()
     prev = math.inf
     for d in range(1, 120):
-        snr = link_snr(spec, params, AB, static_mobility(float(d)), 0)
+        snr = Channel(spec, params, static_mobility(float(d)), 1).snr(AB, 0)
         assert snr < prev
         prev = snr
-
-
-def test_link_snr_fading_preserves_mean_linear_snr():
-    spec = PropagationSpec("friis", nakagami_m=1.25)
-    params = RadioParams()
-    mob = static_mobility(6.0)
-    base = link_snr(PropagationSpec("friis"), params, AB, mob, 0)
-    rng = RngStream(11, "fading.A->B")
-    n = 200_000
-    total = 0.0
-    for _ in range(n):
-        total += 10 ** (link_snr(spec, params, AB, mob, 0, rng) / 10)
-    assert abs(total / n / 10 ** (base / 10) - 1.0) < 0.01
 
 
 def test_channel_fading_stream_is_per_link_and_seeded():
@@ -179,8 +192,8 @@ def test_channel_fading_stream_is_per_link_and_seeded():
 def moving_mobility() -> MobilityTrace:
     """B moves away from A, from 6 m at t = 0 to 60 m at t = 1 s."""
     return MobilityTrace({
-        "A": [Waypoint(0, 0.0, 0.0, 0.0)],
-        "B": [Waypoint(0, 6.0, 0.0, 0.0), Waypoint(1_000_000, 60.0, 0.0, 0.0)],
+        "A": ([0], [0.0], [0.0], [0.0]),
+        "B": ([0, 1_000_000], [6.0, 60.0], [0.0, 0.0], [0.0, 0.0]),
     })
 
 
@@ -219,7 +232,7 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
     spec, mobility = SOURCE_KINDS[kind]()
     params = RadioParams()
     # a link budget computed once, at the link's first frame
-    budget = spec.model != "trace" and mobility.is_static("B")
+    budget = spec.model != "trace" and len(mobility.track("B")[0]) == 1
     lookups = []
     distance = mobility.link_distance
     mobility.link_distance = lambda *args: lookups.append(args) or distance(*args)
@@ -266,10 +279,7 @@ def test_replayed_link_snr_is_snr_at_bit_for_bit():
 
 
 def test_moving_node_snr_changes_over_time():
-    mobility = MobilityTrace({
-        "A": [Waypoint(0, 0.0, 0.0, 0.0)],
-        "B": [Waypoint(0, 6.0, 0.0, 0.0), Waypoint(1_000_000, 60.0, 0.0, 0.0)],
-    })
+    mobility = moving_mobility()
     spec = PropagationSpec("friis")
     ch = Channel(spec, RadioParams(), mobility, 1)
     snrs = [ch.snr(AB, t) for t in (0, 500_000, 1_000_000)]

@@ -15,7 +15,7 @@ import pytest
 from linksim import cli, scenario, traces
 from linksim.traces import (MOBILITY_HEADER, SNR_HEADER, DirectedLink,
                             MobilityTrace, SnrTrace, TraceCsvRecorder,
-                            TraceFormatError, Waypoint, parse_mobility,
+                            TraceFormatError, parse_mobility,
                             parse_snr_trace, serialize_snr_trace)
 
 AB = DirectedLink("A", "B")
@@ -142,9 +142,7 @@ def test_parse_mobility_duplicate_waypoint():
 
 
 def test_position_interpolation_and_clamp():
-    trace = MobilityTrace({
-        "N": [Waypoint(0, 0, 0, 0), Waypoint(10_000_000, 6, 0, 0)]
-    })
+    trace = MobilityTrace({"N": ([0, 10_000_000], [0, 6], [0, 0], [0, 0])})
     assert trace.position_at("N", 5_000_000) == (3.0, 0.0, 0.0)
     assert trace.position_at("N", 0) == (0.0, 0.0, 0.0)
     assert trace.position_at("N", 10_000_000) == (6.0, 0.0, 0.0)
@@ -156,11 +154,11 @@ def test_position_interpolation_and_clamp():
 def test_position_hits_every_waypoint_and_is_continuous():
     rng = random.Random(5)
     times = sorted(rng.sample(range(0, 1_000_000), 8))
-    wps = [Waypoint(t, rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0, 3))
+    wps = [(t, rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0, 3))
            for t in times]
-    trace = MobilityTrace({"N": wps})
-    for w in wps:
-        assert trace.position_at("N", w.t_us) == pytest.approx(w.position)
+    trace = MobilityTrace({"N": tuple(zip(*wps))})
+    for t, *position in wps:
+        assert trace.position_at("N", t) == pytest.approx(position)
     for t in range(0, 1_000_000, 999):
         a = trace.position_at("N", t)
         b = trace.position_at("N", t + 1)
@@ -185,8 +183,8 @@ def test_static_single_waypoint_everywhere():
 def serialize_mobility(trace: MobilityTrace) -> str:
     out = [MOBILITY_HEADER]
     for node in sorted(trace.nodes()):
-        for w in trace._waypoints[node]:
-            out.append(f"{w.t_us},{node},{w.x_m!r},{w.y_m!r},{w.z_m!r}")
+        for t_us, x, y, z in zip(*trace.track(node)):
+            out.append(f"{t_us},{node},{x!r},{y!r},{z!r}")
     return "\n".join(out) + "\n"
 
 
@@ -235,8 +233,8 @@ def test_min_distance_matches_dense_sampling():
     rng = random.Random(3)
     for _ in range(20):
         trace = MobilityTrace({
-            node: [Waypoint(t, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
-                   for t in sorted(rng.sample(range(0, 10_000), 4))]
+            node: tuple(zip(*[(t, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
+                              for t in sorted(rng.sample(range(0, 10_000), 4))]))
             for node in ("A", "B")
         })
         t0, t1 = sorted(rng.sample(range(0, 12_000), 2))
@@ -249,8 +247,8 @@ def test_min_distance_matches_dense_sampling():
 
 def test_min_distance_of_crossing_and_static_nodes():
     crossing = MobilityTrace({
-        "M": [Waypoint(0, 0, 0, 0)],
-        "C": [Waypoint(0, 6, 0, 0), Waypoint(2_000_000, -6, 0, 0)],
+        "M": ([0], [0], [0], [0]),
+        "C": ([0, 2_000_000], [6, -6], [0, 0], [0, 0]),
     })
     assert crossing.min_distance("M", "C", 0, 2_000_000) == 0.0
     assert crossing.min_distance("M", "C", 0, 500_000) == pytest.approx(3.0)
@@ -375,10 +373,11 @@ def oracle_parse_mobility(data):
         x = _oracle_parse_float(line_no, fields[2], "x_m")
         y = _oracle_parse_float(line_no, fields[3], "y_m")
         z = _oracle_parse_float(line_no, fields[4], "z_m")
-        per_node.setdefault(node, []).append(Waypoint(t_us, x, y, z))
+        per_node.setdefault(node, []).append((t_us, x, y, z))
     for seq in per_node.values():
-        seq.sort(key=lambda w: w.t_us)
-    return MobilityTrace(per_node)
+        seq.sort(key=lambda w: w[0])
+    return MobilityTrace({node: tuple(zip(*seq))
+                          for node, seq in per_node.items()})
 
 
 # Whitespace that may pad a field: str.strip() removes all of it, while
@@ -615,6 +614,27 @@ def test_parse_keeps_16_bytes_per_sample():
     assert sorted(trace.links()) == [AB, BA]
     assert (peak - before) / n <= 24
     assert (kept - before) / n <= 20
+
+
+def test_parse_mobility_keeps_48_bytes_per_waypoint():
+    """A parsed 100k-row mobility trace holds its waypoints in typed arrays.
+
+    A waypoint is 32 bytes of int64 time and float64 x, y, z; the bound
+    leaves room for the arrays' spare capacity, not for an object per row.
+    """
+    n = 100_000
+    data = (MOBILITY_HEADER + "\n" + "".join(
+        f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
+        for t in range(n))).encode("utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = parse_mobility(data)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sorted(trace.nodes()) == ["A", "B"]
+    assert (kept - before) / n <= 48
 
 
 def test_build_streams_a_trace_file_in_24_bytes_per_sample(tmp_path):
