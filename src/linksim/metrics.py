@@ -1,11 +1,12 @@
 """Per-second performance metrics, error measures, CDFs, and run comparison.
 
-Throughput is binned by receive time as kbit/s per whole second; RTT is the
-per-second median (lower middle for even counts) keyed by request send time,
-with sample-less seconds absent rather than zero. Comparisons filter
-zero-reference throughput seconds and RTT seconds missing from any run, then
-report per-candidate error percentiles (nearest-rank), the mean, empirical
-CDF points, and accuracy gains of the first candidate over the others.
+Throughput is kbit/s per whole second of the payload a sink binned by
+receive time; RTT is the per-second median (lower middle for even counts)
+keyed by request send time, with sample-less seconds absent rather than
+zero. Comparisons filter zero-reference throughput seconds and RTT seconds
+missing from any run, then report per-candidate error percentiles
+(nearest-rank), the mean, empirical CDF points, and accuracy gains of the
+first candidate over the others.
 """
 
 from __future__ import annotations
@@ -95,17 +96,10 @@ class PerSecondSeries(Record):
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
-def throughput_series(rx_records: Iterable[tuple], duration_s: int,
-                      label: str) -> PerSecondSeries:
-    """kbit/s of delivered payload per whole second; empty seconds are 0."""
-    bits = [0] * duration_s
-    limit = duration_s * 1_000_000
-    for record in rx_records:
-        t_us, payload_bytes = record[0], record[1]
-        if 0 <= t_us < limit:
-            bits[t_us // 1_000_000] += 8 * payload_bytes
+def throughput_series(bytes_per_s: list[int], label: str) -> PerSecondSeries:
+    """kbit/s of the payload bytes delivered in each whole second."""
     return PerSecondSeries(THROUGHPUT_KBPS, label,
-                           {s: b / 1000.0 for s, b in enumerate(bits)})
+                           {s: 8 * b / 1000.0 for s, b in enumerate(bytes_per_s)})
 
 
 def rtt_median_series(samples: Iterable[tuple[int, int]], duration_s: int,

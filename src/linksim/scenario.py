@@ -456,13 +456,13 @@ def simulate(built: BuiltRun, event_log=None) -> SimRun:
     for flow_cfg in built.udp_flows:
         flow = f"udp.{flow_cfg.src}->{flow_cfg.dst}"
         UdpSource(engine, stations[flow_cfg.src], flow_cfg, flow)
-        sinks[flow] = UdpSink(stations[flow_cfg.dst], flow,
+        sinks[flow] = UdpSink(stations[flow_cfg.dst], flow, cfg.duration_s,
                               processing_delay_us=cfg.processing_delay_us)
 
     engine.run_until(cfg.duration_s * 1_000_000)
 
     throughput = {
-        flow: metrics.throughput_series(sink.records(), cfg.duration_s, _label(flow))
+        flow: metrics.throughput_series(sink.bytes_per_s, _label(flow))
         for flow, sink in sinks.items()
     }
     rtt_series = None

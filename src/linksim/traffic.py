@@ -7,7 +7,6 @@ therefore fill a 1500-byte IP packet without fragmentation.
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 from .engine import EventQueue
@@ -209,28 +208,26 @@ class UdpSource:
 
 
 class UdpSink:
-    """Records (rx_time_us, payload_bytes) per delivered packet.
+    """Sums the payload bytes a flow delivers in each whole second of a run.
 
-    Receive timestamps include the receiving node's processing delay. They
-    are kept as int64 (8 bytes a sample); the payload sizes stay a list,
-    whose entries are all the flow's one payload int.
+    A packet counts at its receive time plus the receiving node's processing
+    delay; one that lands at or after the run's end is not counted. The sink
+    holds one int per second, whatever the number of packets.
     """
 
-    def __init__(self, station: Station, flow: str,
+    def __init__(self, station: Station, flow: str, duration_s: int,
                  processing_delay_us: int = 0):
         self.flow = flow
         self._delay_us = processing_delay_us
-        self.rx_t_us = array("q")
-        self.rx_bytes: list[int] = []
+        self._end_us = duration_s * 1_000_000
+        self.bytes_per_s = [0] * duration_s
         station.rx_handlers.append(self._on_rx)
 
     def _on_rx(self, packet: Packet, t_us: int) -> None:
         if packet.kind == UDP_DATA and packet.flow == self.flow:
-            self.rx_t_us.append(t_us + self._delay_us)
-            self.rx_bytes.append(packet.payload_bytes)
-
-    def records(self):
-        return zip(self.rx_t_us, self.rx_bytes)
+            t_us += self._delay_us
+            if t_us < self._end_us:
+                self.bytes_per_s[t_us // 1_000_000] += packet.payload_bytes
 
 
 class PingApp:

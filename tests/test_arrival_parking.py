@@ -29,7 +29,9 @@ from linksim.record import replace
 from linksim.scenario import (UDP_BIDI, CsvEventLog, build, execute_record,
                               execute_run, parse_config, simulate)
 from linksim.traces import MobilityTrace, parse_snr_trace
-from linksim.traffic import PingApp, PingConfig, UdpFlowConfig, UdpSink, UdpSource
+from linksim.traffic import PingApp, PingConfig, UdpFlowConfig, UdpSource
+
+from recording_sink import SeqSink
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(p.stem for p in SCENARIOS.glob("*.ini"))
@@ -44,20 +46,6 @@ class DiscardLog:
 
     def drop(self, *row):
         pass
-
-
-class SeqSink(UdpSink):
-    """A UdpSink that also records each received packet's sequence number."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.rx_seq = []
-
-    def _on_rx(self, packet, t_us):
-        received = len(self.rx_t_us)
-        super()._on_rx(packet, t_us)
-        if len(self.rx_t_us) > received:
-            self.rx_seq.append(packet.seq)
 
 
 def bundled(name, **overrides):
@@ -318,7 +306,7 @@ def two_sources_one_queue(event_log, with_ping):
     for flow in ("udp.A->B.1", "udp.A->B.2"):
         UdpSource(engine, st_a, UdpFlowConfig("A", "B", stop_us=200_000),
                   flow)
-        sinks.append(SeqSink(st_b, flow))
+        sinks.append(SeqSink(st_b, flow, 1))
         udp_sources += 1
         if with_ping:   # the second producer is a ping requester
             app = PingApp(engine, st_a, st_b,

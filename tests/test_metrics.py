@@ -6,7 +6,7 @@ from linksim import metrics
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
                              absolute_error, accuracy_gain, compare_runs,
                              empirical_cdf, percentile, relative_error,
-                             rtt_median_series, throughput_series)
+                             rtt_median_series)
 
 
 def series(kind, label, values):
@@ -14,23 +14,6 @@ def series(kind, label, values):
 
 
 # -- per-second extraction ------------------------------------------------
-
-
-def test_throughput_binning():
-    records = [(5_200_000, 125_000, 0), (5_900_000, 250_000, 1),
-               (6_100_000, 1, 2)]
-    s = throughput_series(records, 10, "run")
-    assert s.values[5] == (125_000 + 250_000) * 8 / 1000
-    assert s.values[6] == pytest.approx(0.008)
-    assert s.values[0] == 0.0                      # empty second present as 0
-    assert sorted(s.values) == list(range(10))
-
-
-def test_throughput_trailing_partial_second_dropped():
-    records = [(300_400_000, 1000, 0)]
-    s = throughput_series(records, 300, "run")
-    assert len(s.values) == 300
-    assert 300 not in s.values
 
 
 def test_rtt_median_lower_middle():

@@ -194,6 +194,61 @@ def test_run_writes_artifacts(tmp_path):
     assert "events.csv" in doc["outputs"]
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+UDP_SCENARIOS = [path.stem for path in sorted(SCENARIOS.glob("*.ini"))
+                 if parse_config(path).traffic_kind != "ping"]
+
+
+def goodput_from_log(events_csv, payload_bytes, duration_s, delay_us):
+    """Per link, the kbit/s of each second recomputed from the event log,
+    and the number of deliveries the processing delay moved past the end.
+
+    A (link, seq) counts once, at its first delivered data row: a
+    retransmission after a lost ACK is delivered again and suppressed.
+    """
+    end_us = duration_s * 1_000_000
+    seen = set()
+    per_link = {}
+    past_end = 0
+    with open(events_csv, encoding="utf-8", newline="") as fh:
+        next(fh)
+        for line in fh:
+            t_us, _, event, kind, link, _, seq, *_, outcome = \
+                line.rstrip("\n").split(",")
+            if (event, kind, outcome) != ("rx", "data", "delivered"):
+                continue
+            if (link, seq) in seen:
+                continue
+            seen.add((link, seq))
+            bins = per_link.setdefault(link, [0] * duration_s)
+            t_us = int(t_us) + delay_us
+            if t_us < end_us:
+                bins[t_us // 1_000_000] += 8 * payload_bytes
+            else:
+                past_end += 1
+    return ({link: {s: b / 1000.0 for s, b in enumerate(bins)}
+             for link, bins in per_link.items()}, past_end)
+
+
+@pytest.mark.parametrize("name, delay_us", [
+    *((name, 0) for name in UDP_SCENARIOS),
+    ("udp_bidirectional", 2_500),
+])
+def test_goodput_from_the_log_equals_the_throughput_series(
+        tmp_path, name, delay_us):
+    cfg = replace(parse_config(SCENARIOS / f"{name}.ini"), duration_s=2,
+                  log_events=True, processing_delay_us=delay_us)
+    out = tmp_path / "out"
+    execute_run(cfg, out)
+    goodput, past_end = goodput_from_log(
+        out / "events.csv", cfg.payload_bytes, cfg.duration_s, delay_us)
+    series = {path.name: PerSecondSeries.load(path).values
+              for path in out.glob("throughput_*.csv")}
+    assert series == {f"throughput_{link.replace('->', '_to_')}.csv": values
+                      for link, values in goodput.items()}
+    assert (past_end > 0) == (delay_us > 0)
+
+
 def test_ping_run_writes_rtt_series(tmp_path):
     cfg = parse_config(write_config(tmp_path, PING))
     run, _ = execute_run(cfg, tmp_path / "out")

@@ -616,6 +616,13 @@ def test_parse_keeps_16_bytes_per_sample():
     assert (kept - before) / n <= 20
 
 
+def _long_mobility(n):
+    """n waypoints of two nodes, A and B, each in time order."""
+    return (MOBILITY_HEADER + "\n" + "".join(
+        f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
+        for t in range(n))).encode("utf-8")
+
+
 def test_parse_mobility_keeps_48_bytes_per_waypoint():
     """A parsed 100k-row mobility trace holds its waypoints in typed arrays.
 
@@ -623,9 +630,7 @@ def test_parse_mobility_keeps_48_bytes_per_waypoint():
     leaves room for the arrays' spare capacity, not for an object per row.
     """
     n = 100_000
-    data = (MOBILITY_HEADER + "\n" + "".join(
-        f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
-        for t in range(n))).encode("utf-8")
+    data = _long_mobility(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -635,6 +640,48 @@ def test_parse_mobility_keeps_48_bytes_per_waypoint():
         tracemalloc.stop()
     assert sorted(trace.nodes()) == ["A", "B"]
     assert (kept - before) / n <= 48
+
+
+def test_parse_mobility_peaks_at_48_bytes_per_waypoint():
+    """Parsing a 100k-row mobility trace whose nodes' times increase holds
+    no more than the trace it makes: no set of every (node, t) pair for the
+    duplicate check, no sort and no copy of the columns."""
+    n = 100_000
+    data = _long_mobility(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = parse_mobility(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(trace.nodes()) == ["A", "B"]
+    assert (peak - before) / n <= 48
+
+
+@pytest.mark.parametrize("times, error_line", [
+    ([0, 5, 10, 5], 8),      # a duplicate of a time before the node's last
+    ([0, 10, 5, 10], 8),     # a duplicate after the node went back in time
+    ([0, 10, 5, 5], 8),      # a duplicate of the row that went back
+    ([0, 10, 5, 7, 5], 10),  # a duplicate after a second step back
+    ([0, 10, 5, 7], None),   # back in time twice, no duplicate
+], ids=["non_last", "after_back_last", "after_back_same", "after_two_back",
+        "back_no_duplicate"])
+def test_mobility_duplicates_are_found_as_the_oracle_finds_them(
+        caplog, times, error_line):
+    # B's rows, one after each of A's, share A's times but never repeat
+    rows = [row for i, t in enumerate(times)
+            for row in (f"{t},A,{i},0,0", f"{3 * i},B,0,{i},0")]
+    data = "\n".join([MOBILITY_HEADER, *rows]) + "\n"
+    outcome = _outcome(parse_mobility, data, caplog)
+    assert outcome == _outcome(oracle_parse_mobility, data, caplog)
+    if error_line is None:
+        assert outcome[0] == "ok"
+        assert list(outcome[1].track("A")[0]) == sorted(times)
+    else:
+        assert outcome[0] == "error"
+        assert outcome[2] == error_line
+        assert "duplicate waypoint for 'A'" in outcome[1]
 
 
 def test_build_streams_a_trace_file_in_24_bytes_per_sample(tmp_path):

@@ -1,14 +1,19 @@
 """Traffic sources and sinks: CBR schedules, ping semantics, bidi sharing."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
 from linksim.mac import DcfParams, FixedRate, build_point_to_point
+from linksim.metrics import throughput_series
 from linksim.phy import mode_for_rate
 from linksim.traces import MobilityTrace, parse_snr_trace
 from linksim.traffic import (UDP_DATA, Packet, PingApp, PingConfig,
                              UdpFlowConfig, UdpSink, UdpSource)
+
+from recording_sink import SeqSink
 
 
 def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
@@ -16,20 +21,6 @@ def udp_arrival_times(cfg: UdpFlowConfig) -> list[int]:
     if cfg.stop_us <= cfg.start_us:
         return []
     return list(range(cfg.start_us, cfg.stop_us, cfg.gap_us))
-
-
-class SeqSink(UdpSink):
-    """A UdpSink that also records each received packet's sequence number."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.rx_seq = []
-
-    def _on_rx(self, packet, t_us):
-        received = len(self.rx_t_us)
-        super()._on_rx(packet, t_us)
-        if len(self.rx_t_us) > received:
-            self.rx_seq.append(packet.seq)
 
 
 def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
@@ -103,14 +94,14 @@ def test_source_feeds_sink_exactly():
     cfg = UdpFlowConfig("A", "B", offered_load_bps=2e6, payload_bytes=500,
                         start_us=0, stop_us=100_000)
     UdpSource(engine, st_a, cfg, "udp.A->B")
-    sink = SeqSink(st_b, "udp.A->B")
+    sink = SeqSink(st_b, "udp.A->B", 1)
     engine.run_until(1_000_000)
     times = list(sink.rx_t_us)
     seqs = sink.rx_seq
     assert len(times) == len(udp_arrival_times(cfg))
     assert times == sorted(times)
     assert seqs == sorted(seqs)          # no reordering in this MAC
-    assert sum(sink.rx_bytes) == 500 * len(times)
+    assert sum(sink.bytes_per_s) == 500 * len(times)
 
 
 def test_sink_filters_other_flows():
@@ -118,9 +109,53 @@ def test_sink_filters_other_flows():
     UdpSource(engine, st_a,
               UdpFlowConfig("A", "B", offered_load_bps=2e6, payload_bytes=500,
                             stop_us=50_000), "udp.A->B")
-    other = UdpSink(st_b, "udp.X->Y")
+    other = SeqSink(st_b, "udp.X->Y", 1)
     engine.run_until(200_000)
     assert not other.rx_t_us
+    assert not any(other.bytes_per_s)
+
+
+def deliver(sink_station, records, flow="udp.A->B"):
+    """Hand each (t_us, payload_bytes, seq) record to the station's sinks."""
+    for t_us, payload_bytes, seq in records:
+        packet = Packet(UDP_DATA, seq, payload_bytes, payload_bytes + 56, 0,
+                        flow)
+        for handler in sink_station.rx_handlers:
+            handler(packet, t_us)
+
+
+def test_throughput_binning():
+    station = SimpleNamespace(rx_handlers=[])
+    sink = UdpSink(station, "udp.A->B", 10)
+    records = [(5_200_000, 125_000, 0), (5_900_000, 250_000, 1),
+               (6_100_000, 1, 2)]
+    deliver(station, records)
+    s = throughput_series(sink.bytes_per_s, "run")
+    assert s.values[5] == (125_000 + 250_000) * 8 / 1000
+    assert s.values[6] == pytest.approx(0.008)
+    assert s.values[0] == 0.0                      # empty second present as 0
+    assert sorted(s.values) == list(range(10))
+
+
+def test_throughput_trailing_partial_second_dropped():
+    station = SimpleNamespace(rx_handlers=[])
+    sink = UdpSink(station, "udp.A->B", 300)
+    records = [(300_400_000, 1000, 0)]
+    deliver(station, records)
+    s = throughput_series(sink.bytes_per_s, "run")
+    assert len(s.values) == 300
+    assert 300 not in s.values
+    assert not any(sink.bytes_per_s)
+
+
+def test_sink_bins_after_the_processing_delay():
+    # a delivery the delay pushes past a second boundary counts in the next
+    # second, and one it pushes to the run's end is not counted
+    station = SimpleNamespace(rx_handlers=[])
+    sink = UdpSink(station, "udp.A->B", 2, processing_delay_us=300)
+    deliver(station, [(999_699, 10, 0), (999_700, 20, 1),
+                      (1_999_699, 40, 2), (1_999_700, 80, 3)])
+    assert sink.bytes_per_s == [10, 20 + 40]
 
 
 def test_ping_rtt_floor_and_samples():
@@ -204,7 +239,7 @@ def _run_udp(duration_us, bidi):
     for flow, src, dst in flows:
         UdpSource(engine, src,
                   UdpFlowConfig(src.node, dst.node, stop_us=duration_us), flow)
-        sinks[flow] = UdpSink(dst, flow)
+        sinks[flow] = UdpSink(dst, flow, -(-duration_us // 1_000_000))
     engine.run_until(duration_us)
-    return {flow: 8 * sum(sink.rx_bytes) / (duration_us / 1e6)
+    return {flow: 8 * sum(sink.bytes_per_s) / (duration_us / 1e6)
             for flow, sink in sinks.items()}
