@@ -616,46 +616,28 @@ def test_parse_keeps_16_bytes_per_sample():
     assert (kept - before) / n <= 20
 
 
-def _long_mobility(n):
-    """n waypoints of two nodes, A and B, each in time order."""
-    return (MOBILITY_HEADER + "\n" + "".join(
-        f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
-        for t in range(n))).encode("utf-8")
-
-
 def test_parse_mobility_keeps_48_bytes_per_waypoint():
     """A parsed 100k-row mobility trace holds its waypoints in typed arrays.
 
     A waypoint is 32 bytes of int64 time and float64 x, y, z; the bound
     leaves room for the arrays' spare capacity, not for an object per row.
+    The parse of a file whose nodes' times increase peaks within the same
+    bound: no set of every (node, t) pair for the duplicate check, no sort
+    and no copy of the columns.
     """
     n = 100_000
-    data = _long_mobility(n)
+    data = (MOBILITY_HEADER + "\n" + "".join(
+        f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
+        for t in range(n))).encode("utf-8")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         trace = parse_mobility(data)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sorted(trace.nodes()) == ["A", "B"]
     assert (kept - before) / n <= 48
-
-
-def test_parse_mobility_peaks_at_48_bytes_per_waypoint():
-    """Parsing a 100k-row mobility trace whose nodes' times increase holds
-    no more than the trace it makes: no set of every (node, t) pair for the
-    duplicate check, no sort and no copy of the columns."""
-    n = 100_000
-    data = _long_mobility(n)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trace = parse_mobility(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sorted(trace.nodes()) == ["A", "B"]
     assert (peak - before) / n <= 48
 
 
@@ -669,7 +651,7 @@ def test_parse_mobility_peaks_at_48_bytes_per_waypoint():
         "back_no_duplicate"])
 def test_mobility_duplicates_are_found_as_the_oracle_finds_them(
         caplog, times, error_line):
-    # B's rows, one after each of A's, share A's times but never repeat
+    # a B row follows each A row; B's times increase, and share 0 with A's
     rows = [row for i, t in enumerate(times)
             for row in (f"{t},A,{i},0,0", f"{3 * i},B,0,{i},0")]
     data = "\n".join([MOBILITY_HEADER, *rows]) + "\n"

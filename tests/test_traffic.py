@@ -115,12 +115,13 @@ def test_sink_filters_other_flows():
     assert not any(other.bytes_per_s)
 
 
-def deliver(sink_station, records, flow="udp.A->B"):
-    """Hand each (t_us, payload_bytes, seq) record to the station's sinks."""
+def deliver(station, records):
+    """Hand each (t_us, payload_bytes, seq) record of flow udp.A->B to the
+    station's receive handlers, as the MAC delivers a packet."""
     for t_us, payload_bytes, seq in records:
         packet = Packet(UDP_DATA, seq, payload_bytes, payload_bytes + 56, 0,
-                        flow)
-        for handler in sink_station.rx_handlers:
+                        "udp.A->B")
+        for handler in station.rx_handlers:
             handler(packet, t_us)
 
 
