@@ -370,14 +370,6 @@ class MobilityTrace:
             self._tracks[node] = (times, xs, ys, zs)
 
     @classmethod
-    def _adopt(cls, tracks: dict[str, tuple[array, array, array, array]]
-               ) -> "MobilityTrace":
-        """A trace that holds tracks itself, not a copy, as SnrTrace._adopt."""
-        trace = cls.__new__(cls)
-        trace._tracks = tracks
-        return trace
-
-    @classmethod
     def static(cls, positions: dict[str, tuple[float, float, float]]) -> "MobilityTrace":
         """Trace for nodes that never move (one waypoint at t=0 each)."""
         return cls({
@@ -465,32 +457,21 @@ def read_mobility(fh: BinaryIO,
 
 def _mobility(chunks) -> MobilityTrace:
     tracks: dict[str, tuple[array, array, array, array]] = {}
-    # the times of each node whose rows went back in time; while a node's
-    # times increase, a row after its last time cannot be a duplicate
-    shuffled: dict[str, set[int]] = {}
+    seen: set[tuple[str, int]] = set()
     for line_no, t_us, fields in _rows(chunks, MOBILITY_HEADER, 5,
                                        "waypoints"):
         node = _validate_node_id(line_no, fields[1])
-        track = tracks.get(node)
-        if track is None:
-            track = tracks[node] = (array("q"), array("d"), array("d"),
-                                    array("d"))
-        elif node in shuffled or t_us <= track[0][-1]:
-            seen = shuffled.get(node)
-            if seen is None:
-                seen = shuffled[node] = set(track[0])
-            if t_us in seen:
-                raise TraceFormatError(line_no, f"duplicate waypoint for {node!r} at {t_us} µs")
-            seen.add(t_us)
+        if (node, t_us) in seen:
+            raise TraceFormatError(line_no, f"duplicate waypoint for {node!r} at {t_us} µs")
+        seen.add((node, t_us))
         x = _parse_float(line_no, fields[2], "x_m")
         y = _parse_float(line_no, fields[3], "y_m")
         z = _parse_float(line_no, fields[4], "z_m")
-        for column, value in zip(track, (t_us, x, y, z)):
+        if node not in tracks:
+            tracks[node] = (array("q"), array("d"), array("d"), array("d"))
+        for column, value in zip(tracks[node], (t_us, x, y, z)):
             column.append(value)
-    for node in shuffled:
-        track = tracks[node]
+    for node, track in tracks.items():
         order = sorted(range(len(track[0])), key=track[0].__getitem__)
-        tracks[node] = tuple(array(column.typecode,
-                                   map(column.__getitem__, order))
-                             for column in track)
-    return MobilityTrace._adopt(tracks)
+        tracks[node] = [map(column.__getitem__, order) for column in track]
+    return MobilityTrace(tracks)
