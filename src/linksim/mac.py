@@ -287,8 +287,7 @@ class Station:
             # a source parks only on a full queue, so this dequeue ends the
             # last attempt at the current clock
             source, self.parked = self.parked, None
-            source.on_dequeue(self.engine.clock_us,
-                              self._data_end - self._t_start)
+            source.on_dequeue(self.engine.clock_us)
 
     def _arm_access(self, idle_floor_us: int, slots: int) -> None:
         p = self.params

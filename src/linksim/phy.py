@@ -112,12 +112,18 @@ def _first_event_error(ber: float, coding_rate: str) -> float:
     return min(scale * total, 1.0)
 
 
+# p is exactly 1.0 from 27.7 dB for every mode and frame size, so an SNR
+# above the cap is evaluated at it, where its linear value cannot overflow
+_SNR_CAP_DB = 100.0
+
+
 def frame_success_probability(snr_db: float, mode: PhyMode,
                               payload_bytes: int) -> float:
     """Probability that a payload_bytes frame at mode survives snr_db intact."""
     if payload_bytes < 0:
         raise ValueError("payload_bytes must be >= 0")
-    ber = bit_error_rate(10.0 ** (snr_db / 10.0), mode.modulation)
+    ber = bit_error_rate(10.0 ** (min(snr_db, _SNR_CAP_DB) / 10.0),
+                         mode.modulation)
     if ber == 0.0:
         return 1.0
     pe = _first_event_error(ber, mode.coding_rate)

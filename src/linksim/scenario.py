@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import __version__, metrics, phy, traces
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
-                      RadioParams, check_real, mean_rx_power_dbm)
+                      RadioParams, check_real, dbm_to_w, mean_rx_power_dbm)
 from .engine import EventQueue, RngStream, sha256
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
@@ -372,10 +372,17 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                 raise ConfigError(f"SNR trace has no samples for link {link}")
         else:   # the path loss model must admit every distance
             try:
-                mean_rx_power_dbm(spec, cfg.radio, mobility.min_distance(
-                    link.tx, link.rx, 0, run_end_us))
+                closest_m = mobility.min_distance(link.tx, link.rx, 0,
+                                                  run_end_us)
+                rx_dbm = mean_rx_power_dbm(spec, cfg.radio, closest_m)
             except ValueError as exc:
                 raise ConfigError(f"link {link}: {exc}") from None
+            if cfg.nakagami_m is not None:   # fading draws on power in watts
+                try:
+                    dbm_to_w(rx_dbm)
+                except OverflowError:
+                    raise ConfigError(f"link {link}: mean received power "
+                                      f"{rx_dbm} dBm overflows") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
                     basic_rates_mbps=tuple(cfg.basic_rates_mbps))

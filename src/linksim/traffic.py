@@ -80,22 +80,19 @@ class PingConfig(Frozen):
 class UdpSource:
     """Constant-bit-rate generator feeding one station's queue.
 
-    Unless the station's event log defines a ``drop`` callback, the source
-    stops scheduling arrivals once one leaves the queue full, and the station
-    hands it the next dequeue; the arrivals it skipped are counted then as
-    the tail drops they would have been, with the sequence numbers they would
-    have taken, and those still owed at stop_us by one event at that time.
-    The first arrival after the dequeue refills the freed slot. When the gap
-    is shorter than DIFS plus the shortest data airtime at the flow's MPDU
-    size, that arrival comes before the station's next dequeue, so the
-    dequeue enqueues it at once, with its own arrival time, and the source
-    parks again (see ``_refill_is_exact``); otherwise it is scheduled.
-    Parking needs the source to be the station's only producer and no
-    ``drop`` callback (each queue-full row stays in dispatch order, at its
-    arrival), and it stays off when
-    the gap equals a data airtime, where a dequeue and an arrival in the
-    same µs could not be ordered without the skipped events (see
-    ``_parking_is_exact``). An arrival that meets a full queue builds no
+    The source parks when its gap is below the shortest data airtime at its
+    MPDU size, it is its station's only producer, and the station's event
+    log has no ``drop`` callback (queue-full rows stay in dispatch order,
+    each at its arrival). A parked source schedules no arrival once one
+    leaves the queue full; the station's next dequeue, at T, counts the
+    skipped arrivals before T as the tail drops they would have been, with
+    their sequence numbers, and enqueues the first arrival not before T at
+    once. That is exact: an arrival due at T would be scheduled later than
+    the data end at T, so it would find the freed slot, and the next dequeue
+    comes at least DIFS plus a data airtime after T, so nothing reads the
+    queue before the arrival is due; the events not scheduled shift every
+    later tie-break sequence number alike. One event at stop_us counts the
+    arrivals still owed. An arrival that meets a full queue builds no
     packet: the station counts and logs it as one tail drop.
     """
 
@@ -110,45 +107,13 @@ class UdpSource:
         self._mpdu_bytes = cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
-        data_us = [row.data_us for row in airtime_rows(
-            self._mpdu_bytes, station.params.basic_rates_mbps)]
-        self._park = (station.log_drop is None
-                      and self._parking_is_exact(data_us))
-        self._refill = self._refill_is_exact(data_us)
+        self._park = station.log_drop is None and self._gap_us < min(
+            row.data_us for row in airtime_rows(
+                self._mpdu_bytes, station.params.basic_rates_mbps))
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
             if self._park:
                 engine.schedule(cfg.stop_us, self._settle)
-
-    def _parking_is_exact(self, data_us: list[int]) -> bool:
-        """Whether every arrival the source skips has a known outcome.
-
-        A skipped arrival due at dequeue time T was scheduled at T - gap and
-        the dequeue at T - data_us, so the earlier of the two ran first;
-        equal times would need the skipped event's place in the heap. The
-        arrival then scheduled at T in place of the skipped ones finds a
-        free slot, so only its order against a peer access grant in its µs
-        could matter, and only if the station has drained and gone idle by
-        then. To drain, the station sent after T, and that transmission
-        rescheduled any peer access grant scheduled by T, so both paths run
-        such a grant after the arrival. data_us holds the data airtime of
-        every mode at the flow's MPDU size.
-        """
-        return self._gap_us not in data_us
-
-    def _refill_is_exact(self, data_us: list[int]) -> bool:
-        """Whether a dequeue may enqueue the next arrival ahead of its time.
-
-        At a dequeue at T the queue holds capacity - 1 packets, and the next
-        arrival t_n is at most T + gap. The next dequeue ends a data frame
-        whose access grant waited at least DIFS after T, so it comes no
-        earlier than T + DIFS + min(data_us). With gap below that, t_n comes
-        first and finds the free slot; the only producer is this source, and
-        nothing reads the queue before that dequeue, so the packet may join
-        the queue at T with created_us = t_n. The event it no longer needs
-        shifts every later sequence number alike, so no tie order changes.
-        """
-        return self._gap_us < self.station.params.difs_us + min(data_us)
 
     def _emit(self) -> None:
         self._arrive(self.engine.clock_us)
@@ -184,22 +149,13 @@ class UdpSource:
             self.station.stats.queue_drops += missed
             self._next_us = t + missed * self._gap_us
 
-    def on_dequeue(self, now_us: int, data_us: int) -> None:
-        """Resolve the skipped arrivals up to a dequeue at now_us, and
-        enqueue or schedule the arrival that refills the freed slot.
-
-        data_us is the data airtime of the exchange that ended at now_us.
-        """
+    def on_dequeue(self, now_us: int) -> None:
+        """Count the skipped arrivals before a dequeue at now_us as tail
+        drops, and enqueue the arrival that refills the freed slot."""
         stop = self.cfg.stop_us
         self._drop_before(min(now_us, stop))   # they met the full queue
-        if self._next_us == now_us < stop and self._gap_us >= data_us:
-            self._drop_before(now_us + 1)   # ran before the dequeue, on the full queue
-        next_t = self._next_us
-        if next_t < stop:   # the queue has a free slot until then
-            if next_t == now_us or self._refill:   # before the next dequeue
-                self._arrive(next_t)
-            else:
-                self.engine.schedule(next_t, self._emit)
+        if self._next_us < stop:
+            self._arrive(self._next_us)
 
     def _settle(self) -> None:
         """Count the arrivals a still parked source skipped before stop_us."""

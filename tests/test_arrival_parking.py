@@ -9,9 +9,11 @@ every row, which it discards. The SNR recorder defines no ``drop``
 callback, so ``record-trace`` parks as a log-off run does.
 Log-off artifacts carry no sequence numbers, so the sinks' received
 ``(rx_t_us, seq)`` lists are compared as well as the stats and series.
-A parked source whose gap is below DIFS plus the shortest data airtime
-enqueues its next arrival at the dequeue that frees the slot, ahead of that
-arrival's time, so the two paths are compared with and without that refill.
+A source parks only when its gap is below the shortest data airtime at its
+MPDU size; every dequeue that frees its slot then enqueues its next arrival
+at once, ahead of that arrival's time. Any other source takes the
+per-arrival path, so the two paths are compared on each side of that
+threshold.
 """
 
 import io
@@ -89,8 +91,8 @@ def run(built, event_log, monkeypatch):
 
 def assert_parking_exact(cfg, monkeypatch):
     """Both paths agree, and the parked run dispatches no arrival that is
-    dropped: every drop is one event fewer (an arrival enqueued at a tie is
-    one more), and each parking source adds one event at its stop time.
+    dropped: every drop is one event fewer, as is every arrival a dequeue
+    enqueues, and each parking source adds one event at its stop time.
     Returns the queue drops and the number of parking sources."""
     built = build(cfg)
     parked, parked_rx, parked_events, parking = run(built, None, monkeypatch)
@@ -110,17 +112,18 @@ def assert_parking_exact(cfg, monkeypatch):
 
 
 def count_ties(monkeypatch):
-    """Count dequeues that coincide with a skipped arrival, by outcome."""
-    ties = {"dropped": 0, "enqueued": 0}
+    """Record the dequeues that coincide with a skipped arrival; the
+    arrival always runs after the dequeue, so each is enqueued."""
+    ties = []
     on_dequeue = traffic.UdpSource.on_dequeue
 
-    def counting(self, now_us, data_us):
+    def counting(self, now_us):
         t, gap = self._next_us, self._gap_us
         if t < now_us:
             t += -((t - now_us) // gap) * gap
         if t == now_us < self.cfg.stop_us:
-            ties["dropped" if gap > data_us else "enqueued"] += 1
-        on_dequeue(self, now_us, data_us)
+            ties.append(now_us)
+        on_dequeue(self, now_us)
 
     monkeypatch.setattr(traffic.UdpSource, "on_dequeue", counting)
     return ties
@@ -146,25 +149,23 @@ def test_bundled_scenarios_park_exactly(name, monkeypatch):
     assert_parking_exact(bundled(name), monkeypatch)
 
 
-def test_tie_with_gap_above_data_airtime_drops(monkeypatch):
-    # 294 µs gap; the 54 Mbit/s arrival is scheduled before the dequeue
-    ties = count_ties(monkeypatch)
-    assert_parking_exact(bundled("udp_bidirectional", offered_load_bps=40e6),
-                         monkeypatch)
-    assert ties["dropped"] > 0
-
-
 def test_tie_with_gap_below_data_airtime_enqueues(monkeypatch):
     # 218 µs gap; the dequeue is scheduled first and frees the slot
     ties = count_ties(monkeypatch)
     assert_parking_exact(bundled("udp_unidirectional", offered_load_bps=54e6),
                          monkeypatch)
-    assert ties["enqueued"] > 0
+    assert ties
 
 
-def test_gap_equal_to_a_data_airtime_keeps_every_arrival(monkeypatch):
-    cfg = bundled("udp_unidirectional", offered_load_bps=47.4838709677e6)
-    assert build(cfg).udp_flows[0].gap_us == 248   # the 54 Mbit/s airtime
+@pytest.mark.parametrize("name", ["udp_unidirectional", "udp_bidirectional"])
+@pytest.mark.parametrize("load_bps, gap_us", [
+    (47.4838709677e6, 248), (44.95e6, 262), (40e6, 294)])
+def test_a_gap_not_below_the_shortest_data_airtime_keeps_every_arrival(
+        name, load_bps, gap_us, monkeypatch):
+    # 248 µs is the 54 Mbit/s airtime, where a dequeue and an arrival in
+    # the same µs could not be ordered without the skipped events
+    cfg = bundled(name, offered_load_bps=load_bps)
+    assert build(cfg).udp_flows[0].gap_us == gap_us
     drops, parking = assert_parking_exact(cfg, monkeypatch)
     assert drops > 0 and parking == 0
 
@@ -188,23 +189,22 @@ def test_bundled_uni_config_refills_at_the_dequeue(monkeypatch):
     assert len(refills) > 1000
 
 
-@pytest.mark.parametrize("load_bps, gap_us, capacity, refilled", [
-    (41.9e6, 281, 500, True), (41.75e6, 282, 500, False),
-    (40e6, 294, 500, False), (40e6, 294, 1, False)])
+@pytest.mark.parametrize("load_bps, gap_us, capacity, parks", [
+    (47.68e6, 247, 500, True), (47.68e6, 247, 1, True),
+    (41.9e6, 281, 500, False), (40e6, 294, 1, False)])
 @pytest.mark.parametrize("rate_control", ["fixed", "minstrel"])
-def test_refill_needs_a_gap_below_difs_plus_the_shortest_data_airtime(
-        load_bps, gap_us, capacity, refilled, rate_control, monkeypatch):
-    # At a fixed 6 Mbit/s each exchange takes ~2 ms, yet a faster mode's
-    # 248 µs airtime bounds the next dequeue, so 282 µs schedules the
-    # arrival. With Minstrel a one-packet queue can then drain before it.
+def test_parking_needs_a_gap_below_the_shortest_data_airtime(
+        load_bps, gap_us, capacity, parks, rate_control, monkeypatch):
+    # At a fixed 6 Mbit/s each exchange takes ~2 ms, yet the threshold is
+    # the 248 µs airtime of the fastest mode, whichever mode the run uses
     cfg = bundled("udp_unidirectional", rate_control=rate_control,
                   fixed_mode_mbps=6, offered_load_bps=load_bps,
                   queue_capacity=capacity)
     assert build(cfg).udp_flows[0].gap_us == gap_us
     refills = count_refills(monkeypatch)
     drops, parking = assert_parking_exact(cfg, monkeypatch)
-    assert drops > 0 and parking == 1
-    assert bool(refills) == refilled
+    assert drops > 0 and parking == int(parks)
+    assert bool(refills) == parks
 
 
 @pytest.mark.parametrize("after_us", [0, 1])

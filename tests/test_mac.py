@@ -406,6 +406,55 @@ def test_data_starts_wait_out_every_earlier_reservation(scenario, overrides):
     assert (same_us_starts > 0) == (scenario == "udp_bidirectional")
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# every bundled scenario, plus 30 m of faded log-distance loss both ways,
+# where retries reach the retry limit
+AUDITED = {
+    **{p.stem: (p.stem, {}) for p in SCENARIOS.glob("*.ini")},
+    "logdist_fading_bidi_30m": ("logdist_fading", {
+        "traffic_kind": "udp_bidi", "gamma": 3.0,
+        "nodes": {"Master": (0.0, 0.0, 0.0), "ClientA": (30.0, 0.0, 0.0)}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDITED))
+def test_acks_follow_deliveries_and_attempts_stay_within_the_limit(case):
+    """Reading the log in dispatch order: each ACK starts SIFS after the
+    delivered data rx of the same seq and attempt on the reversed link, each
+    delivered data rx gets one ACK, and no data frame is sent more than
+    retry_limit + 1 times."""
+    scenario, overrides = AUDITED[case]
+    cfg = replace(parse_config(SCENARIOS / f"{scenario}.ini"), duration_s=2,
+                  **overrides)
+    buf = io.StringIO()
+    result = simulate(build(cfg), event_log=CsvEventLog(buf))
+    delivered = {}   # (link, seq, attempt) -> rx time, until its ACK
+    acks = attempts_at_limit = retry_drops = 0
+    for r in parse_log(buf):
+        key = r["link"], r["seq"], r["attempt"]
+        if r["event"] == "rx" and r["kind"] == "data" \
+                and r["outcome"] == "delivered":
+            assert key not in delivered
+            delivered[key] = int(r["t_us"])
+        elif r["event"] == "tx" and r["kind"] == "ack":
+            tx, rx = r["link"].split("->")
+            data_rx_us = delivered.pop((f"{rx}->{tx}",) + key[1:])
+            assert int(r["t_us"]) == data_rx_us + DCF.sifs_us, key
+            acks += 1
+        elif r["event"] == "tx" and r["kind"] == "data":
+            assert 1 <= int(r["attempt"]) <= cfg.retry_limit + 1, key
+            attempts_at_limit += int(r["attempt"]) == cfg.retry_limit + 1
+        elif r["outcome"] == "retry_limit":
+            assert int(r["attempt"]) == cfg.retry_limit + 1, key
+            retry_drops += 1
+    assert delivered == {}
+    assert acks == sum(st.acks_sent for st in result.stats.values()) > 0
+    assert retry_drops == sum(st.frames_dropped
+                              for st in result.stats.values())
+    if case == "logdist_fading_bidi_30m":
+        assert retry_drops > 0 and attempts_at_limit >= retry_drops
+
+
 def test_phy_attempts_bounded_per_frame():
     engine, st_a, _, buf = make_link(11.0, 60.0, rate_mbps=18)
     for seq in range(60):

@@ -283,6 +283,16 @@ def test_an_infinite_snr_is_decided_exactly_and_not_tabled(monkeypatch):
     assert phy._BRACKETS == {}
 
 
+def test_an_snr_too_large_for_a_float_is_evaluated_at_the_cap(monkeypatch):
+    # 10 ** (snr_db / 10) overflows above ~3,083 dB; p is exactly 1.0 for
+    # every mode from 27.7 dB at the largest frame, so the cap changes no p
+    monkeypatch.setattr(phy, "_BRACKETS", {})
+    for m in MODES:
+        assert frame_success_probability(27.7, m, 2328) == 1.0
+        assert frame_success_probability(1e308, m, 2328) == 1.0
+        assert receive(1528, m, 5000.0, _Draw(0.999), {}) == phy.DELIVERED
+
+
 def test_faded_receptions_match_the_plain_path_and_bound_the_table(
         monkeypatch):
     monkeypatch.setattr(phy, "_BRACKETS", {})

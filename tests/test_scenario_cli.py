@@ -425,6 +425,12 @@ LATE_CONFIG_ERRORS = {
     "malformed_mobility": (_moving_config(
         "0,Master,0,0,0\n0,ClientA,6,0,0\n1,ClientA,q,0,0\n"),
         "mob.csv: line 4: malformed x_m: 'q'"),
+    # a fading draw needs the mean power in watts, which overflows a float
+    "faded_power_overflow": (_config(BASE.replace(
+        "model = friis",
+        "model = logdist\ngamma = 2\nref_distance_m = 1\nnakagami_m = 1")
+        + "\n[radio]\nrf_gain_db_per_end = 1600\n"),
+        "link Master->ClientA: mean received power"),
 }
 
 
@@ -449,6 +455,25 @@ def test_build_raises_a_config_error_for_each_late_config_error(tmp_path,
     cfg = parse_config(make_config(tmp_path))
     with pytest.raises(ConfigError, match=re.escape(message)):
         build(cfg)
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda tmp_path: trace_config(
+        tmp_path, CONST_35 + "500000,Master,ClientA,5000\n"),
+    _config(BASE.replace("model = friis",
+                         "model = logdist\ngamma = 2\nref_distance_m = 1")
+            + "\n[radio]\nrf_gain_db_per_end = 1600\n"),
+], ids=["replayed_5000_db", "unfaded_rf_gain_1600_db"])
+def test_an_snr_too_large_for_a_float_runs_as_a_strong_link(tmp_path,
+                                                            make_config):
+    # 10 ** (snr_db / 10) overflows above ~3,083 dB; p is 1.0 long before
+    cfg_path = make_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out),
+                     "--duration", "1"]) == 0
+    strong = simulate(build(parse_config(trace_config(tmp_path, CONST_35))))
+    run = simulate(build(parse_config(cfg_path)))
+    assert run.stats == strong.stats and run.throughput == strong.throughput
 
 
 FADING = BASE.replace("model = friis", "model = logdist\ngamma = 1.7\n"
