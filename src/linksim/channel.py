@@ -9,6 +9,7 @@ returns recorded values verbatim.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from numbers import Real
 from typing import Callable
@@ -80,8 +81,10 @@ class PropagationSpec(Frozen):
             raise ValueError("gamma must be > 0")
         if not self.ref_distance_m > 0:
             raise ValueError("ref_distance_m must be > 0")
-        if self.nakagami_m is not None and not self.nakagami_m >= 0.5:
-            raise ValueError("nakagami_m must be >= 0.5")
+        # a gamma draw takes sqrt(2m - 1), which is infinite above max / 2
+        max_m = sys.float_info.max / 2
+        if self.nakagami_m is not None and not 0.5 <= self.nakagami_m <= max_m:
+            raise ValueError(f"nakagami_m must be in [0.5, {max_m}]")
 
 
 def friis_path_loss(d_m: float, f_hz: float,

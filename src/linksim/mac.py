@@ -225,9 +225,8 @@ class Station:
         self.queue: deque = deque()
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
-        # reception draws and FER memo for frames this station receives
+        # reception draws for frames this station receives
         self._rx_rng = RngStream(root_seed, f"phy.rx.{peer_node}->{node}")
-        self._rx_memo: dict = {}
         self._tx_link = DirectedLink(node, peer_node)
         self._rx_link = DirectedLink(peer_node, node)
         self.rx_handlers: list[Callable] = []
@@ -353,8 +352,7 @@ class Station:
                             None, COLLIDED)
         else:
             snr_db = self.channel.snr(self._tx_link, t)
-            outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng,
-                                  peer._rx_memo)
+            outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng)
             if self.log_rx is not None:
                 self.log_rx(t, peer.node, "data", self._tx_link,
                             mode.data_rate_mbps, frame.seq, self._attempts,
@@ -376,7 +374,7 @@ class Station:
         peer.stats.acks_sent += 1
         snr_db = self.channel.snr(self._rx_link, ack_end)
         outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
-                              self._rx_rng, self._rx_memo)
+                              self._rx_rng)
         if self.log_tx is not None:
             self.log_tx(ack_start, peer.node, "ack", self._rx_link,
                         ack_mode.data_rate_mbps, seq, self._attempts,

@@ -142,35 +142,17 @@ _BRACKETS: dict[tuple[int, int, float], tuple[float, float]] = {}
 _BRACKET_EPS = 1e-9
 
 
-def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng,
-            memo: dict | None = None) -> str:
+def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng) -> str:
     """Stochastic reception decision: DELIVERED iff the stream draw < p(success).
 
-    Exactly one draw u is taken from rng. With memo None, p is computed
-    exactly. Otherwise memo maps (mode id, frame_bytes) to the last SNR
-    seen for that pair: one entry per pair however many SNRs pass through
-    it. A repeated SNR (static link, held trace sample) uses its exact p,
-    computed on the second sight and kept in the entry. A new SNR (fading)
-    is decided against its 0.1 dB bin k = floor(10 * snr_db) in a shared
-    table that holds p at both bin edges, widened by _BRACKET_EPS: u below
-    the low edge is DELIVERED, u at or above the high edge is CORRUPTED,
-    and only a u in between computes p exactly. The decision is the same as
-    u < p because p is nondecreasing in SNR, so p(k/10) <= p(snr_db) <=
-    p((k+1)/10).
+    Exactly one draw u is taken from rng. It is decided against the SNR's
+    0.1 dB bin k = floor(10 * snr_db) in a shared table that holds p at both
+    bin edges, widened by _BRACKET_EPS: u below the low edge is DELIVERED,
+    u at or above the high edge is CORRUPTED, and only a u in between
+    computes p exactly. The decision is the same as u < p because p is
+    nondecreasing in SNR, so p(k/10) <= p(snr_db) <= p((k+1)/10).
     """
     u = rng.random()
-    if memo is None:
-        p = frame_success_probability(snr_db, mode, frame_bytes)
-        return DELIVERED if u < p else CORRUPTED
-    key = (mode.id, frame_bytes)
-    last = memo.get(key)
-    if last is not None and last[0] == snr_db:
-        p = last[1]
-        if p is None:
-            p = frame_success_probability(snr_db, mode, frame_bytes)
-            memo[key] = (snr_db, p)
-        return DELIVERED if u < p else CORRUPTED
-    memo[key] = (snr_db, None)
     k = snr_db * 10.0 // 1.0
     bin_key = (mode.id, frame_bytes, k)
     edges = _BRACKETS.get(bin_key)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import json
+import math
 import os
 from functools import reduce
 from operator import add
@@ -375,14 +376,15 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                 closest_m = mobility.min_distance(link.tx, link.rx, 0,
                                                   run_end_us)
                 rx_dbm = mean_rx_power_dbm(spec, cfg.radio, closest_m)
+                if not math.isfinite(rx_dbm):
+                    raise OverflowError
+                if cfg.nakagami_m is not None:   # fading draws on power in watts
+                    dbm_to_w(rx_dbm)
             except ValueError as exc:
                 raise ConfigError(f"link {link}: {exc}") from None
-            if cfg.nakagami_m is not None:   # fading draws on power in watts
-                try:
-                    dbm_to_w(rx_dbm)
-                except OverflowError:
-                    raise ConfigError(f"link {link}: mean received power "
-                                      f"{rx_dbm} dBm overflows") from None
+            except OverflowError:
+                raise ConfigError(f"link {link}: mean received power "
+                                  f"{rx_dbm} dBm overflows") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
                     retry_limit=cfg.retry_limit,
                     basic_rates_mbps=tuple(cfg.basic_rates_mbps))

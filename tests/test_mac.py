@@ -17,8 +17,9 @@ from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
                          build_point_to_point)
 from linksim.phy import MODES, frame_duration_us, mode_for_rate
 from linksim.record import replace
-from linksim.scenario import CsvEventLog, build, parse_config, simulate
-from linksim.traces import MobilityTrace, parse_snr_trace
+from linksim.scenario import (CsvEventLog, build, execute_record,
+                              parse_config, simulate)
+from linksim.traces import DirectedLink, MobilityTrace, parse_snr_trace
 from linksim.traffic import DEFAULT_HEADER_OVERHEAD, Packet
 
 DCF = DcfParams()
@@ -417,20 +418,27 @@ AUDITED = {
 }
 
 
+def audited_run(case, **changes):
+    """An AUDITED case run for 2 s with its log: (cfg, built, result, rows)."""
+    scenario, overrides = AUDITED[case]
+    cfg = replace(parse_config(SCENARIOS / f"{scenario}.ini"), duration_s=2,
+                  **{**overrides, **changes})
+    built = build(cfg)
+    buf = io.StringIO()
+    result = simulate(built, event_log=CsvEventLog(buf))
+    return cfg, built, result, parse_log(buf)
+
+
 @pytest.mark.parametrize("case", sorted(AUDITED))
 def test_acks_follow_deliveries_and_attempts_stay_within_the_limit(case):
     """Reading the log in dispatch order: each ACK starts SIFS after the
     delivered data rx of the same seq and attempt on the reversed link, each
     delivered data rx gets one ACK, and no data frame is sent more than
     retry_limit + 1 times."""
-    scenario, overrides = AUDITED[case]
-    cfg = replace(parse_config(SCENARIOS / f"{scenario}.ini"), duration_s=2,
-                  **overrides)
-    buf = io.StringIO()
-    result = simulate(build(cfg), event_log=CsvEventLog(buf))
+    cfg, _, result, rows = audited_run(case)
     delivered = {}   # (link, seq, attempt) -> rx time, until its ACK
     acks = attempts_at_limit = retry_drops = 0
-    for r in parse_log(buf):
+    for r in rows:
         key = r["link"], r["seq"], r["attempt"]
         if r["event"] == "rx" and r["kind"] == "data" \
                 and r["outcome"] == "delivered":
@@ -453,6 +461,54 @@ def test_acks_follow_deliveries_and_attempts_stay_within_the_limit(case):
                               for st in result.stats.values())
     if case == "logdist_fading_bidi_30m":
         assert retry_drops > 0 and attempts_at_limit >= retry_drops
+
+
+@pytest.mark.parametrize("case", sorted(AUDITED))
+def test_data_seqs_never_decrease_and_attempts_count_up_from_1(case):
+    """Reading the log in dispatch order, on each link: a data tx repeats
+    the last seq at the next attempt, or starts a larger seq at attempt 1."""
+    _, _, _, rows = audited_run(case)
+    last = {}   # link -> (seq, attempt) of its last data tx
+    retries = 0
+    for r in rows:
+        if r["event"] == "tx" and r["kind"] == "data":
+            seq, attempt = int(r["seq"]), int(r["attempt"])
+            last_seq, last_attempt = last.get(r["link"], (-1, 0))
+            if seq == last_seq:
+                assert attempt == last_attempt + 1, r
+                retries += 1
+            else:
+                assert seq > last_seq and attempt == 1, r
+            last[r["link"]] = seq, attempt
+    assert last
+    if case == "logdist_fading_bidi_30m":
+        assert retries > 0
+
+
+@pytest.mark.parametrize("case", ["replay_asymmetric", "replay_constant",
+                                  "recorded_logdist_fading_bidi"])
+def test_every_replayed_snr_is_the_trace_sample_at_its_time(tmp_path, case):
+    """Each rx row with an SNR carries the trace's last sample at or before
+    its time on its link, as SnrTrace.snr_at reads it (a run uses the
+    channel's inlined copy of that lookup)."""
+    changes = {}
+    if case == "recorded_logdist_fading_bidi":
+        # as the benchmark's replay: record a faded run, replay the trace
+        # at the next seed
+        path = tmp_path / "trace.csv"
+        execute_record(replace(parse_config(SCENARIOS / "logdist_fading.ini"),
+                               duration_s=2, traffic_kind="udp_bidi"), path)
+        case, changes = "replay_constant", {
+            "trace_file": str(path), "seed": 2, "traffic_kind": "udp_bidi"}
+    _, built, _, rows = audited_run(case, **changes)
+    checked = 0
+    for r in rows:
+        if r["event"] == "rx" and r["snr_db"]:
+            link = DirectedLink(*r["link"].split("->"))
+            assert float(r["snr_db"]) == built.spec.trace.snr_at(
+                link, int(r["t_us"])), r
+            checked += 1
+    assert checked > 8000
 
 
 def test_phy_attempts_bounded_per_frame():

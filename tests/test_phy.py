@@ -184,33 +184,23 @@ def test_receive_empirical_rate_matches_probability():
 
 
 
-def test_fer_memo_gives_the_unmemoized_outcomes():
+def test_repeated_snrs_decide_as_the_draw_below_p():
     # SNRs that repeat and change, at modes and sizes where p is in between
     snrs = [12.92, 12.92, 12.92, 13.4, 13.4, 12.92, 22.0, 6.5, 6.5, 12.92]
     pairs = [(MODES[4], 1472), (MODES[7], 1472), (MODES[2], 14),
              (MODES[4], 1528)]
-    memo: dict = {}
-    memoized = RngStream(9, "phy.rx.memo")
-    plain = RngStream(9, "phy.rx.memo")
+    rx = RngStream(9, "phy.rx.repeat")
+    plain = RngStream(9, "phy.rx.repeat")
     outcomes = set()
     for i in range(2000):
         mode, nbytes = pairs[i // 7 % len(pairs)]
         snr_db = snrs[i % len(snrs)]
         p = frame_success_probability(snr_db, mode, nbytes)
         want = phy.DELIVERED if plain.random() < p else phy.CORRUPTED
-        assert receive(nbytes, mode, snr_db, memoized, memo) == want
+        assert receive(nbytes, mode, snr_db, rx) == want
         outcomes.add(want)
     assert outcomes == {phy.DELIVERED, phy.CORRUPTED}
-    assert memoized.random() == plain.random()   # one draw per reception
-    assert len(memo) == len(pairs)
-
-
-def test_fer_memo_stays_bounded_when_snr_never_repeats():
-    memo: dict = {}
-    rng = RngStream(4, "phy.rx.fading")
-    for i in range(5000):
-        receive(1528, MODES[i % 2], 5.0 + i * 1e-3, rng, memo)
-    assert len(memo) == 2
+    assert rx.random() == plain.random()   # one draw per reception
 
 
 class _Draw:
@@ -241,7 +231,6 @@ def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
     seen = {"below": 0, "between": 0, "above": 0, "ber0": 0, "p0": 0}
     for mode in MODES:
         for nbytes in (1528, 14, 1001):
-            key = (mode.id, nbytes)
             for snr_db in _bracket_snrs(rng):
                 p = frame_success_probability(snr_db, mode, nbytes)
                 seen["ber0"] += p == 1.0
@@ -256,17 +245,10 @@ def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
                            math.nextafter(edges[1], 2.0)]
                 for u in us:
                     want = phy.DELIVERED if u < p else phy.CORRUPTED
-                    # memo off, first sight (table), second sight (exact p
-                    # computed into the entry), third sight (entry's p)
-                    memos = [None, {}, {key: (snr_db, None)},
-                             {key: (snr_db, p)}]
-                    for memo in memos:
-                        draw = _Draw(u)
-                        assert receive(nbytes, mode, snr_db, draw, memo) \
-                            == want, (str(mode), nbytes, snr_db, u)
-                        assert draw.draws == 1
-                    assert memos[1] == {key: (snr_db, None)}
-                    assert memos[2] == {key: (snr_db, p)}
+                    draw = _Draw(u)
+                    assert receive(nbytes, mode, snr_db, draw) == want, \
+                        (str(mode), nbytes, snr_db, u)
+                    assert draw.draws == 1
                     low, high = phy._BRACKETS[bin_key]
                     seen["below" if u < low else
                          "above" if u >= high else "between"] += 1
@@ -274,12 +256,33 @@ def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
     assert min(seen.values()) > 100, seen
 
 
+def test_a_repeated_snr_drawn_outside_its_bin_computes_no_p(monkeypatch):
+    monkeypatch.setattr(phy, "_BRACKETS", {})
+    exact = phy.frame_success_probability
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+    monkeypatch.setattr(phy, "frame_success_probability", counted)
+    mode, snr_db = MODES[4], 12.92
+    receive(1472, mode, snr_db, _Draw(0.5))   # fills the bin's two edges
+    low, high = phy._BRACKETS[(mode.id, 1472, snr_db * 10.0 // 1.0)]
+    assert 0.0 < low < high < 1.0
+    calls.clear()
+    for _ in range(3):   # a held trace sample or a static link
+        assert receive(1472, mode, snr_db, _Draw(low / 2)) == phy.DELIVERED
+        assert receive(1472, mode, snr_db, _Draw((high + 1.0) / 2)) \
+            == phy.CORRUPTED
+    assert calls == []
+
+
 def test_an_infinite_snr_is_decided_exactly_and_not_tabled(monkeypatch):
     monkeypatch.setattr(phy, "_BRACKETS", {})
     for snr_db, want in ((math.inf, phy.DELIVERED),
                          (-math.inf, phy.CORRUPTED)):
         for _ in range(3):
-            assert receive(1528, MODES[7], snr_db, _Draw(0.5), {}) == want
+            assert receive(1528, MODES[7], snr_db, _Draw(0.5)) == want
     assert phy._BRACKETS == {}
 
 
@@ -290,13 +293,12 @@ def test_an_snr_too_large_for_a_float_is_evaluated_at_the_cap(monkeypatch):
     for m in MODES:
         assert frame_success_probability(27.7, m, 2328) == 1.0
         assert frame_success_probability(1e308, m, 2328) == 1.0
-        assert receive(1528, m, 5000.0, _Draw(0.999), {}) == phy.DELIVERED
+        assert receive(1528, m, 5000.0, _Draw(0.999)) == phy.DELIVERED
 
 
 def test_faded_receptions_match_the_plain_path_and_bound_the_table(
         monkeypatch):
     monkeypatch.setattr(phy, "_BRACKETS", {})
-    memo: dict = {}
     rx, plain = RngStream(8, "phy.rx.grow"), RngStream(8, "phy.rx.grow")
     fading = RngStream(8, "fading.grow")
     bins, outcomes = set(), set()
@@ -306,12 +308,11 @@ def test_faded_receptions_match_the_plain_path_and_bound_the_table(
         mode, nbytes = (MODES[i % 2 + 5], 1528) if i % 3 else (MODES[4], 14)
         p = frame_success_probability(snr_db, mode, nbytes)
         want = phy.DELIVERED if plain.random() < p else phy.CORRUPTED
-        assert receive(nbytes, mode, snr_db, rx, memo) == want
+        assert receive(nbytes, mode, snr_db, rx) == want
         outcomes.add(want)
         bins.add((mode.id, nbytes, math.floor(snr_db * 10.0)))
     assert outcomes == {phy.DELIVERED, phy.CORRUPTED}
     assert rx.random() == plain.random()   # one draw per reception
-    assert len(memo) == 3
     assert len(phy._BRACKETS) == len(bins)
     # one entry per 0.1 dB bin that a draw fell in, not one per reception
     assert len(phy._BRACKETS) < 700

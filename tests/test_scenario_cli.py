@@ -431,6 +431,18 @@ LATE_CONFIG_ERRORS = {
         "model = logdist\ngamma = 2\nref_distance_m = 1\nnakagami_m = 1")
         + "\n[radio]\nrf_gain_db_per_end = 1600\n"),
         "link Master->ClientA: mean received power"),
+    # 2 * rf_gain_db_per_end overflows to +inf, and 10 * gamma to an
+    # infinite loss: either link budget would record inf SNR rows
+    "infinite_rf_gain": (_config(BASE.replace(
+        "model = friis", "model = logdist\ngamma = 2\nref_distance_m = 1")
+        + "\n[radio]\nrf_gain_db_per_end = 1e308\n"),
+        "link Master->ClientA: mean received power inf dBm"),
+    "infinite_path_loss": (_config(BASE.replace(
+        "model = friis", "model = logdist\ngamma = 1e308\nref_distance_m = 1")),
+        "link Master->ClientA: mean received power -inf dBm"),
+    # a gamma draw would reject every candidate, and the run never ends
+    "nakagami_m_huge": (_config(BASE.replace(
+        "model = friis", "model = friis\nnakagami_m = 1e308")), "nakagami_m"),
 }
 
 
