@@ -373,13 +373,14 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                 raise ConfigError(f"SNR trace has no samples for link {link}")
         else:   # the path loss model must admit every distance
             try:
-                closest_m = mobility.min_distance(link.tx, link.rx, 0,
-                                                  run_end_us)
-                rx_dbm = mean_rx_power_dbm(spec, cfg.radio, closest_m)
-                if not math.isfinite(rx_dbm):
-                    raise OverflowError
-                if cfg.nakagami_m is not None:   # fading draws on power in watts
-                    dbm_to_w(rx_dbm)
+                # the budget is monotone in distance, so its extremes bound it
+                for d_m in mobility.distance_range(link.tx, link.rx, 0,
+                                                   run_end_us):
+                    rx_dbm = mean_rx_power_dbm(spec, cfg.radio, d_m)
+                    if not math.isfinite(rx_dbm):
+                        raise OverflowError
+                    if cfg.nakagami_m is not None:   # fading draws on watts
+                        dbm_to_w(rx_dbm)
             except ValueError as exc:
                 raise ConfigError(f"link {link}: {exc}") from None
             except OverflowError:

@@ -28,8 +28,8 @@ MOBILITY_HEADER = "t_us,node,x_m,y_m,z_m"
 _NODE_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _MAX_T_US = 2**63 - 1   # timestamps are stored as int64
 _GAP_WARNING_US = 1_000_000   # a longer per-link SNR sample gap is logged
-# A trace is read in chunks of at least this many bytes (characters for str
-# input), each ending just after a newline.
+# A trace is read in chunks of at least this many bytes, each ending just
+# after a newline.
 _CHUNK = 1 << 16
 
 
@@ -189,53 +189,22 @@ def _rows(chunks, header: str, n_fields: int, what: str):
         raise TraceFormatError(line_no, f"no {what} in file")
 
 
-def _snr_row(t_us: int, link: DirectedLink, snr_db: float) -> str:
-    """One line of the SNR trace CSV; repr keeps the value bit-exact."""
-    return f"{t_us},{link[0]},{link[1]},{snr_db!r}\n"
-
-
 class SnrTrace:
     """Per-frame receiver SNR samples keyed by directed link.
 
     Each link holds one ``(times, values)`` pair of typed arrays, int64
-    microseconds and float64 dB, so a sample takes 16 bytes. The arrays are
-    copies of what the constructor is given, so the trace is immutable after
-    construction. Lookups hold the last observed value; queries before the
-    first sample clamp to it.
+    microseconds and float64 dB, so a sample takes 16 bytes. The trace holds
+    the arrays it is given, not a copy: its reader hands it arrays it has
+    checked and that no one else holds, as a copy would double the memory of
+    the trace while it is made. Lookups hold the last observed value;
+    queries before the first sample clamp to it.
     """
 
-    def __init__(self, series: dict[DirectedLink, tuple]):
-        if not series:
-            raise ValueError("trace must contain at least one link")
-        self._series = {}
-        for link, (times, values) in series.items():
-            times, values = array("q", times), array("d", values)
-            if not times:
-                raise ValueError(f"link {link} has no samples")
-            if len(times) != len(values):
-                raise ValueError(f"link {link} has {len(times)} times "
-                                 f"and {len(values)} values")
-            if not all(map(lt, times, islice(times, 1, None))):
-                raise ValueError(f"link {link} samples not strictly increasing")
-            self._series[link] = (times, values)
-
-    @classmethod
-    def _adopt(cls, series: dict[DirectedLink, tuple[array, array]]) -> "SnrTrace":
-        """A trace that holds series itself, not a copy.
-
-        For parse_snr_trace, whose arrays are checked and held by no one
-        else: a copy would double the memory of the trace while it is made.
-        """
-        trace = cls.__new__(cls)
-        trace._series = series
-        return trace
+    def __init__(self, series: dict[DirectedLink, tuple[array, array]]):
+        self._series = series
 
     def links(self) -> list[DirectedLink]:
         return list(self._series)
-
-    def samples(self, link: DirectedLink) -> list[tuple[int, float]]:
-        """(t_us, snr_db) of every sample on link, in time order."""
-        return list(zip(*self.series(link)))
 
     def snr_at(self, link: DirectedLink, t_us: int) -> float:
         """SNR in dB at t_us: last sample at or before t_us, clamped to the first."""
@@ -248,11 +217,6 @@ class SnrTrace:
             return self._series[link]
         except KeyError:
             raise KeyError(f"no trace for link {link}") from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SnrTrace):
-            return NotImplemented
-        return self._series == other._series
 
 
 def parse_snr_trace(data: str | bytes) -> SnrTrace:
@@ -305,7 +269,7 @@ def _snr_trace(chunks) -> SnrTrace:
                 "link %s has a %.3f s sample gap (hold-last applies)",
                 link, gap / 1e6,
             )
-    return SnrTrace._adopt(series)
+    return SnrTrace(series)
 
 
 def _link_store(series, line_no: int, tx: str, rx: str):
@@ -315,15 +279,6 @@ def _link_store(series, line_no: int, tx: str, rx: str):
     if tx == rx:
         raise TraceFormatError(line_no, f"tx equals rx: {tx!r}")
     return series.setdefault(DirectedLink(tx, rx), (array("q"), array("d")))
-
-
-def serialize_snr_trace(trace: SnrTrace) -> str:
-    """Canonical CSV form; parse(serialize(t)) == t bit-exactly."""
-    return SNR_HEADER + "\n" + "".join(
-        _snr_row(t_us, link, snr_db)
-        for link in sorted(trace.links())
-        for t_us, snr_db in trace.samples(link)
-    )
 
 
 class TraceCsvRecorder:
@@ -341,33 +296,27 @@ class TraceCsvRecorder:
         self._write(SNR_HEADER + "\n")
 
     def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
-        if snr_db is not None:
-            self._write(_snr_row(t, link, snr_db))
+        if snr_db is not None:   # repr keeps the value bit-exact
+            self._write(f"{t},{link[0]},{link[1]},{snr_db!r}\n")
 
 
 class MobilityTrace:
     """Per-node waypoint tracks with linear interpolation between them.
 
     Each node holds one ``(times, xs, ys, zs)`` tuple of typed arrays, int64
-    microseconds and float64 metres, so a waypoint takes 32 bytes. The arrays
-    are copies of what the constructor is given, so the trace is immutable
-    after construction.
+    microseconds and float64 metres, so a waypoint takes 32 bytes. The
+    arrays are built from the columns the constructor is given, which its
+    two makers, ``_mobility`` and ``static``, give in strictly increasing
+    time order.
     """
 
     def __init__(self, tracks: dict[str, tuple]):
         if not tracks:
             raise ValueError("mobility trace must contain at least one node")
-        self._tracks = {}
-        for node, (times, *axes) in tracks.items():
-            times = array("q", times)
-            xs, ys, zs = (array("d", axis) for axis in axes)
-            if not times:
-                raise ValueError(f"node {node!r} has no waypoints")
-            if not len(times) == len(xs) == len(ys) == len(zs):
-                raise ValueError(f"node {node!r} has columns of unequal length")
-            if not all(map(lt, times, islice(times, 1, None))):
-                raise ValueError(f"node {node!r} waypoints not strictly increasing")
-            self._tracks[node] = (times, xs, ys, zs)
+        self._tracks = {
+            node: (array("q", times), *(array("d", axis) for axis in axes))
+            for node, (times, *axes) in tracks.items()
+        }
 
     @classmethod
     def static(cls, positions: dict[str, tuple[float, float, float]]) -> "MobilityTrace":
@@ -408,12 +357,15 @@ class MobilityTrace:
         bx, by, bz = self.position_at(b, t_us)
         return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
 
-    def min_distance(self, a: str, b: str, t0_us: int, t1_us: int) -> float:
-        """Smallest distance in meters between two nodes over [t0_us, t1_us].
+    def distance_range(self, a: str, b: str, t0_us: int,
+                       t1_us: int) -> tuple[float, float]:
+        """Smallest and largest distance in meters between two nodes over
+        [t0_us, t1_us].
 
         Between the merged waypoint times both positions are linear, so on
-        each such segment the squared distance is a quadratic in time and its
-        minimum has a closed form.
+        each such segment the squared distance is a quadratic in time: its
+        minimum has a closed form, and its maximum lies at an end of the
+        segment, the distance being convex on it.
         """
         waypoint_times = chain(self.track(a)[0], self.track(b)[0])
         inner = {t for t in waypoint_times if t0_us < t < t1_us}
@@ -424,7 +376,7 @@ class MobilityTrace:
             return tuple(x - y for x, y in zip(pa, pb))
 
         p = offset(cuts[0])
-        best = math.hypot(*p)
+        closest = farthest = math.hypot(*p)
         for t_us in cuts[1:]:
             q = offset(t_us)
             v = [y - x for x, y in zip(p, q)]
@@ -434,24 +386,17 @@ class MobilityTrace:
             if vv > 0.0:
                 dot = reduce(add, map(mul, p, v), 0)
                 s = min(max(-dot / vv, 0.0), 1.0)
-                best = min(best, math.hypot(*(x + s * c for x, c in zip(p, v))))
+                closest = min(closest,
+                              math.hypot(*(x + s * c for x, c in zip(p, v))))
+            farthest = max(farthest, math.hypot(*q))
             p = q
-        return best
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MobilityTrace):
-            return NotImplemented
-        return self._tracks == other._tracks
-
-
-def parse_mobility(data: str | bytes) -> MobilityTrace:
-    """Parse the canonical mobility CSV. Duplicate (node, t) pairs are errors."""
-    return _read(data, _mobility)
+        return closest, farthest
 
 
 def read_mobility(fh: BinaryIO,
                   on_block: Callable[[bytes], object]) -> MobilityTrace:
-    """parse_mobility of the open binary file fh, as read_snr_trace reads."""
+    """The mobility trace CSV in the open binary file fh, read as
+    read_snr_trace reads it. Duplicate (node, t) pairs are errors."""
     return _read(fh, _mobility, on_block)
 
 

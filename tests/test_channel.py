@@ -11,6 +11,7 @@ from linksim.channel import (Channel, PropagationSpec, RadioParams,
 from linksim.engine import RngStream
 from linksim.scenario import ConfigError, ScenarioConfig, build
 from linksim.traces import DirectedLink, MobilityTrace, SnrTrace, parse_snr_trace
+from trace_files import mobility_of
 
 AB = DirectedLink("A", "B")
 BA = DirectedLink("B", "A")
@@ -191,17 +192,18 @@ def test_channel_fading_stream_is_per_link_and_seeded():
 
 def moving_mobility() -> MobilityTrace:
     """B moves away from A, from 6 m at t = 0 to 60 m at t = 1 s."""
-    return MobilityTrace({
-        "A": ([0], [0.0], [0.0], [0.0]),
-        "B": ([0, 1_000_000], [6.0, 60.0], [0.0, 0.0], [0.0, 0.0]),
+    return mobility_of({
+        "A": [(0, 0.0, 0.0, 0.0)],
+        "B": [(0, 6.0, 0.0, 0.0), (1_000_000, 60.0, 0.0, 0.0)],
     })
 
 
 def random_trace() -> SnrTrace:
+    """200 random samples on A->B, one on B->A; repr keeps each exact."""
     rng = random.Random(9)
     times = sorted(rng.sample(range(1, 1_000_000), 200))
-    return SnrTrace({AB: (times, [rng.uniform(-5, 40) for _ in times]),
-                     BA: ([500], [12.5])})
+    return parse_snr_trace("t_us,tx,rx,snr_db\n" + "".join(
+        f"{t},A,B,{rng.uniform(-5, 40)!r}\n" for t in times) + "500,B,A,12.5\n")
 
 
 FADING = dict(nakagami_m=1.25)
@@ -263,10 +265,8 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
 
 
 def test_replayed_link_snr_is_snr_at_bit_for_bit():
-    rng = random.Random(9)
-    times = sorted(rng.sample(range(1, 1_000_000), 200))
-    trace = SnrTrace({AB: (times, [rng.uniform(-5, 40) for _ in times]),
-                      BA: ([500], [12.5])})
+    trace = random_trace()
+    times = trace.series(AB)[0]
     ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
                  static_mobility(6.0), 1)
     queries = [0, 2_000_000, *times, *(t - 1 for t in times),

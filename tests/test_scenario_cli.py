@@ -316,7 +316,7 @@ def test_record_trace_and_replay_round_trip(tmp_path):
     assert len(trace.links()) == 2
     # every reception used the friis-composed SNR for its link
     for link in trace.links():
-        values = {snr_db for _, snr_db in trace.samples(link)}
+        values = set(trace.series(link)[1])
         assert len(values) == 1                    # static nodes, no fading
     assert run.stats["Master"].data_frames > 0
 
@@ -368,12 +368,13 @@ def _config(text):
     return lambda tmp_path: write_config(tmp_path, text)
 
 
-def _moving_config(waypoints):
+def _moving_config(waypoints, propagation="model = friis"):
     def make(tmp_path):
         (tmp_path / "mob.csv").write_text(
             "t_us,node,x_m,y_m,z_m\n" + waypoints, encoding="utf-8")
         return write_config(tmp_path, BASE.replace(
-            "Master = 0,0,0\nClientA = 6,0,0", "mobility_file = mob.csv"))
+            "Master = 0,0,0\nClientA = 6,0,0", "mobility_file = mob.csv")
+            .replace("model = friis", propagation))
     return make
 
 
@@ -381,12 +382,14 @@ def _moving_config(waypoints):
 CROSSING = "0,Master,0,0,0\n0,ClientA,6,0,0\n2000000,ClientA,-6,0,0\n"
 # ClientA passes Master at 0.5 m, the closest distance Friis admits
 GRAZING = "0,Master,0,0,0\n0,ClientA,6,0.5,0\n2000000,ClientA,-6,0.5,0\n"
+# ClientA walks away from Master, from 5 m to 70 m over the first second
+WALK = "0,Master,0,0,0\n0,ClientA,5,0,0\n1000000,ClientA,70,0,0\n"
 
 
 def test_moving_nodes_at_an_admitted_distance_build(tmp_path):
     built = build(parse_config(_moving_config(GRAZING)(tmp_path)))
-    assert built.mobility.min_distance("Master", "ClientA",
-                                       0, 2_000_000) == 0.5
+    assert built.mobility.distance_range("Master", "ClientA",
+                                         0, 2_000_000)[0] == 0.5
 
 
 # One invalid value for each part that build() constructs, plus the traffic
@@ -440,6 +443,11 @@ LATE_CONFIG_ERRORS = {
     "infinite_path_loss": (_config(BASE.replace(
         "model = friis", "model = logdist\ngamma = 1e308\nref_distance_m = 1")),
         "link Master->ClientA: mean received power -inf dBm"),
+    # the path loss is finite at 5 m, the closest approach, and infinite
+    # at 70 m, the farthest
+    "infinite_path_loss_far": (_moving_config(
+        WALK, "model = logdist\ngamma = 1e307"),
+        "link Master->ClientA: mean received power -inf dBm overflows"),
     # a gamma draw would reject every candidate, and the run never ends
     "nakagami_m_huge": (_config(BASE.replace(
         "model = friis", "model = friis\nnakagami_m = 1e308")), "nakagami_m"),
@@ -819,8 +827,9 @@ def test_a_streamed_input_is_hashed_and_parsed_byte_for_byte(tmp_path, newline,
     cfg = replace(parse_config(cfg_path), duration_s=1, log_events=False)
     built = build(cfg)
     expected = parse_snr_trace(data)
-    assert built.spec.trace == expected
     assert built.spec.trace.links() == expected.links()
+    for link in expected.links():
+        assert built.spec.trace.series(link) == expected.series(link)
     execute_run(cfg, tmp_path / "out")
     doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert doc["inputs"] == {str(trace): hashlib.sha256(data).hexdigest()}

@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,24 @@ import pytest
 from linksim import cli, scenario, traces
 from linksim.traces import (MOBILITY_HEADER, SNR_HEADER, DirectedLink,
                             MobilityTrace, SnrTrace, TraceCsvRecorder,
-                            TraceFormatError, parse_mobility,
-                            parse_snr_trace, serialize_snr_trace)
+                            TraceFormatError, parse_snr_trace)
+from trace_files import mobility_of, read_mobility_text
 
 AB = DirectedLink("A", "B")
 BA = DirectedLink("B", "A")
+
+
+def trace_columns(trace):
+    """Each link or node of trace in order, with its typed arrays: two
+    traces hold the same samples when their columns compare equal."""
+    if isinstance(trace, SnrTrace):
+        return [(link, trace.series(link)) for link in trace.links()]
+    return [(node, trace.track(node)) for node in trace.nodes()]
+
+
+def samples(trace, link):
+    """(t_us, snr_db) of every sample on link, in time order."""
+    return list(zip(*trace.series(link)))
 
 
 def test_directed_link_is_directional():
@@ -37,13 +51,13 @@ def test_directed_link_is_directional():
 def test_parse_single_sample():
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n1000000,A,B,23.5\n")
     assert trace.links() == [AB]
-    assert trace.samples(AB) == [(1_000_000, 23.5)]
+    assert samples(trace, AB) == [(1_000_000, 23.5)]
 
 
 def test_parse_duplicate_timestamp_last_wins():
     text = "t_us,tx,rx,snr_db\n5,A,B,20.0\n5,A,B,21.0\n"
     trace = parse_snr_trace(text)
-    assert trace.samples(AB) == [(5, 21.0)]
+    assert samples(trace, AB) == [(5, 21.0)]
 
 
 def test_parse_malformed_timestamp_reports_line():
@@ -78,17 +92,6 @@ def test_snr_at_hold_last():
     assert trace.snr_at(AB, 9_000_000) == 25.0      # hold beyond last
 
 
-def test_snr_trace_keeps_a_checked_copy_of_its_samples():
-    times, values = [0, 10], [20.0, 30.0]
-    trace = SnrTrace({AB: (times, values)})
-    times[1] = -5
-    values[0] = 99.0
-    assert trace.samples(AB) == [(0, 20.0), (10, 30.0)]
-    assert trace.snr_at(AB, 10) == 30.0
-    with pytest.raises(ValueError, match="2 times and 1 values"):
-        SnrTrace({AB: ([0, 10], [20.0])})
-
-
 def test_snr_at_unknown_link():
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n1,A,B,20.0\n")
     with pytest.raises(KeyError, match="no trace for link B->A"):
@@ -106,13 +109,19 @@ def test_snr_values_always_verbatim():
 
 
 def test_snr_round_trip():
-    text = ("t_us,tx,rx,snr_db\n3,B,A,10.25\n1,A,B,23.5\n2,A,B,24.125\n")
+    """The rows TraceCsvRecorder writes of a trace read back bit-exactly."""
+    rng = random.Random(4)
+    text = SNR_HEADER + "\n3,B,A,10.25\n" + "".join(
+        f"{t},A,B,{rng.uniform(-5, 40)!r}\n" for t in range(1, 30))
     trace = parse_snr_trace(text)
-    assert parse_snr_trace(serialize_snr_trace(trace)) == trace
-    # serialization is canonical: serialize(parse(serialize(x))) is stable
-    once = serialize_snr_trace(trace)
-    assert serialize_snr_trace(parse_snr_trace(once)) == once
-    assert once == "t_us,tx,rx,snr_db\n1,A,B,23.5\n2,A,B,24.125\n3,B,A,10.25\n"
+    buf = io.StringIO()
+    rec = TraceCsvRecorder(buf)
+    for link, (times, values) in trace_columns(trace):
+        for t_us, snr_db in zip(times, values):
+            rec.rx(t_us, link.rx, "data", link, 54, 1, 1, snr_db, "delivered")
+    assert buf.getvalue() == text
+    assert trace_columns(parse_snr_trace(buf.getvalue())) \
+        == trace_columns(trace)
 
 
 def test_gap_warning_logged(caplog):
@@ -128,7 +137,7 @@ def test_gap_warning_logged(caplog):
 
 
 def test_parse_mobility_basics():
-    trace = parse_mobility(
+    trace = read_mobility_text(
         "t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n0,ClientA,6,0,0\n"
     )
     assert trace.position_at("Master", 0) == (0.0, 0.0, 0.0)
@@ -138,11 +147,11 @@ def test_parse_mobility_basics():
 def test_parse_mobility_duplicate_waypoint():
     text = "t_us,node,x_m,y_m,z_m\n0,A,0,0,0\n0,A,1,0,0\n"
     with pytest.raises(TraceFormatError, match="duplicate waypoint"):
-        parse_mobility(text)
+        read_mobility_text(text)
 
 
 def test_position_interpolation_and_clamp():
-    trace = MobilityTrace({"N": ([0, 10_000_000], [0, 6], [0, 0], [0, 0])})
+    trace = mobility_of({"N": [(0, 0, 0, 0), (10_000_000, 6, 0, 0)]})
     assert trace.position_at("N", 5_000_000) == (3.0, 0.0, 0.0)
     assert trace.position_at("N", 0) == (0.0, 0.0, 0.0)
     assert trace.position_at("N", 10_000_000) == (6.0, 0.0, 0.0)
@@ -156,7 +165,7 @@ def test_position_hits_every_waypoint_and_is_continuous():
     times = sorted(rng.sample(range(0, 1_000_000), 8))
     wps = [(t, rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0, 3))
            for t in times]
-    trace = MobilityTrace({"N": tuple(zip(*wps))})
+    trace = mobility_of({"N": wps})
     for t, *position in wps:
         assert trace.position_at("N", t) == pytest.approx(position)
     for t in range(0, 1_000_000, 999):
@@ -180,30 +189,26 @@ def test_static_single_waypoint_everywhere():
         assert trace.position_at("N", t) == (1.5, 2.5, 0.0)
 
 
-def serialize_mobility(trace: MobilityTrace) -> str:
-    out = [MOBILITY_HEADER]
-    for node in sorted(trace.nodes()):
-        for t_us, x, y, z in zip(*trace.track(node)):
-            out.append(f"{t_us},{node},{x!r},{y!r},{z!r}")
-    return "\n".join(out) + "\n"
-
-
 def test_mobility_round_trip():
-    text = ("t_us,node,x_m,y_m,z_m\n0,A,0,0,0\n5,A,1.5,0,0\n0,B,6,0,0\n")
-    trace = parse_mobility(text)
-    assert parse_mobility(serialize_mobility(trace)) == trace
+    rng = random.Random(6)
+    text = ("t_us,node,x_m,y_m,z_m\n0,A,0,0,0\n5,A,1.5,0,0\n0,B,6,0,0\n"
+            f"9,A,{rng.uniform(-9, 9)!r},{rng.uniform(-9, 9)!r},0.1\n")
+    trace = read_mobility_text(text)
+    again = mobility_of({node: zip(*trace.track(node))
+                         for node in trace.nodes()})
+    assert trace_columns(again) == trace_columns(trace)
 
 
 def test_mobility_rejects_malformed():
     with pytest.raises(TraceFormatError, match="line 2"):
-        parse_mobility("t_us,node,x_m,y_m,z_m\n0,A,1,2\n")
+        read_mobility_text("t_us,node,x_m,y_m,z_m\n0,A,1,2\n")
     with pytest.raises(TraceFormatError):
-        parse_mobility("")
+        read_mobility_text("")
 
 
 @pytest.mark.parametrize("parse, header, row", [
     (parse_snr_trace, "t_us,tx,rx,snr_db", "A,B,20.0"),
-    (parse_mobility, "t_us,node,x_m,y_m,z_m", "A,0,0,0"),
+    (read_mobility_text, "t_us,node,x_m,y_m,z_m", "A,0,0,0"),
 ])
 def test_both_formats_share_row_checks(parse, header, row):
     cases = {
@@ -226,35 +231,44 @@ def test_both_formats_share_row_checks(parse, header, row):
 
 def test_largest_int64_timestamp_is_a_sample():
     trace = parse_snr_trace(f"t_us,tx,rx,snr_db\n{2**63 - 1},A,B,20.0\n")
-    assert trace.samples(AB) == [(2**63 - 1, 20.0)]
+    assert samples(trace, AB) == [(2**63 - 1, 20.0)]
 
 
-def test_min_distance_matches_dense_sampling():
+def test_distance_range_matches_dense_sampling():
     rng = random.Random(3)
     for _ in range(20):
-        trace = MobilityTrace({
-            node: tuple(zip(*[(t, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
-                              for t in sorted(rng.sample(range(0, 10_000), 4))]))
+        trace = mobility_of({
+            node: [(t, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0)
+                   for t in sorted(rng.sample(range(0, 10_000), 4))]
             for node in ("A", "B")
         })
         t0, t1 = sorted(rng.sample(range(0, 12_000), 2))
-        dense = min(trace.link_distance("A", "B", t)
-                    for t in range(t0, t1 + 1))
-        closed = trace.min_distance("A", "B", t0, t1)
-        assert closed <= dense + 1e-9
-        assert closed == pytest.approx(dense, abs=0.02)
+        dense = [trace.link_distance("A", "B", t) for t in range(t0, t1 + 1)]
+        closest, farthest = trace.distance_range("A", "B", t0, t1)
+        assert closest <= min(dense) + 1e-9
+        assert closest == pytest.approx(min(dense), abs=0.02)
+        # the farthest distance falls on a waypoint or an end of the span
+        assert farthest == pytest.approx(max(dense), rel=1e-12)
 
 
-def test_min_distance_of_crossing_and_static_nodes():
-    crossing = MobilityTrace({
-        "M": ([0], [0], [0], [0]),
-        "C": ([0, 2_000_000], [6, -6], [0, 0], [0, 0]),
+def test_distance_range_of_crossing_and_static_nodes():
+    crossing = mobility_of({
+        "M": [(0, 0, 0, 0)],
+        "C": [(0, 6, 0, 0), (2_000_000, -6, 0, 0)],
     })
-    assert crossing.min_distance("M", "C", 0, 2_000_000) == 0.0
-    assert crossing.min_distance("M", "C", 0, 500_000) == pytest.approx(3.0)
-    assert crossing.min_distance("M", "C", 0, 0) == 6.0
+    assert crossing.distance_range("M", "C", 0, 2_000_000) == (0.0, 6.0)
+    closest, farthest = crossing.distance_range("M", "C", 0, 500_000)
+    assert closest == pytest.approx(3.0) and farthest == 6.0
+    assert crossing.distance_range("M", "C", 0, 0) == (6.0, 6.0)
+    # away from M, then back past it: farther at an inner waypoint
+    walk = mobility_of({
+        "M": [(0, 0, 0, 0)],
+        "C": [(0, 6, 0, 0), (1_000_000, 70, 0, 0), (2_000_000, -2, 0, 0)],
+    })
+    assert walk.distance_range("M", "C", 0, 3_000_000) == (0.0, 70.0)
+    assert walk.distance_range("M", "C", 0, 500_000) == (6.0, 38.0)
     static = MobilityTrace.static({"M": (0, 0, 0), "C": (3, 4, 0)})
-    assert static.min_distance("M", "C", 0, 10**9) == 5.0
+    assert static.distance_range("M", "C", 0, 10**9) == (5.0, 5.0)
 
 
 def test_recorder_writes_one_row_per_snr_reception():
@@ -270,7 +284,7 @@ def test_recorder_writes_one_row_per_snr_reception():
     assert text == ("t_us,tx,rx,snr_db\n405,A,B,23.5\n"
                     "700,B,A,0.30000000000000004\n")
     trace = parse_snr_trace(text)
-    assert parse_snr_trace(serialize_snr_trace(trace)) == trace
+    assert samples(trace, BA) == [(700, 0.1 + 0.2)]
 
 
 # -- differential test against the previous parsers ---------------------------
@@ -350,7 +364,7 @@ def oracle_parse_snr_trace(data):
                 times.append(t_us)
                 values.append(snr_db)
         link = DirectedLink(tx, rx)
-        series[link] = (times, values)
+        series[link] = (array("q", times), array("d", values))
         gap = max((b - a for a, b in zip(times, times[1:])), default=0)
         if gap > gap_limit:
             _oracle_logger.warning(
@@ -374,10 +388,12 @@ def oracle_parse_mobility(data):
         y = _oracle_parse_float(line_no, fields[3], "y_m")
         z = _oracle_parse_float(line_no, fields[4], "z_m")
         per_node.setdefault(node, []).append((t_us, x, y, z))
-    for seq in per_node.values():
+    tracks = {}
+    for node, seq in per_node.items():
         seq.sort(key=lambda w: w[0])
-    return MobilityTrace({node: tuple(zip(*seq))
-                          for node, seq in per_node.items()})
+        times, *axes = zip(*seq)
+        tracks[node] = (array("q", times), *(array("d", a) for a in axes))
+    return MobilityTrace(tracks)
 
 
 # Whitespace that may pad a field: str.strip() removes all of it, while
@@ -469,14 +485,13 @@ def _outcome(parse, data, caplog):
     except TraceFormatError as exc:
         return "error", str(exc), exc.line_no
     warnings = [rec.getMessage() for rec in caplog.records]
-    keys = result.links() if isinstance(result, SnrTrace) else result.nodes()
-    return "ok", result, keys, warnings
+    return "ok", trace_columns(result), warnings
 
 
 @pytest.mark.parametrize("parse, oracle, header, make_row, bad_rows", [
     (parse_snr_trace, oracle_parse_snr_trace, SNR_HEADER, _snr_row_fields,
      SNR_BAD_ROWS),
-    (parse_mobility, oracle_parse_mobility, MOBILITY_HEADER,
+    (read_mobility_text, oracle_parse_mobility, MOBILITY_HEADER,
      _mobility_row_fields, MOBILITY_BAD_ROWS),
 ], ids=["snr", "mobility"])
 def test_parsers_agree_with_the_previous_parsers(caplog, parse, oracle, header,
@@ -489,7 +504,7 @@ def test_parsers_agree_at_small_chunk_sizes(caplog, monkeypatch, chunk):
     monkeypatch.setattr(traces, "_CHUNK", chunk)
     _assert_agree(caplog, parse_snr_trace, oracle_parse_snr_trace, SNR_HEADER,
                   _snr_row_fields, SNR_BAD_ROWS)
-    _assert_agree(caplog, parse_mobility, oracle_parse_mobility,
+    _assert_agree(caplog, read_mobility_text, oracle_parse_mobility,
                   MOBILITY_HEADER, _mobility_row_fields, MOBILITY_BAD_ROWS)
 
 
@@ -515,7 +530,7 @@ def test_bundled_traces_parse_as_before(path):
     data = path.read_bytes()
     trace = parse_snr_trace(data)
     expected = oracle_parse_snr_trace(data)
-    assert trace == expected and trace.links() == expected.links()
+    assert trace_columns(trace) == trace_columns(expected)
 
 
 # -- chunked reading -----------------------------------------------------------
@@ -533,7 +548,7 @@ BREAKS_TEXT = SNR_HEADER + "\n" + "".join(
 def test_chunks_split_lines_as_the_whole_text_does(caplog, monkeypatch, data):
     text = BREAKS_TEXT
     expected = _outcome(oracle_parse_snr_trace, data, caplog)
-    assert expected[0] == "ok" and len(expected[1].samples(AB)) == len(BREAKS)
+    assert expected[0] == "ok" and len(dict(expected[1])[AB][0]) == len(BREAKS)
     for chunk in range(1, len(data) + 2):
         monkeypatch.setattr(traces, "_CHUNK", chunk)
         chunks = list(traces._line_chunks(data))
@@ -626,10 +641,11 @@ def test_parse_mobility_keeps_48_bytes_per_waypoint():
     data = (MOBILITY_HEADER + "\n" + "".join(
         f"{t * 1000},{'AB'[t % 2]},{t % 97 / 7!r},{t % 89 / 3!r},1.5\n"
         for t in range(n))).encode("utf-8")
+    fh = io.BytesIO(data)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace = parse_mobility(data)
+        trace = traces.read_mobility(fh, None)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -651,11 +667,11 @@ def test_mobility_duplicates_are_found_as_the_oracle_finds_them(
     rows = [row for i, t in enumerate(times)
             for row in (f"{t},A,{i},0,0", f"{3 * i},B,0,{i},0")]
     data = "\n".join([MOBILITY_HEADER, *rows]) + "\n"
-    outcome = _outcome(parse_mobility, data, caplog)
+    outcome = _outcome(read_mobility_text, data, caplog)
     assert outcome == _outcome(oracle_parse_mobility, data, caplog)
     if error_line is None:
         assert outcome[0] == "ok"
-        assert list(outcome[1].track("A")[0]) == sorted(times)
+        assert list(dict(outcome[1])["A"][0]) == sorted(times)
     else:
         assert outcome[0] == "error"
         assert outcome[2] == error_line
