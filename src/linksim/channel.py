@@ -54,25 +54,16 @@ LOGDIST = "logdist"
 
 
 class PropagationSpec(Frozen):
-    """Which SNR source drives the link: trace replay or an analytic model."""
+    """Which SNR source drives the link: trace replay or an analytic model.
+    ``build`` checks which fields a model takes; the spec checks values."""
 
     model: str
-    trace: SnrTrace | None = None
+    trace: SnrTrace | None = None   # model = trace
     gamma: float = 2.0
     ref_distance_m: float = 1.0
     nakagami_m: float | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in (TRACE, FRIIS, LOGDIST):
-            raise ValueError(f"unknown propagation model {self.model!r}")
-        if self.model == TRACE:
-            if self.trace is None:
-                raise ValueError("trace model requires an SnrTrace")
-            if self.nakagami_m is not None:
-                raise ValueError("trace replay admits no fading overlay")
-        else:
-            if self.trace is not None:
-                raise ValueError(f"{self.model} model must not carry a trace")
         check_real("gamma", self.gamma)
         check_real("ref_distance_m", self.ref_distance_m)
         if self.nakagami_m is not None:

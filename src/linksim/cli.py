@@ -123,7 +123,10 @@ def _cmd_compare(args) -> int:
     if unknown:
         raise ConfigError(f"--shift names no loaded series: "
                           f"{', '.join(sorted(unknown))}")
-    report = metrics.compare_runs(reference, candidates, metric_kind=kind)
+    try:
+        report = metrics.compare_runs(reference, candidates, metric_kind=kind)
+    except ValueError as exc:   # kinds that differ, a label twice, no overlap
+        raise ConfigError(str(exc)) from None
     written = metrics.write_report(report, args.out_dir)
     sys.stdout.write(report.to_text())
     print(f"report written to {', '.join(str(p) for p in written)}")
@@ -145,10 +148,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "record-trace":
             return _cmd_record(args)
         return _cmd_compare(args)
-    except ValueError as exc:   # ConfigError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:    # OSError, or a fault inside the simulation
+    except Exception as exc:    # OSError, or any fault inside the run
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

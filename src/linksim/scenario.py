@@ -49,12 +49,12 @@ class ScenarioConfig(Record):
     # topology: static positions or a mobility file (exactly one source)
     nodes: dict[str, tuple[float, float, float]] | None = None
     mobility_file: Path | None = None
-    # propagation
+    # propagation: None is unset; _MODEL_FIELDS says what each model admits
     model: str = FRIIS
     trace_file: Path | None = None    # model = trace: its only SNR source
-    gamma: float = 2.0                # logdist only
-    ref_distance_m: float = 1.0       # logdist only
-    nakagami_m: float | None = None   # analytic models; None: no fading
+    gamma: float | None = None
+    ref_distance_m: float | None = None   # None: 1 m
+    nakagami_m: float | None = None   # None: no fading
     radio: RadioParams = RadioParams()
     # traffic
     traffic_kind: str = UDP_UNI
@@ -81,7 +81,7 @@ class ScenarioConfig(Record):
         (see ``_SCHEMA``), then the rules that no part of the run owns."""
         for name, to in _SCHEMA.values():
             value = getattr(self, name)
-            if value is None and name in _OPTIONAL:
+            if value is None and self._defaults[name] is None:   # unset
                 continue
             if name == "radio":   # RadioParams checks its own values
                 if not isinstance(value, RadioParams):
@@ -113,6 +113,17 @@ class ScenarioConfig(Record):
                                   f"{position!r}")
             for axis, coordinate in zip("xyz", position):
                 check_real(f"[nodes] {node} {axis}", coordinate)
+        if self.model not in _MODEL_FIELDS:
+            raise ConfigError(f"[propagation] unknown model {self.model!r}")
+        admitted, required = _MODEL_FIELDS[self.model]
+        for (section, key), (name, _) in _SCHEMA.items():
+            if (section == "propagation" and name not in admitted
+                    and getattr(self, name) is not None):
+                raise ConfigError(f"[propagation] key {key!r} not valid for "
+                                  f"model {self.model!r}")
+        if required is not None and getattr(self, required) is None:
+            raise ConfigError(f"[propagation] {self.model} model requires "
+                              f"{required}")
         if not self.duration_s > 0:
             raise ConfigError("duration_s must be > 0")
         if self.nodes is not None and self.mobility_file is not None:
@@ -178,13 +189,13 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
-# None: no output directory set, no file, no stop, no fading
-_OPTIONAL = ("out_dir", "mobility_file", "trace_file", "stop_us", "nakagami_m")
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
-# [propagation] keys each model admits, and the one it requires
-_MODEL_KEYS = {
+# The propagation fields each model admits, and the one it requires: the one
+# statement of these rules, which validate applies on both paths. A field is
+# named as its [propagation] key.
+_MODEL_FIELDS = {
     TRACE: ({"model", "trace_file"}, "trace_file"),
     FRIIS: ({"model", "nakagami_m"}, None),
     LOGDIST: ({"model", "gamma", "ref_distance_m", "nakagami_m"}, "gamma"),
@@ -213,17 +224,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
     for section, key in _REQUIRED:
         if not parser.has_option(section, key):
             raise ConfigError(f"[{section}] must set {key}")
-    model = parser["propagation"]["model"]
-    if model not in _MODEL_KEYS:
-        raise ConfigError(f"[propagation] unknown model {model!r}")
-    admitted, required = _MODEL_KEYS[model]
-    for key in parser["propagation"]:
-        if key not in admitted:
-            raise ConfigError(
-                f"[propagation] key {key!r} not valid for model {model!r}"
-            )
-    if required is not None and required not in parser["propagation"]:
-        raise ConfigError(f"[propagation] {model} model requires {required}")
 
     cfg = ScenarioConfig(config_text=text, base_dir=base_dir)
     radio: dict[str, float] = {}
@@ -263,6 +263,8 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except ValueError as exc:   # bytes that are not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config_text(text, base_dir=path.parent)
 
 
@@ -351,10 +353,8 @@ def build(cfg: ScenarioConfig) -> BuiltRun:
 def _construct(cfg: ScenarioConfig) -> BuiltRun:
     inputs: dict[str, str] = {}     # in load order, as manifests list them
     trace = None
-    if cfg.trace_file is not None:
+    if cfg.trace_file is not None:   # set with model = trace only
         trace = _load(cfg.trace_file, traces.read_snr_trace, inputs)
-    elif cfg.model == TRACE:   # as the text path words it
-        raise ConfigError("[propagation] trace model requires trace_file")
     if cfg.mobility_file is not None:
         mobility = _load(cfg.mobility_file, traces.read_mobility, inputs)
     else:
@@ -362,9 +362,10 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
     for node in (cfg.src, cfg.dst):
         if node not in mobility.nodes():
             raise ConfigError(f"traffic endpoint {node!r} not in [nodes]")
-    spec = PropagationSpec(cfg.model, trace=trace, gamma=cfg.gamma,
-                           ref_distance_m=cfg.ref_distance_m,
-                           nakagami_m=cfg.nakagami_m)
+    analytic = {name: getattr(cfg, name)   # unset: the spec's default
+                for name in ("gamma", "ref_distance_m", "nakagami_m")
+                if getattr(cfg, name) is not None}
+    spec = PropagationSpec(cfg.model, trace, **analytic)
     run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):

@@ -35,6 +35,11 @@ def _round_half_up_us(seconds: float) -> int:
     return int(seconds * 1e6 + 0.5)
 
 
+def _check_payload(payload_bytes: int) -> None:
+    if not 1 <= payload_bytes <= 2272:
+        raise ValueError("payload_bytes must be in [1, 2272]")
+
+
 class UdpFlowConfig(Frozen):
     src: str
     dst: str
@@ -46,8 +51,7 @@ class UdpFlowConfig(Frozen):
     def __post_init__(self) -> None:
         if not self.offered_load_bps > 0:   # written so that nan fails too
             raise ValueError("offered_load_bps must be > 0")
-        if not 1 <= self.payload_bytes <= 2272:
-            raise ValueError("payload_bytes must be in [1, 2272]")
+        _check_payload(self.payload_bytes)
         try:
             gap_us = self.gap_us
         except OverflowError:   # the gap in µs is infinite
@@ -73,8 +77,7 @@ class PingConfig(Frozen):
     def __post_init__(self) -> None:
         if self.interval_us <= 0:
             raise ValueError("interval_us must be > 0")
-        if not 1 <= self.payload_bytes <= 2272:
-            raise ValueError("payload_bytes must be in [1, 2272]")
+        _check_payload(self.payload_bytes)
 
 
 class UdpSource:

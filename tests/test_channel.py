@@ -138,17 +138,10 @@ def test_radio_params_bounds():
 
 
 def test_propagation_spec_validation():
-    trace = parse_snr_trace("t_us,tx,rx,snr_db\n0,A,B,23.5\n")
-    with pytest.raises(ValueError, match="no fading overlay"):
-        PropagationSpec("trace", trace=trace, nakagami_m=1.25)
-    with pytest.raises(ValueError):
-        PropagationSpec("trace")
-    with pytest.raises(ValueError):
-        PropagationSpec("friis", trace=trace)
-    with pytest.raises(ValueError):
+    # which fields a model takes is the config's rule, tested in
+    # test_scenario_cli.py with both paths to a run
+    with pytest.raises(ValueError, match="gamma must be > 0"):
         PropagationSpec("logdist", gamma=-1.0)
-    with pytest.raises(ValueError):
-        PropagationSpec("warp")
 
 
 def test_channel_snr_trace_replay_is_verbatim():

@@ -15,10 +15,10 @@ from linksim import cli, scenario
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.metrics import PerSecondSeries
 from linksim.record import replace
-from linksim.scenario import (_SCHEMA, ConfigError, CsvEventLog,
-                              ScenarioConfig, build, execute_record,
-                              execute_run, parse_config, parse_config_text,
-                              rerun_from_manifest, simulate)
+from linksim.scenario import (_MODEL_FIELDS, _SCHEMA, ConfigError,
+                              CsvEventLog, ScenarioConfig, build,
+                              execute_record, execute_run, parse_config,
+                              parse_config_text, rerun_from_manifest, simulate)
 from linksim.traces import parse_snr_trace
 
 
@@ -116,21 +116,6 @@ def test_unknown_section_and_key_rejected():
                                        "kind = udp_uni\nbogus = 1"))
 
 
-def test_model_key_exclusivity():
-    bad = BASE.replace("model = friis", "model = friis\ntrace_file = x.csv")
-    with pytest.raises(ConfigError, match="not valid for model"):
-        parse_config_text(bad)
-    bad = BASE.replace("model = friis", "model = trace")
-    with pytest.raises(ConfigError, match="requires trace_file"):
-        parse_config_text(bad)
-    bad = BASE.replace("model = friis", "model = logdist")
-    with pytest.raises(ConfigError, match="requires gamma"):
-        parse_config_text(bad)
-    ok = BASE.replace("model = friis",
-                      "model = logdist\ngamma = 1.7\nnakagami_m = 1.25")
-    assert parse_config_text(ok).nakagami_m == 1.25
-
-
 def test_traffic_endpoints_validated():
     with pytest.raises(ConfigError, match="not in"):
         build(parse_config_text(BASE.replace("dst = ClientA", "dst = Nobody")))
@@ -152,6 +137,7 @@ def test_bundled_scenarios_and_readme_match_the_schema():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     documented = set()
+    notes = {}
     section = None
     for line in block.splitlines():
         header = re.match(r"\[(\w+)\]", line)
@@ -162,7 +148,21 @@ def test_bundled_scenarios_and_readme_match_the_schema():
         # "name = x,y,z" node positions are free-form, not schema keys
         if entry and not (section == "nodes" and "," in entry.group(2)):
             documented.add((section, entry.group(1)))
+        if entry and section == "propagation" and entry.group(1) != "model":
+            notes[entry.group(1)] = line.rsplit(";", 1)[1].strip()
     assert documented == set(_SCHEMA)
+    # each propagation key's note names the models that _MODEL_FIELDS admits
+    # it in, and says when one requires it
+    analytic = sorted(set(_MODEL_FIELDS) - {"trace"})
+    for key, note in notes.items():
+        models = sorted(model for model, (admitted, _) in _MODEL_FIELDS.items()
+                        if key in admitted)
+        if models == analytic:
+            assert note.endswith("analytic models only"), key
+        else:
+            (model,) = models
+            required = _MODEL_FIELDS[model][1] == key
+            assert note == f"model = {model} only" + " (required)" * required
 
 
 def test_mac_section_round_trip():
@@ -667,27 +667,63 @@ def test_radio_params_reject_a_bool_or_non_real_number(field, value):
         RadioParams(**{field: value})
 
 
-def test_a_replay_without_trace_file_is_rejected_with_the_text_message(
-        tmp_path):
-    message = re.escape("[propagation] trace model requires trace_file")
-    with pytest.raises(ConfigError, match=message):
-        parse_config_text(BASE.replace("model = friis", "model = trace"))
-    cfg = replace(parse_config_text(BASE), model="trace")
-    with pytest.raises(ConfigError, match=message):
-        execute_run(cfg, tmp_path / "out")
+# Each rule of _MODEL_FIELDS, as [propagation] keys with their values. No
+# missing.csv exists, so a rule that fired after the file was opened would
+# give "cannot read" instead.
+PROPAGATION_RULES = {
+    "unknown_model": ({"model": "warp"}, "unknown model 'warp'"),
+    "trace_without_trace_file": ({"model": "trace"},
+                                 "trace model requires trace_file"),
+    "logdist_without_gamma": ({"model": "logdist"},
+                              "logdist model requires gamma"),
+    "friis_with_trace_file": ({"trace_file": "missing.csv"},
+                              "key 'trace_file' not valid for model 'friis'"),
+    "friis_with_gamma": ({"gamma": 3.0},
+                         "key 'gamma' not valid for model 'friis'"),
+    "friis_with_ref_distance_m": (
+        {"ref_distance_m": 10.0},
+        "key 'ref_distance_m' not valid for model 'friis'"),
+    "logdist_with_trace_file": (
+        {"model": "logdist", "gamma": 3.0, "trace_file": "missing.csv"},
+        "key 'trace_file' not valid for model 'logdist'"),
+    "trace_with_gamma": (
+        {"model": "trace", "trace_file": "missing.csv", "gamma": 3.0},
+        "key 'gamma' not valid for model 'trace'"),
+    "trace_with_fading": (
+        {"model": "trace", "trace_file": "missing.csv", "nakagami_m": 1.25},
+        "key 'nakagami_m' not valid for model 'trace'"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PROPAGATION_RULES))
+def test_a_propagation_rule_gives_one_message_on_both_paths(tmp_path, rule):
+    changes, message = PROPAGATION_RULES[rule]
+    message = f"[propagation] {message}"
+    keys = {"model": "friis", **changes}
+    text = BASE.replace("model = friis", "\n".join(
+        f"{key} = {value}" for key, value in keys.items()))
+    api = replace(parse_config_text(BASE), **changes)
+    for cfg in (parse_config_text(text, base_dir=tmp_path), api):
+        with pytest.raises(ConfigError) as exc:
+            build(cfg)
+        assert str(exc.value) == message
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        execute_run(api, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture
-def failing_channel(monkeypatch):
-    """Channel.snr raises RuntimeError("channel failed") after 500 frames."""
+def failing_channel(request, monkeypatch):
+    """Channel.snr raises RuntimeError("channel failed") after 500 frames,
+    or the exception type given as the fixture's parameter."""
+    error = getattr(request, "param", RuntimeError)
     snr = Channel.snr
     calls = []
 
     def failing_snr(self, link, t_us):
         calls.append(t_us)
         if len(calls) > 500:
-            raise RuntimeError("channel failed")
+            raise error("channel failed")
         return snr(self, link, t_us)
 
     monkeypatch.setattr(Channel, "snr", failing_snr)
@@ -724,6 +760,9 @@ def test_a_failed_run_keeps_a_directory_that_existed(tmp_path, failing_channel,
     assert [p.name for p in out.rglob("*")] == ["deeper"]
 
 
+# a ValueError raised inside a run is a fault of the run, not of its config
+@pytest.mark.parametrize("failing_channel", [RuntimeError, ValueError],
+                         indirect=True)
 @pytest.mark.parametrize("command", ["run", "record-trace"])
 def test_a_runtime_error_exits_2_without_a_traceback(tmp_path, capsys,
                                                      failing_channel, command):
@@ -912,6 +951,8 @@ def test_cli_usage_and_config_errors(tmp_path):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main([]) == 1
     bad = write_config(tmp_path, BASE.replace("model = friis", "model = warp"))
+    assert cli.main(["run", str(bad)]) == 1
+    bad.write_bytes(b"\xff")   # not UTF-8
     assert cli.main(["run", str(bad)]) == 1
 
 
