@@ -133,7 +133,8 @@ class Channel(Record):
     """SNR source for one simulation instance, made with its run's seed.
 
     Each link has one source, a function of the frame time in µs that
-    returns the SNR in dB, built at the link's first frame. A replayed link
+    returns the SNR in dB, built at its first ``source`` call: a station
+    takes the source of each of its links when it is made. A replayed link
     holds its trace's last sample. An analytic link's SNR is a function of
     the distance between its ends: the link budget, then one fading draw per
     frame when fading is configured. A link whose ends never move takes that
@@ -152,10 +153,14 @@ class Channel(Record):
         self._sources: dict[DirectedLink, Callable[[int], float]] = {}
 
     def snr(self, link: DirectedLink, t_us: int) -> float:
+        return self.source(link)(t_us)
+
+    def source(self, link: DirectedLink) -> Callable[[int], float]:
+        """The link's one source, built on first use."""
         source = self._sources.get(link)
         if source is None:
             source = self._sources[link] = self._source(link)
-        return source(t_us)
+        return source
 
     def _source(self, link: DirectedLink) -> Callable[[int], float]:
         spec = self.spec

@@ -212,7 +212,6 @@ class Station:
                  rate_control, event_log=None):
         self.node = node
         self.engine = engine
-        self.channel = channel
         self.params = params
         self.peer: Station | None = None   # the station at peer_node
         self.rate_control = rate_control
@@ -229,6 +228,11 @@ class Station:
         self._rx_rng = RngStream(root_seed, f"phy.rx.{peer_node}->{node}")
         self._tx_link = DirectedLink(node, peer_node)
         self._rx_link = DirectedLink(peer_node, node)
+        # each link's SNR source, shared with the peer (Channel.source)
+        self._tx_snr = channel.source(self._tx_link)
+        self._rx_snr = channel.source(self._rx_link)
+        # airtime_rows of each MPDU size this station sends, by that size
+        self._rows: dict[int, tuple[Airtime, ...]] = {}
         self.rx_handlers: list[Callable] = []
         # traffic sources and apps that enqueue into this station's queue
         self.producers = 0
@@ -279,8 +283,12 @@ class Station:
         # the mode holds for every attempt, and so does its airtime row
         mode = self._mode = self.rate_control.select(frame.mpdu_bytes,
                                                      self.engine.clock_us)
-        self._airtime = airtime_rows(frame.mpdu_bytes,
-                                     self.params.basic_rates_mbps)[mode.id]
+        try:
+            rows = self._rows[frame.mpdu_bytes]
+        except KeyError:
+            rows = self._rows[frame.mpdu_bytes] = airtime_rows(
+                frame.mpdu_bytes, self.params.basic_rates_mbps)
+        self._airtime = rows[mode.id]
         self._arm_access(idle_floor_us, self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:
             # a source parks only on a full queue, so this dequeue ends the
@@ -351,7 +359,7 @@ class Station:
                             mode.data_rate_mbps, frame.seq, self._attempts,
                             None, COLLIDED)
         else:
-            snr_db = self.channel.snr(self._tx_link, t)
+            snr_db = self._tx_snr(t)
             outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng)
             if self.log_rx is not None:
                 self.log_rx(t, peer.node, "data", self._tx_link,
@@ -372,7 +380,7 @@ class Station:
         ack_mode = airtime.ack_mode
         seq = self._frame.seq
         peer.stats.acks_sent += 1
-        snr_db = self.channel.snr(self._rx_link, ack_end)
+        snr_db = self._rx_snr(ack_end)
         outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
                               self._rx_rng)
         if self.log_tx is not None:

@@ -119,10 +119,7 @@ class UdpSource:
                 engine.schedule(cfg.stop_us, self._settle)
 
     def _emit(self) -> None:
-        self._arrive(self.engine.clock_us)
-
-    def _arrive(self, now: int) -> None:
-        """The arrival due at now; a dequeue that refills passes its time."""
+        now = self.engine.clock_us
         station = self.station
         queue = station.queue
         capacity = station.params.queue_capacity
@@ -143,27 +140,34 @@ class UdpSource:
             else:
                 self.engine.schedule(next_t, self._emit)
 
-    def _drop_before(self, end_us: int) -> None:
-        """Count the skipped arrivals before end_us as tail drops."""
-        t = self._next_us
-        if t < end_us:
-            missed = -((t - end_us) // self._gap_us)
-            self.next_seq += missed
-            self.station.stats.queue_drops += missed
-            self._next_us = t + missed * self._gap_us
-
     def on_dequeue(self, now_us: int) -> None:
         """Count the skipped arrivals before a dequeue at now_us as tail
-        drops, and enqueue the arrival that refills the freed slot."""
-        stop = self.cfg.stop_us
-        self._drop_before(min(now_us, stop))   # they met the full queue
-        if self._next_us < stop:
-            self._arrive(self._next_us)
+        drops, enqueue the arrival that refills the freed slot, and park
+        again: that arrival leaves the queue full."""
+        cfg = self.cfg
+        stop = cfg.stop_us
+        t = self._next_us
+        end = now_us if now_us < stop else stop
+        if t < end:   # they met the full queue
+            missed = -((t - end) // self._gap_us)
+            self.next_seq += missed
+            self.station.stats.queue_drops += missed
+            t += missed * self._gap_us
+        if t < stop:
+            self.station.enqueue_packet(tuple.__new__(Packet, (
+                UDP_DATA, self.next_seq, cfg.payload_bytes, self._mpdu_bytes,
+                t, self.flow)))
+            self.next_seq += 1
+            t += self._gap_us
+            if t < stop:
+                self.station.parked = self
+        self._next_us = t
 
     def _settle(self) -> None:
-        """Count the arrivals a still parked source skipped before stop_us."""
+        """Count the arrivals a still parked source skipped before stop_us:
+        a dequeue at stop_us counts them and refills nothing."""
         if self.station.parked is self:
-            self._drop_before(self.cfg.stop_us)
+            self.on_dequeue(self.cfg.stop_us)
 
 
 class UdpSink:

@@ -17,7 +17,8 @@ threshold.
 """
 
 import io
-from itertools import combinations
+import random
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,27 @@ def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):
     assert not any(met_full_queue)
     assert parking == 1
     assert full_events - parked_events >= drops - 1   # plus the stop event
+
+
+# start offset, stop (None: the run's end), queue capacity, offered load and
+# rate control; a fixed random draw of the whole grid keeps the sweep short
+SWEEP = random.Random(1).sample(list(product(
+    ["udp_unidirectional", "udp_bidirectional", "logdist_fading",
+     "replay_asymmetric"],
+    [0, 1, 217, 1_234], [600_011, None], [1, 2, 500],
+    [40e6, 47.6e6, 54e6, 100e6], ["fixed", "minstrel"])), 40)
+
+
+@pytest.mark.parametrize(
+    "name, start_us, stop_us, capacity, load_bps, rate_control", SWEEP,
+    ids=str)
+def test_a_seeded_sweep_parks_exactly(name, start_us, stop_us, capacity,
+                                      load_bps, rate_control, monkeypatch):
+    cfg = replace(bundled(name), duration_s=1, start_us=start_us,
+                  stop_us=stop_us, queue_capacity=capacity,
+                  offered_load_bps=load_bps, rate_control=rate_control)
+    drops, _ = assert_parking_exact(cfg, monkeypatch)
+    assert drops > 0
 
 
 def pair(event_log):

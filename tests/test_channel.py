@@ -1,21 +1,27 @@
 """Propagation models, noise accounting, fading, and SNR composition."""
 
+import csv
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from linksim import scenario
 from linksim.channel import (Channel, PropagationSpec, RadioParams,
                              dbm_to_w, friis_path_loss, log_distance_path_loss,
                              mean_rx_power_dbm, noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
-from linksim.scenario import ConfigError, ScenarioConfig, build
+from linksim.record import replace
+from linksim.scenario import (UDP_BIDI, ConfigError, ScenarioConfig, build,
+                              execute_run, parse_config)
 from linksim.traces import DirectedLink, MobilityTrace, SnrTrace, parse_snr_trace
 from trace_files import mobility_of
 
 AB = DirectedLink("A", "B")
 BA = DirectedLink("B", "A")
 F = 5.22e9
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def static_mobility(d_m: float) -> MobilityTrace:
@@ -296,3 +302,45 @@ def test_build_rejects_static_nodes_too_close(model, d_m):
 def test_dbm_w_round_trip():
     for dbm in (-90.0, 0.0, 17.0):
         assert w_to_dbm(dbm_to_w(dbm)) == pytest.approx(dbm, abs=1e-9)
+
+
+def test_each_link_has_one_source_built_once_per_run(tmp_path, monkeypatch):
+    # a faded source draws at every call, so each call is one reception:
+    # the stations share the two sources and call them at each rx row
+    calls = {}
+    make = Channel._source
+
+    def counting(self, link):
+        assert link not in calls
+        source = make(self, link)
+        times = calls[link] = []
+
+        def counted(t_us):
+            times.append(t_us)
+            return source(t_us)
+        return counted
+
+    stations = []
+    build_pair = scenario.build_point_to_point
+
+    def keeping(*args, **kwargs):
+        stations.extend(build_pair(*args, **kwargs))
+        return tuple(stations)
+
+    monkeypatch.setattr(Channel, "_source", counting)
+    monkeypatch.setattr(scenario, "build_point_to_point", keeping)
+    cfg = replace(parse_config(SCENARIOS / "logdist_fading.ini"),
+                  traffic_kind=UDP_BIDI, duration_s=1)
+    execute_run(cfg, tmp_path / "run")
+    master, client = stations
+    assert master._tx_snr is client._rx_snr
+    assert master._rx_snr is client._tx_snr
+    with open(tmp_path / "run" / "events.csv", newline="") as fh:
+        rx = [row for row in csv.DictReader(fh) if row["event"] == "rx"]
+    received = {}
+    for row in rx:
+        if row["outcome"] != "collided":
+            received.setdefault(row["link"], []).append(int(row["t_us"]))
+    assert any(row["outcome"] == "collided" for row in rx)
+    assert len(received) == 2
+    assert {str(link): times for link, times in calls.items()} == received

@@ -19,6 +19,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from linksim import engine
 from linksim.record import replace
 from linksim.scenario import build, parse_config, simulate
@@ -78,6 +80,24 @@ def test_a_gapped_trace_still_prints_its_gap_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ("link Master->ClientA has a 2.000 s sample gap "
                            "(hold-last applies)\n")
+
+
+@pytest.mark.parametrize("name", ["udp_bidirectional", "logdist_fading"])
+def test_outputs_do_not_depend_on_the_hash_seed(name, tmp_path,
+                                                monkeypatch):
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        out = tmp_path / hash_seed
+        proc = python("import sys; from linksim import cli; "
+                      "sys.exit(cli.main(sys.argv[1:]))",
+                      "run", SCENARIOS / f"{name}.ini", "--duration", "1",
+                      "--out-dir", out)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert {"events.csv", "summary.json", "manifest.json"} < set(outputs[0])
+    assert any(n.startswith("throughput_") for n in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_builtin_sha256_is_hashlib_sha256():

@@ -714,19 +714,24 @@ def test_a_propagation_rule_gives_one_message_on_both_paths(tmp_path, rule):
 
 @pytest.fixture
 def failing_channel(request, monkeypatch):
-    """Channel.snr raises RuntimeError("channel failed") after 500 frames,
-    or the exception type given as the fixture's parameter."""
+    """The links' SNR sources raise RuntimeError("channel failed") after
+    500 frames in all, or the exception type given as the fixture's
+    parameter."""
     error = getattr(request, "param", RuntimeError)
-    snr = Channel.snr
+    source = Channel.source
     calls = []
 
-    def failing_snr(self, link, t_us):
-        calls.append(t_us)
-        if len(calls) > 500:
-            raise error("channel failed")
-        return snr(self, link, t_us)
+    def failing_source(self, link):
+        snr = source(self, link)
 
-    monkeypatch.setattr(Channel, "snr", failing_snr)
+        def failing_snr(t_us):
+            calls.append(t_us)
+            if len(calls) > 500:
+                raise error("channel failed")
+            return snr(t_us)
+        return failing_snr
+
+    monkeypatch.setattr(Channel, "source", failing_source)
 
 
 @pytest.mark.parametrize("command", ["run", "record-trace"])
