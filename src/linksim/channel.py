@@ -172,22 +172,71 @@ class Channel(Record):
         noise_dbm = noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
         rng = None if m is None else RngStream(self.seed, f"fading.{link}")
 
-        def at(d_m: float) -> Callable[[int], float]:
-            """The link's source while its ends are d_m meters apart."""
+        def budget(d_m: float) -> tuple[float | None, float | None]:
+            """(SNR, None) of a link d_m meters long that takes no fading
+            draw, else (None, the scale of its gamma draw)."""
             rx_dbm = mean_rx_power_dbm(spec, params, d_m)
-            snr_db = rx_dbm - noise_dbm
-            if m is not None:
-                power_w = dbm_to_w(rx_dbm)
-                if power_w > 0.0:
-                    gamma, scale = rng.gamma, power_w / m
-                    # w_to_dbm(a gamma draw of shape m, mean power_w) - noise
-                    return lambda t_us: (10.0 * math.log10(
-                        max(gamma(m, scale), 1e-300)) + 30.0 - noise_dbm)
-                snr_db = w_to_dbm(0.0) - noise_dbm   # zero power takes no draw
-            return lambda t_us: snr_db
+            if m is None:
+                return rx_dbm - noise_dbm, None
+            power_w = dbm_to_w(rx_dbm)
+            if power_w > 0.0:
+                return None, power_w / m
+            return w_to_dbm(0.0) - noise_dbm, None   # zero power takes no draw
 
         tx, rx = link
         track, distance = self.mobility.track, self.mobility.link_distance
         if len(track(tx)[0]) == len(track(rx)[0]) == 1:   # neither end moves
-            return at(distance(tx, rx, 0))
-        return lambda t_us: at(distance(tx, rx, t_us))(t_us)
+            snr_db, scale = budget(distance(tx, rx, 0))
+            if scale is None:
+                return lambda t_us: snr_db
+            return faded_snr(rng, m, noise_dbm, scale)
+        draw = None if m is None else faded_snr(rng, m, noise_dbm)
+
+        def moving(t_us: int) -> float:
+            snr_db, scale = budget(distance(tx, rx, t_us))
+            return snr_db if scale is None else draw(t_us, scale)
+        return moving
+
+
+def faded_snr(rng: RngStream, m: float, noise_dbm: float,
+              scale: float | None = None) -> Callable[..., float]:
+    """A faded link's SNR kernel on its fading stream rng.
+
+    ``draw(t_us, scale)`` returns ``w_to_dbm(x) - noise_dbm`` for x the
+    draw ``random.Random.gammavariate(m, scale)`` makes on rng, bit for bit
+    and with the same stream draws. For m > 1 it runs gammavariate's loop,
+    Cheng's algorithm (Cheng 1977, Applied Statistics 26(1)), term for term
+    with the shape constants computed once here, not at every draw; m <= 1
+    calls gammavariate. A static link binds its scale here, so a frame's
+    draw is one Python call; a moving link passes its scale at each call.
+    """
+    log10 = math.log10
+    if not m > 1.0:
+        gammavariate = rng._rng.gammavariate   # RngStream's generator
+
+        def draw(t_us: int, scale: float = scale) -> float:
+            return (10.0 * log10(max(gammavariate(m, scale), 1e-300)) + 30.0
+                    - noise_dbm)
+        return draw
+
+    random, log, exp = rng.random, math.log, math.exp
+    ainv = math.sqrt(2.0 * m - 1.0)
+    # the random module's LOG4 and SG_MAGICCONST, which are private to it
+    bbb = m - log(4.0)
+    ccc = m + ainv
+    sg_magicconst = 1.0 + log(4.5)
+
+    def draw(t_us: int, scale: float = scale) -> float:
+        while True:
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = m * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + sg_magicconst - 4.5 * z >= 0.0 or r >= log(z):
+                return (10.0 * log10(max(x * scale, 1e-300)) + 30.0
+                        - noise_dbm)
+    return draw

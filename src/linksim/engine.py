@@ -6,8 +6,9 @@ independent runs can execute concurrently in separate processes or threads.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
+from itertools import count
 from typing import Callable
 
 # The interpreter's builtin SHA-256, as random.py takes its sha512: hashlib
@@ -33,8 +34,7 @@ class RngStream:
     perturbs existing streams.
     """
 
-    __slots__ = ("root_seed", "label", "_rng", "random", "gamma",
-                 "_getrandbits")
+    __slots__ = ("root_seed", "label", "_rng", "random", "_getrandbits")
 
     def __init__(self, root_seed: int, label: str):
         if not label:
@@ -47,7 +47,6 @@ class RngStream:
         self._rng = random.Random(int.from_bytes(digest[:16], "big"))
         # bound methods, saves attribute lookups in the per-frame hot path
         self.random: Callable[[], float] = self._rng.random
-        self.gamma: Callable[[float, float], float] = self._rng.gammavariate
         self._getrandbits: Callable[[int], int] = self._rng.getrandbits
 
     def randint(self, low: int, high: int) -> int:
@@ -71,28 +70,36 @@ class RngStream:
         return f"RngStream(root_seed={self.root_seed}, label={self.label!r})"
 
 
+def _past_timestamp(at_us: int, clock_us: int) -> SchedulingError:
+    return SchedulingError(f"past timestamp: cannot schedule at {at_us} µs, "
+                           f"clock is {clock_us} µs")
+
+
 class EventQueue:
     """Time-ordered event queue with a non-decreasing integer-µs clock.
 
-    Events at equal timestamps dispatch in insertion order. Cancellation is
-    lazy: cancelled entries stay in the heap and are skipped on pop.
+    Events at equal timestamps dispatch in insertion order. A handler
+    returns None, or the µs of its next dispatch: the queue then pushes the
+    same entry back with the next sequence number, the order that calling
+    ``schedule`` as the handler's last statement gives, and the entry stays
+    the event id that cancel() takes. Cancellation is lazy: cancelled
+    entries stay in the heap and are skipped on pop.
     """
 
     def __init__(self) -> None:
         self.clock_us: int = 0
         self._heap: list[list] = []
-        self._seq: int = 0
+        self._seq = count(1).__next__
 
-    def schedule(self, at_us: int, fn: Callable[[], None]) -> list:
-        """Schedule fn() at at_us. Returns an event id usable with cancel()."""
+    def schedule(self, at_us: int, fn: Callable[[], int | None]) -> list:
+        """Schedule fn() at at_us. Returns an event id usable with cancel().
+
+        fn returns None, or the µs at which it runs again (see the class).
+        """
         if at_us < self.clock_us:
-            raise SchedulingError(
-                f"past timestamp: cannot schedule at {at_us} µs, "
-                f"clock is {self.clock_us} µs"
-            )
-        self._seq += 1
-        entry = [at_us, self._seq, fn]
-        heapq.heappush(self._heap, entry)
+            raise _past_timestamp(at_us, self.clock_us)
+        entry = [at_us, self._seq(), fn]
+        heappush(self._heap, entry)
         return entry
 
     def cancel(self, event_id: list) -> None:
@@ -107,12 +114,20 @@ class EventQueue:
             )
         dispatched = 0
         heap = self._heap
+        seq = self._seq
         while heap and heap[0][0] <= t_end_us:
-            at_us, _, fn = heapq.heappop(heap)
+            entry = heappop(heap)
+            fn = entry[2]
             if fn is None:
                 continue
-            self.clock_us = at_us
-            fn()
+            at_us = self.clock_us = entry[0]
+            next_us = fn()
             dispatched += 1
+            if next_us is not None:
+                if next_us < at_us:
+                    raise _past_timestamp(next_us, at_us)
+                entry[0] = next_us
+                entry[1] = seq()
+                heappush(heap, entry)
         self.clock_us = t_end_us
         return dispatched

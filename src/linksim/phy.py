@@ -140,6 +140,10 @@ _BRACKETS: dict[tuple[int, int, float], tuple[float, float]] = {}
 # Covers float rounding in k and in p, which is nondecreasing in SNR only up
 # to the last bits; far above the ~1e-16 either can be off by.
 _BRACKET_EPS = 1e-9
+# p is exactly 1.0 at this SNR for every mode and frame size, so it is at
+# least _P1_FLOOR from here up: p decreases by far less than eps, if at all
+_P1_SNR_DB = 27.7
+_P1_FLOOR = 1.0 - _BRACKET_EPS
 
 
 def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng) -> str:
@@ -151,8 +155,13 @@ def receive(frame_bytes: int, mode: PhyMode, snr_db: float, rng) -> str:
     u at or above the high edge is CORRUPTED, and only a u in between
     computes p exactly. The decision is the same as u < p because p is
     nondecreasing in SNR, so p(k/10) <= p(snr_db) <= p((k+1)/10).
+
+    From _P1_SNR_DB up, p(snr_db) >= _P1_FLOOR, so a u below that is
+    DELIVERED before any bin is looked up or filled, as u < p decides it.
     """
     u = rng.random()
+    if snr_db >= _P1_SNR_DB and u < _P1_FLOOR:
+        return DELIVERED
     k = snr_db * 10.0 // 1.0
     bin_key = (mode.id, frame_bytes, k)
     edges = _BRACKETS.get(bin_key)

@@ -291,9 +291,9 @@ class CsvEventLog:
                     f"{seq},{attempt},{dur_us},,\n")
 
     def rx(self, t, node, kind, link, mode_mbps, seq, attempt, snr_db, outcome):
-        snr = "" if snr_db is None else repr(snr_db)
         self._write(f"{t},{node},rx,{kind},{self._links[link]},{mode_mbps},"
-                    f"{seq},{attempt},,{snr},{outcome}\n")
+                    f"{seq},{attempt},,"
+                    f"{'' if snr_db is None else repr(snr_db)},{outcome}\n")
 
     def drop(self, t, node, seq, attempts, reason):
         self._write(f"{t},{node},drop,data,,,{seq},{attempts},,,{reason}\n")

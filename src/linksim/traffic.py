@@ -83,20 +83,23 @@ class PingConfig(Frozen):
 class UdpSource:
     """Constant-bit-rate generator feeding one station's queue.
 
-    The source parks when its gap is below the shortest data airtime at its
-    MPDU size, it is its station's only producer, and the station's event
-    log has no ``drop`` callback (queue-full rows stay in dispatch order,
-    each at its arrival). A parked source schedules no arrival once one
-    leaves the queue full; the station's next dequeue, at T, counts the
-    skipped arrivals before T as the tail drops they would have been, with
-    their sequence numbers, and enqueues the first arrival not before T at
-    once. That is exact: an arrival due at T would be scheduled later than
-    the data end at T, so it would find the freed slot, and the next dequeue
-    comes at least DIFS plus a data airtime after T, so nothing reads the
-    queue before the arrival is due; the events not scheduled shift every
-    later tie-break sequence number alike. One event at stop_us counts the
-    arrivals still owed. An arrival that meets a full queue builds no
-    packet: the station counts and logs it as one tail drop.
+    Each arrival returns the µs of the next to the engine, which pushes the
+    source's one queue entry back for it (see EventQueue), or None once the
+    flow stops or the source parks. The source parks when its gap is below
+    the shortest data airtime at its MPDU size, it is its station's only
+    producer, and the station's event log has no ``drop`` callback
+    (queue-full rows stay in dispatch order, each at its arrival). A parked
+    source schedules no arrival once one leaves the queue full; the
+    station's next dequeue, at T, counts the skipped arrivals before T as
+    the tail drops they would have been, with their sequence numbers, and
+    enqueues the first arrival not before T at once. That is exact: an
+    arrival due at T would be scheduled later than the data end at T, so it
+    would find the freed slot, and the next dequeue comes at least DIFS plus
+    a data airtime after T, so nothing reads the queue before the arrival
+    is due; the events not scheduled shift every later tie-break sequence
+    number alike. One event at stop_us counts the arrivals still owed. An
+    arrival that meets a full queue builds no packet: it counts one tail
+    drop and hands its ``queue_full`` row to the log's ``drop`` itself.
     """
 
     def __init__(self, engine: EventQueue, station: Station,
@@ -118,13 +121,18 @@ class UdpSource:
             if self._park:
                 engine.schedule(cfg.stop_us, self._settle)
 
-    def _emit(self) -> None:
+    def _emit(self) -> int | None:
         now = self.engine.clock_us
         station = self.station
         queue = station.queue
         capacity = station.params.queue_capacity
         if len(queue) >= capacity:
-            station.tail_drop(self.next_seq)
+            # Station.tail_drop, inlined as a logged saturated flow runs it
+            # at most of its arrivals
+            station.stats.queue_drops += 1
+            if station.log_drop is not None:
+                station.log_drop(now, station.node, self.next_seq, 0,
+                                 "queue_full")
         else:
             # Packet(...) without its Python-level __new__
             station.enqueue_packet(tuple.__new__(Packet, (
@@ -138,7 +146,8 @@ class UdpSource:
                     and station.producers == 1):
                 station.parked = self
             else:
-                self.engine.schedule(next_t, self._emit)
+                return next_t
+        return None
 
     def on_dequeue(self, now_us: int) -> None:
         """Count the skipped arrivals before a dequeue at now_us as tail
@@ -223,7 +232,7 @@ class PingApp:
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._send_request)
 
-    def _send_request(self) -> None:
+    def _send_request(self) -> int | None:
         now = self.engine.clock_us
         cfg = self.cfg
         self.outstanding[self.next_seq] = now
@@ -233,8 +242,7 @@ class PingApp:
         ))
         self.next_seq += 1
         next_t = now + cfg.interval_us
-        if next_t < cfg.stop_us:
-            self.engine.schedule(next_t, self._send_request)
+        return next_t if next_t < cfg.stop_us else None
 
     def _on_request(self, packet: Packet, t_us: int) -> None:
         if packet.kind != ECHO_REQUEST or packet.flow != self.flow:

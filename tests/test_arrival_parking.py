@@ -234,9 +234,10 @@ def test_a_parked_source_dispatches_no_arrival(monkeypatch):
     def checking_emit(self):
         if self in parked_once:
             late.append(self.engine.clock_us)
-        emit(self)
+        next_us = emit(self)
         if self.station.parked is self:
             parked_once.add(self)
+        return next_us
 
     monkeypatch.setattr(traffic.UdpSource, "_emit", checking_emit)
     parked, _, _, parking = run(built, None, monkeypatch)
@@ -275,7 +276,7 @@ def test_no_dispatched_arrival_meets_a_full_queue(monkeypatch):
         station = self.station
         met_full_queue.append(
             len(station.queue) >= station.params.queue_capacity)
-        emit(self)
+        return emit(self)
 
     with monkeypatch.context() as m:
         m.setattr(traffic.UdpSource, "_emit", checking_emit)

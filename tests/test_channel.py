@@ -9,8 +9,9 @@ import pytest
 
 from linksim import scenario
 from linksim.channel import (Channel, PropagationSpec, RadioParams,
-                             dbm_to_w, friis_path_loss, log_distance_path_loss,
-                             mean_rx_power_dbm, noise_power_dbm, w_to_dbm)
+                             dbm_to_w, faded_snr, friis_path_loss,
+                             log_distance_path_loss, mean_rx_power_dbm,
+                             noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
 from linksim.record import replace
 from linksim.scenario import (UDP_BIDI, ConfigError, ScenarioConfig, build,
@@ -40,7 +41,7 @@ def apply_nakagami(power_w, m, rng):
         raise ValueError("m must be >= 0.5")
     if power_w == 0.0:
         return 0.0
-    return rng.gamma(m, power_w / m)
+    return rng._rng.gammavariate(m, power_w / m)
 
 
 def link_snr(spec, params, link, mobility, t_us, fading_rng=None):
@@ -134,6 +135,29 @@ def test_nakagami_large_m_is_nearly_deterministic():
     mean = sum(draws) / n
     var = sum((x - mean) ** 2 for x in draws) / n
     assert var / mean ** 2 < 1e-3
+
+
+@pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.25, 3.0])
+@pytest.mark.parametrize("moving", [False, True])
+def test_faded_snr_kernel_is_gammavariate_bit_for_bit(m, moving):
+    """10^5 kernel draws equal gammavariate's, through the same dB step."""
+    n = 100_000
+    noise_dbm = noise_power_dbm(20e6, 7.0)
+    stream, ref = RngStream(4, f"fading.{m}"), RngStream(4, f"fading.{m}")
+    if moving:   # a scale per frame, as on a link with a moving end
+        pick = random.Random(int(m * 100))
+        scales = [10.0 ** pick.uniform(-16.0, -2.0) for _ in range(n - 2)]
+        scales += [1e-310, 5e-324]   # draws that the 1e-300 floor clamps
+        draw = faded_snr(stream, m, noise_dbm)
+        got = [draw(t, scale) for t, scale in enumerate(scales)]
+    else:
+        scales = [dbm_to_w(-60.0) / m] * n
+        draw = faded_snr(stream, m, noise_dbm, scales[0])
+        got = [draw(t) for t in range(n)]
+    gammavariate = ref._rng.gammavariate
+    want = [w_to_dbm(gammavariate(m, scale)) - noise_dbm for scale in scales]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert stream.random() == ref.random()   # the same draws consumed
 
 
 def test_radio_params_bounds():

@@ -72,6 +72,96 @@ def test_cancel_pending_event():
     assert hits == [2]
 
 
+def _ticker_order(returning: bool, seed: int) -> list:
+    """Dispatch order of tickers with random gaps (zero gaps and same-µs
+    starts included) that each also schedule side events; each ticker
+    either returns its next time or schedules it as its last statement."""
+    plan = random.Random(seed)
+    q = EventQueue()
+    order = []
+
+    def ticker(name, steps):
+        steps = iter(steps)
+
+        def tick():
+            order.append((q.clock_us, name))
+            gap, side_delays = next(steps)
+            for i, delay in enumerate(side_delays):
+                q.schedule(q.clock_us + delay,
+                           lambda tag=(name, i): order.append((q.clock_us, tag)))
+            if gap is None:
+                return None
+            if returning:
+                return q.clock_us + gap
+            q.schedule(q.clock_us + gap, tick)
+        return tick
+
+    for name in range(6):
+        steps = [(plan.choice((0, 0, 1, 2, 5)),
+                  [plan.choice((0, 1, 3)) for _ in range(plan.randrange(3))])
+                 for _ in range(plan.randrange(1, 40))]
+        steps[-1] = (None, steps[-1][1])
+        q.schedule(plan.choice((0, 0, 1, 4)), ticker(name, steps))
+    dispatched = q.run_until(10_000)
+    assert dispatched == len(order)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_returned_time_dispatches_as_a_last_schedule_call(seed):
+    order = _ticker_order(returning=True, seed=seed)
+    assert order == _ticker_order(returning=False, seed=seed)
+    assert len({t for t, _ in order}) < len(order)   # same-µs ties ran
+
+
+def test_returning_none_ends_the_handler():
+    q = EventQueue()
+    hits = []
+    q.schedule(3, lambda: hits.append(q.clock_us))   # append returns None
+    assert q.run_until(100) == 1
+    assert q.run_until(1000) == 0
+    assert hits == [3]
+
+
+def test_a_returned_past_time_is_rejected():
+    q = EventQueue()
+    times = iter((4,))
+    q.schedule(5, lambda: next(times, None))
+    with pytest.raises(SchedulingError, match="cannot schedule at 4 µs, "
+                                              "clock is 5 µs"):
+        q.run_until(10)
+    q = EventQueue()
+    hits = []
+    q.schedule(5, lambda: hits.append(q.clock_us)
+               or (5 if len(hits) < 3 else None))
+    q.run_until(5)   # the entry's own time is not in the past
+    assert hits == [5, 5, 5]
+
+
+def test_cancel_stops_a_returning_handler():
+    q = EventQueue()
+    ticks = []
+
+    def tick():
+        ticks.append(q.clock_us)
+        return q.clock_us + 10
+
+    eid = q.schedule(0, tick)
+    q.schedule(25, lambda: q.cancel(eid))
+    q.run_until(100)
+    assert ticks == [0, 10, 20]
+
+    def last_tick():   # cancels its own entry, then returns a time
+        ticks.append(q.clock_us)
+        q.cancel(own)
+        return q.clock_us + 1
+
+    ticks.clear()
+    own = q.schedule(100, last_tick)
+    q.run_until(200)
+    assert ticks == [100]
+
+
 def test_clock_monotone_and_insertion_order_property():
     rng = random.Random(7)
     q = EventQueue()

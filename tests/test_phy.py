@@ -228,7 +228,8 @@ def _bracket_snrs(rng: random.Random) -> list[float]:
 def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
     monkeypatch.setattr(phy, "_BRACKETS", {})   # filled from empty here
     rng = random.Random(20100)
-    seen = {"below": 0, "between": 0, "above": 0, "ber0": 0, "p0": 0}
+    seen = {"below": 0, "between": 0, "above": 0, "ber0": 0, "p0": 0,
+            "no bin": 0}
     for mode in MODES:
         for nbytes in (1528, 14, 1001):
             for snr_db in _bracket_snrs(rng):
@@ -249,6 +250,10 @@ def test_bracketed_receive_decides_as_the_exact_error_model(monkeypatch):
                     assert receive(nbytes, mode, snr_db, draw) == want, \
                         (str(mode), nbytes, snr_db, u)
                     assert draw.draws == 1
+                    if bin_key not in phy._BRACKETS:   # p >= 1 - eps here
+                        assert snr_db >= 27.7 and u < 1.0 - phy._BRACKET_EPS
+                        seen["no bin"] += 1
+                        continue
                     low, high = phy._BRACKETS[bin_key]
                     seen["below" if u < low else
                          "above" if u >= high else "between"] += 1
@@ -288,12 +293,28 @@ def test_an_infinite_snr_is_decided_exactly_and_not_tabled(monkeypatch):
 
 def test_an_snr_too_large_for_a_float_is_evaluated_at_the_cap(monkeypatch):
     # 10 ** (snr_db / 10) overflows above ~3,083 dB; p is exactly 1.0 for
-    # every mode from 27.7 dB at the largest frame, so the cap changes no p
+    # every mode and frame size from 27.7 dB, so the cap changes no p
     monkeypatch.setattr(phy, "_BRACKETS", {})
     for m in MODES:
-        assert frame_success_probability(27.7, m, 2328) == 1.0
+        for nbytes in range(14, 2329):   # an ACK up to the largest MPDU
+            assert frame_success_probability(27.7, m, nbytes) == 1.0
         assert frame_success_probability(1e308, m, 2328) == 1.0
         assert receive(1528, m, 5000.0, _Draw(0.999)) == phy.DELIVERED
+
+
+def test_a_sure_delivery_fills_no_bin(monkeypatch):
+    # from 27.7 dB p >= 1 - eps, so a u below 1 - eps needs no bin; a u at
+    # or above it still takes the table, which decides it as u < p
+    monkeypatch.setattr(phy, "_BRACKETS", {})
+    below = math.nextafter(1.0 - phy._BRACKET_EPS, 0.0)
+    for m in MODES:
+        for snr_db in (27.7, 40.0, 5000.0, math.inf):
+            assert receive(2328, m, snr_db, _Draw(below)) == phy.DELIVERED
+    assert phy._BRACKETS == {}
+    for u, want in ((1.0 - phy._BRACKET_EPS, phy.DELIVERED),
+                    (1.0, phy.CORRUPTED)):
+        assert receive(2328, MODES[7], 27.7, _Draw(u)) == want
+    assert list(phy._BRACKETS) == [(7, 2328, 277.0)]
 
 
 def test_faded_receptions_match_the_plain_path_and_bound_the_table(
@@ -304,7 +325,8 @@ def test_faded_receptions_match_the_plain_path_and_bound_the_table(
     bins, outcomes = set(), set()
     for i in range(5000):
         # Nakagami m = 1.25 around 18 dB, data and ACK as in a faded run
-        snr_db = 10.0 * math.log10(fading.gamma(1.25, 10 ** 1.8 / 1.25))
+        snr_db = 10.0 * math.log10(
+            fading._rng.gammavariate(1.25, 10 ** 1.8 / 1.25))
         mode, nbytes = (MODES[i % 2 + 5], 1528) if i % 3 else (MODES[4], 14)
         p = frame_success_probability(snr_db, mode, nbytes)
         want = phy.DELIVERED if plain.random() < p else phy.CORRUPTED
