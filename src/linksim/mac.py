@@ -220,7 +220,8 @@ class Station:
         self.log_tx = getattr(event_log, "tx", None)
         self.log_rx = getattr(event_log, "rx", None)
         self.log_drop = getattr(event_log, "drop", None)
-        # bounded FIFO; enqueue_packet enforces params.queue_capacity
+        # bounded FIFO; enqueue_packet enforces params.queue_capacity, and a
+        # parked source's refill takes only the slot a dequeue freed
         self.queue: deque = deque()
         self.stats = StationStats()
         self.backoff_rng = RngStream(root_seed, f"mac.backoff.{node}")
@@ -254,8 +255,6 @@ class Station:
         self._slots = 0
         self._difs_end = 0
         self._last_rx_seq: int | None = None
-
-    # -- transmit path -------------------------------------------------
 
     def enqueue_packet(self, packet) -> str:
         """Append packet to the queue, or tail-drop it when the queue is full."""
@@ -340,7 +339,8 @@ class Station:
             peer._collided = True
         data_end = self._data_end = now + airtime.data_us
         self._reserved_until = data_end + self.params.sifs_us + airtime.ack_us
-        peer.on_medium_busy(now)
+        if peer._timer is not None:
+            peer.on_medium_busy(now)
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,
                         self._mode.data_rate_mbps, self._frame.seq,
@@ -348,95 +348,81 @@ class Station:
         self.engine.schedule(data_end, self._on_data_end)
 
     def _on_data_end(self) -> None:
+        """Resolve one DATA+ACK exchange, in the order its draws and rows
+        take: the data reception, the peer's delivery, then the ACK after
+        SIFS across the reverse link. A delivered frame completes; a failed
+        one is retried at the ACK timeout, or dropped at the retry limit.
+
+        The peer's rx handlers get the raw MAC delivery time; a node's
+        processing delay is additive latency that applications fold into
+        their own timestamps, so it never perturbs medium timing.
+        """
         t = self._data_end
         frame = self._frame
         mode = self._mode
+        airtime = self._airtime
+        attempts = self._attempts
         peer = self.peer
+        p = self.params
         if self._collided:
+            snr_db = None
             outcome = COLLIDED
-            if self.log_rx is not None:
-                self.log_rx(t, peer.node, "data", self._tx_link,
-                            mode.data_rate_mbps, frame.seq, self._attempts,
-                            None, COLLIDED)
         else:
             snr_db = self._tx_snr(t)
             outcome = phy.receive(frame.mpdu_bytes, mode, snr_db, peer._rx_rng)
-            if self.log_rx is not None:
-                self.log_rx(t, peer.node, "data", self._tx_link,
-                            mode.data_rate_mbps, frame.seq, self._attempts,
-                            snr_db, outcome)
-        if outcome == DELIVERED:
-            peer._deliver(frame, self._mac_seq, t)
-            self._handle_ack()
-        else:
-            self._handle_failure()
-
-    def _handle_ack(self) -> None:
-        """Receiver ACKs after SIFS; the ACK itself crosses the reverse link."""
-        peer = self.peer
-        airtime = self._airtime
-        ack_start = self._data_end + self.params.sifs_us
-        ack_end = ack_start + airtime.ack_us
-        ack_mode = airtime.ack_mode
-        seq = self._frame.seq
-        peer.stats.acks_sent += 1
-        snr_db = self._rx_snr(ack_end)
-        outcome = phy.receive(self.params.ack_bytes, ack_mode, snr_db,
-                              self._rx_rng)
-        if self.log_tx is not None:
-            self.log_tx(ack_start, peer.node, "ack", self._rx_link,
-                        ack_mode.data_rate_mbps, seq, self._attempts,
-                        airtime.ack_us)
         if self.log_rx is not None:
-            self.log_rx(ack_end, self.node, "ack", self._rx_link,
-                        ack_mode.data_rate_mbps, seq, self._attempts,
-                        snr_db, outcome)
+            self.log_rx(t, peer.node, "data", self._tx_link,
+                        mode.data_rate_mbps, frame.seq, attempts, snr_db,
+                        outcome)
+        success = 0
         if outcome == DELIVERED:
-            self._complete(success=True, next_floor_us=ack_end)
-        else:
-            self._handle_failure()
-
-    def _handle_failure(self) -> None:
-        p = self.params
-        timeout_at = (self._data_end + p.sifs_us + self._airtime.ack_us
-                      + p.slot_us)
-        if self._attempts > p.retry_limit:
-            if self.log_drop is not None:
-                self.log_drop(self._data_end, self.node, self._frame.seq,
-                              self._attempts, "retry_limit")
-            self._complete(success=False, next_floor_us=timeout_at)
-        else:
-            self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)
-            self._arm_access(timeout_at, self.backoff_rng.randint(0, self.cw))
-
-    def _complete(self, success: bool, next_floor_us: int) -> None:
-        self.rate_control.report(self._mode, self._attempts, int(success))
-        self.stats.data_frames += 1
-        self.stats.data_attempts += self._attempts
+            # the peer hands a frame it has not yet seen to its applications
+            mac_seq = self._mac_seq
+            if mac_seq == peer._last_rx_seq:
+                peer.stats.duplicates_suppressed += 1
+            else:
+                peer._last_rx_seq = mac_seq
+                for handler in peer.rx_handlers:
+                    handler(frame, t)
+            # and ACKs it after SIFS, across the reverse link
+            ack_start = t + p.sifs_us
+            ack_end = ack_start + airtime.ack_us
+            ack_mode = airtime.ack_mode
+            peer.stats.acks_sent += 1
+            snr_db = self._rx_snr(ack_end)
+            outcome = phy.receive(p.ack_bytes, ack_mode, snr_db, self._rx_rng)
+            if self.log_tx is not None:
+                self.log_tx(ack_start, peer.node, "ack", self._rx_link,
+                            ack_mode.data_rate_mbps, frame.seq, attempts,
+                            airtime.ack_us)
+            if self.log_rx is not None:
+                self.log_rx(ack_end, self.node, "ack", self._rx_link,
+                            ack_mode.data_rate_mbps, frame.seq, attempts,
+                            snr_db, outcome)
+            if outcome == DELIVERED:
+                success = 1
+        stats = self.stats
         if success:
-            self.stats.frames_delivered += 1
+            next_floor_us = ack_end
+            stats.frames_delivered += 1
         else:
-            self.stats.frames_dropped += 1
-        self.cw = self.params.cw_min
+            # the ACK timeout
+            next_floor_us = t + p.sifs_us + airtime.ack_us + p.slot_us
+            if attempts <= p.retry_limit:
+                self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)
+                self._arm_access(next_floor_us,
+                                 self.backoff_rng.randint(0, self.cw))
+                return
+            if self.log_drop is not None:
+                self.log_drop(t, self.node, frame.seq, attempts, "retry_limit")
+            stats.frames_dropped += 1
+        self.rate_control.report(mode, attempts, success)
+        stats.data_frames += 1
+        stats.data_attempts += attempts
+        self.cw = p.cw_min
         self._frame = None
         self._mode = None
         self._service_next(next_floor_us)
-
-    # -- receive path --------------------------------------------------
-
-    def _deliver(self, frame, mac_seq: int, t_us: int) -> None:
-        """Hand a received frame to the applications.
-
-        Handlers get the raw MAC delivery time; the node's processing delay
-        is additive latency accounting that applications fold into their own
-        timestamps, so it never perturbs medium timing.
-        """
-        if mac_seq == self._last_rx_seq:
-            self.stats.duplicates_suppressed += 1
-            return
-        self._last_rx_seq = mac_seq
-        for handler in self.rx_handlers:
-            handler(frame, t_us)
 
 
 def build_point_to_point(engine: EventQueue, channel: Channel,

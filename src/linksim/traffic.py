@@ -152,7 +152,11 @@ class UdpSource:
     def on_dequeue(self, now_us: int) -> None:
         """Count the skipped arrivals before a dequeue at now_us as tail
         drops, enqueue the arrival that refills the freed slot, and park
-        again: that arrival leaves the queue full."""
+        again: that arrival leaves the queue full.
+
+        The refill goes straight onto the station's queue: the dequeue
+        has just freed its slot and left a frame in service, so
+        ``Station.enqueue_packet`` would neither drop it nor start it."""
         cfg = self.cfg
         stop = cfg.stop_us
         t = self._next_us
@@ -163,7 +167,7 @@ class UdpSource:
             self.station.stats.queue_drops += missed
             t += missed * self._gap_us
         if t < stop:
-            self.station.enqueue_packet(tuple.__new__(Packet, (
+            self.station.queue.append(tuple.__new__(Packet, (
                 UDP_DATA, self.next_seq, cfg.payload_bytes, self._mpdu_bytes,
                 t, self.flow)))
             self.next_seq += 1

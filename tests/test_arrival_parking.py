@@ -26,7 +26,7 @@ import pytest
 from linksim import scenario, traffic
 from linksim.channel import Channel, PropagationSpec, RadioParams
 from linksim.engine import EventQueue
-from linksim.mac import DcfParams, FixedRate, Station, build_point_to_point
+from linksim.mac import DcfParams, FixedRate, build_point_to_point
 from linksim.phy import MODES
 from linksim.record import replace
 from linksim.scenario import (UDP_BIDI, CsvEventLog, build, execute_record,
@@ -132,16 +132,20 @@ def count_ties(monkeypatch):
 
 def count_refills(monkeypatch):
     """Count the packets enqueued before their own arrival time: the
-    arrivals a dequeue enqueued at once instead of scheduling them."""
+    arrivals a dequeue enqueued at once instead of scheduling them. A
+    refill goes straight onto the station's queue, so each packet that
+    ``UdpSource.on_dequeue`` appends is read off the queue's tail."""
     refills = []
-    enqueue_packet = Station.enqueue_packet
+    on_dequeue = traffic.UdpSource.on_dequeue
 
-    def counting(self, packet):
-        if packet.created_us > self.engine.clock_us:
-            refills.append(packet.created_us)
-        return enqueue_packet(self, packet)
+    def counting(self, now_us):
+        queue = self.station.queue
+        queued = len(queue)
+        on_dequeue(self, now_us)
+        if len(queue) > queued and queue[-1].created_us > self.engine.clock_us:
+            refills.append(queue[-1].created_us)
 
-    monkeypatch.setattr(Station, "enqueue_packet", counting)
+    monkeypatch.setattr(traffic.UdpSource, "on_dequeue", counting)
     return refills
 
 

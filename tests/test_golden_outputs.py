@@ -3,7 +3,7 @@
 Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
 and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
 match the values below; each analytic scenario's ``record-trace`` file is
-pinned the same way, and so is the ``events.csv`` of five logged runs on
+pinned the same way, and so is the ``events.csv`` of six logged runs on
 paths no bundled scenario reaches. A speed-up that changes one byte of
 output fails here. ``manifest.json`` is left out because it records the absolute
 ``base_dir`` of the config. Re-pin only for a deliberate output change, and
@@ -11,6 +11,7 @@ say so in CHANGES.md.
 """
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from linksim import cli
 from linksim.channel import Channel
 from linksim.engine import EventQueue
-from linksim.mac import build_point_to_point
+from linksim.mac import COLLIDED, build_point_to_point
+from linksim.phy import CORRUPTED
 from linksim.record import replace
 from linksim.scenario import CsvEventLog, build, execute_run, parse_config
 from linksim.traffic import PingApp, PingConfig, UdpSource
@@ -100,6 +102,8 @@ LOGGED = {
         "71d8d7904819dbfed99d496d488157caa4b3c9dc4221e0975d1514ff548068c6",
     "udp_bidirectional_queue_1":
         "1af8508bf2e5bfeb0b44fe6c2708fa955f767998fd2569e41d41636aabb1570f",
+    "walk_bidirectional_lossy":
+        "175b959b0ed4d50cc4cb896b640d0731f11b585acfd385894ed8e58ddd9622b0",
     "walk_friis":
         "79b9e64d1d94141d8e60b24d29966cc045397ccc6606709f2ac35fb6c2270c9d",
     "walk_logdist_fading":
@@ -144,12 +148,30 @@ WALK = ("t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n0,ClientA,5,0,0\n"
         "1000000,ClientA,70,0,0\n2000000,ClientA,5,0,0\n")
 
 
-def walk(out: Path, **propagation) -> None:
-    """A logged udp_unidirectional run over WALK, written next to out."""
+def walk(out: Path, name: str = "udp_unidirectional", **overrides):
+    """A logged run of a bundled scenario over WALK, written next to out;
+    returns its SimRun."""
     path = out.parent / "walk.csv"
     path.write_text(WALK, encoding="utf-8")
-    execute_run(bundled("udp_unidirectional", nodes=None, mobility_file=path,
-                        **propagation), out)
+    return execute_run(bundled(name, nodes=None, mobility_file=path,
+                               **overrides), out)[0]
+
+
+def lossy_walk(out: Path) -> None:
+    """Two faded flows over WALK with a short retry chain and queue: the
+    log holds every branch of a DATA+ACK exchange."""
+    run = walk(out, "udp_bidirectional", model="logdist", gamma=3.0,
+               nakagami_m=1.0, retry_limit=2, queue_capacity=4)
+    rows = (out / "events.csv").read_text(encoding="utf-8").splitlines()[1:]
+    branches = Counter()
+    for row in rows:
+        _, _, event, kind, *_, outcome = row.split(",")
+        branches[event, kind, outcome] += 1
+    assert branches["rx", "data", COLLIDED] > 0
+    assert branches["rx", "data", CORRUPTED] > 0
+    assert branches["rx", "ack", CORRUPTED] > 0   # a lost ACK
+    assert branches["drop", "data", "retry_limit"] > 0
+    assert sum(st.duplicates_suppressed for st in run.stats.values()) > 0
 
 
 LOGGED_RUNS = {
@@ -166,6 +188,9 @@ LOGGED_RUNS = {
     # a moving node with a Nakagami draw per frame
     "walk_logdist_fading": lambda out: walk(out, model="logdist", gamma=3.0,
                                             nakagami_m=1.0),
+    # two faded flows: collisions, corrupted data, lost ACKs, retry-limit
+    # drops and suppressed duplicates
+    "walk_bidirectional_lossy": lossy_walk,
 }
 
 
