@@ -79,11 +79,16 @@ class EventQueue:
     """Time-ordered event queue with a non-decreasing integer-µs clock.
 
     Events at equal timestamps dispatch in insertion order. A handler
-    returns None, or the µs of its next dispatch: the queue then pushes the
-    same entry back with the next sequence number, the order that calling
-    ``schedule`` as the handler's last statement gives, and the entry stays
-    the event id that cancel() takes. Cancellation is lazy: cancelled
-    entries stay in the heap and are skipped on pop.
+    returns None, or the µs of its next dispatch: the queue then puts the
+    same entry back in the order that calling ``schedule`` as the
+    handler's last statement gives, and the entry stays the event id that
+    cancel() and retarget() take. A time within the run and strictly
+    before every pending entry is the one a push and pop would give next,
+    so the queue dispatches the entry again at once, with no heap push or
+    pop and no sequence number: the numbers it skips shift every later one
+    alike. A tie with a pending entry, or a time past the run, pushes the
+    entry back with the next sequence number. Cancellation is lazy:
+    cancelled entries stay in the heap and are skipped on pop.
     """
 
     def __init__(self) -> None:
@@ -103,8 +108,17 @@ class EventQueue:
         return entry
 
     def cancel(self, event_id: list) -> None:
-        """Cancel a pending event. Cancelling a dispatched event is a no-op."""
+        """Cancel a pending event. A handler that cancels its own event
+        does not run again, whatever it returns; cancelling an event that
+        has ended is a no-op."""
         event_id[2] = None
+
+    def retarget(self, event_id: list, fn: Callable[[], int | None]) -> None:
+        """Make the event's next dispatch call fn; a handler may retarget
+        its own event before it returns a time. A cancelled event stays
+        cancelled."""
+        if event_id[2] is not None:
+            event_id[2] = fn
 
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every event with timestamp <= t_end_us; clock ends at t_end_us."""
@@ -120,14 +134,23 @@ class EventQueue:
             fn = entry[2]
             if fn is None:
                 continue
-            at_us = self.clock_us = entry[0]
-            next_us = fn()
-            dispatched += 1
-            if next_us is not None:
+            at_us = entry[0]
+            while True:
+                self.clock_us = at_us
+                next_us = fn()
+                dispatched += 1
+                if next_us is None:
+                    break
                 if next_us < at_us:
                     raise _past_timestamp(next_us, at_us)
+                fn = entry[2]
+                if fn is None:   # cancelled by its own handler
+                    break
                 entry[0] = next_us
-                entry[1] = seq()
-                heappush(heap, entry)
+                if next_us > t_end_us or (heap and heap[0][0] <= next_us):
+                    entry[1] = seq()
+                    heappush(heap, entry)
+                    break
+                at_us = next_us
         self.clock_us = t_end_us
         return dispatched

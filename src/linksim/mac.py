@@ -205,7 +205,15 @@ class StationStats(Record):
 
 
 class Station:
-    """One 802.11 DCF endpoint: queue, contention, retransmissions, rate control."""
+    """One 802.11 DCF endpoint: queue, contention, retransmissions, rate control.
+
+    A station with a frame in service has one live engine entry. Its access
+    grant returns the data end and retargets the entry to _on_data_end,
+    which returns the grant of the retry or of the next frame and retargets
+    it back, so a saturated station schedules nothing between frames. Only
+    enqueue_packet (a frame into an idle station) and on_medium_busy (a
+    frozen backoff re-armed) schedule a new entry.
+    """
 
     def __init__(self, node: str, peer_node: str, engine: EventQueue,
                  channel: Channel, params: DcfParams, root_seed: int,
@@ -241,6 +249,10 @@ class Station:
         # (traffic.UdpSource)
         self.parked = None
         self.cw = params.cw_min
+        # the station's one live engine entry: it runs _on_access_granted,
+        # then _on_data_end, and so on until the queue runs dry
+        self._entry = None
+        self._retarget = engine.retarget
         self._frame = None
         self._mode: PhyMode | None = None
         self._airtime: Airtime | None = None   # of _frame at _mode
@@ -251,31 +263,33 @@ class Station:
         self._collided = False
         self._attempts = 0
         self._mac_seq = 0
-        self._timer = None
+        self._grant_us: int | None = None   # of a pending access grant
         self._slots = 0
         self._difs_end = 0
         self._last_rx_seq: int | None = None
 
     def enqueue_packet(self, packet) -> str:
-        """Append packet to the queue, or tail-drop it when the queue is full."""
+        """Append packet to the queue, or tail-drop it when the queue is
+        full: count the drop and log its ``queue_full`` row."""
         queue = self.queue
+        engine = self.engine
         if len(queue) >= self.params.queue_capacity:
-            self.tail_drop(packet.seq)
+            self.stats.queue_drops += 1
+            if self.log_drop is not None:
+                self.log_drop(engine.clock_us, self.node, packet.seq, 0,
+                              "queue_full")
             return DROPPED_FULL
         queue.append(packet)
         if self._frame is None:
-            self._service_next(self.engine.clock_us)
+            self._entry = engine.schedule(
+                self._service_next(engine.clock_us), self._on_access_granted)
         return ACCEPTED
 
-    def tail_drop(self, seq: int) -> None:
-        """Count one arrival that met the full queue, and log its drop row."""
-        self.stats.queue_drops += 1
-        if self.log_drop is not None:
-            self.log_drop(self.engine.clock_us, self.node, seq, 0, "queue_full")
-
-    def _service_next(self, idle_floor_us: int) -> None:
+    def _service_next(self, idle_floor_us: int) -> int | None:
+        """Take the next frame into service; returns its access grant µs,
+        or None when the queue is empty."""
         if not self.queue:
-            return
+            return None
         frame = self._frame = self.queue.popleft()
         self._mac_seq += 1
         self._attempts = 0
@@ -288,14 +302,18 @@ class Station:
             rows = self._rows[frame.mpdu_bytes] = airtime_rows(
                 frame.mpdu_bytes, self.params.basic_rates_mbps)
         self._airtime = rows[mode.id]
-        self._arm_access(idle_floor_us, self.backoff_rng.randint(0, self.cw))
+        grant_us = self._arm_access(idle_floor_us,
+                                    self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:
             # a source parks only on a full queue, so this dequeue ends the
             # last attempt at the current clock
             source, self.parked = self.parked, None
             source.on_dequeue(self.engine.clock_us)
+        return grant_us
 
-    def _arm_access(self, idle_floor_us: int, slots: int) -> None:
+    def _arm_access(self, idle_floor_us: int, slots: int) -> int:
+        """Set up the backoff after the medium goes idle at idle_floor_us
+        or later; returns the µs of its access grant."""
         p = self.params
         # a frame queued during its own ACK waits out that ACK too
         idle_from = self.engine.clock_us
@@ -305,28 +323,29 @@ class Station:
             idle_from = self.peer._reserved_until
         if idle_floor_us > idle_from:
             idle_from = idle_floor_us
-        self._difs_end = idle_from + p.difs_us
+        difs_end = self._difs_end = idle_from + p.difs_us
         self._slots = slots
-        self._timer = self.engine.schedule(
-            self._difs_end + slots * p.slot_us, self._on_access_granted
-        )
+        grant_us = self._grant_us = difs_end + slots * p.slot_us
+        return grant_us
 
     def on_medium_busy(self, t_busy_us: int) -> None:
         """Freeze a pending backoff; fully elapsed slots stay consumed."""
-        timer = self._timer
-        if timer is None or timer[0] <= t_busy_us:
+        grant_us = self._grant_us
+        if grant_us is None or grant_us <= t_busy_us:
             return   # nothing pending, or firing in this very slot (collision)
-        self.engine.cancel(timer)
-        self._timer = None
+        engine = self.engine
+        engine.cancel(self._entry)
         if t_busy_us > self._difs_end:
             consumed = (t_busy_us - self._difs_end) // self.params.slot_us
             remaining = self._slots - min(consumed, self._slots)
         else:
             remaining = self._slots
-        self._arm_access(t_busy_us, remaining)
+        self._entry = engine.schedule(self._arm_access(t_busy_us, remaining),
+                                      self._on_access_granted)
 
-    def _on_access_granted(self) -> None:
-        self._timer = None
+    def _on_access_granted(self) -> int:
+        """Start a data attempt; the entry runs _on_data_end at its end."""
+        self._grant_us = None
         now = self.engine.clock_us
         airtime = self._airtime
         peer = self.peer
@@ -339,24 +358,29 @@ class Station:
             peer._collided = True
         data_end = self._data_end = now + airtime.data_us
         self._reserved_until = data_end + self.params.sifs_us + airtime.ack_us
-        if peer._timer is not None:
+        if peer._grant_us is not None:
             peer.on_medium_busy(now)
         if self.log_tx is not None:
             self.log_tx(now, self.node, "data", self._tx_link,
                         self._mode.data_rate_mbps, self._frame.seq,
                         self._attempts, airtime.data_us)
-        self.engine.schedule(data_end, self._on_data_end)
+        self._retarget(self._entry, self._on_data_end)
+        return data_end
 
-    def _on_data_end(self) -> None:
+    def _on_data_end(self) -> int | None:
         """Resolve one DATA+ACK exchange, in the order its draws and rows
         take: the data reception, the peer's delivery, then the ACK after
         SIFS across the reverse link. A delivered frame completes; a failed
         one is retried at the ACK timeout, or dropped at the retry limit.
+        Returns the access grant µs of the retry or of the next frame, at
+        which the entry runs _on_access_granted again, or None when the
+        queue is empty.
 
         The peer's rx handlers get the raw MAC delivery time; a node's
         processing delay is additive latency that applications fold into
         their own timestamps, so it never perturbs medium timing.
         """
+        self._retarget(self._entry, self._on_access_granted)
         t = self._data_end
         frame = self._frame
         mode = self._mode
@@ -410,9 +434,8 @@ class Station:
             next_floor_us = t + p.sifs_us + airtime.ack_us + p.slot_us
             if attempts <= p.retry_limit:
                 self.cw = min(2 * (self.cw + 1) - 1, p.cw_max)
-                self._arm_access(next_floor_us,
-                                 self.backoff_rng.randint(0, self.cw))
-                return
+                return self._arm_access(next_floor_us,
+                                        self.backoff_rng.randint(0, self.cw))
             if self.log_drop is not None:
                 self.log_drop(t, self.node, frame.seq, attempts, "retry_limit")
             stats.frames_dropped += 1
@@ -422,7 +445,7 @@ class Station:
         self.cw = p.cw_min
         self._frame = None
         self._mode = None
-        self._service_next(next_floor_us)
+        return self._service_next(next_floor_us)
 
 
 def build_point_to_point(engine: EventQueue, channel: Channel,

@@ -83,8 +83,8 @@ class PingConfig(Frozen):
 class UdpSource:
     """Constant-bit-rate generator feeding one station's queue.
 
-    Each arrival returns the µs of the next to the engine, which pushes the
-    source's one queue entry back for it (see EventQueue), or None once the
+    Each arrival returns the µs of the next to the engine, which runs the
+    source's one queue entry again then (see EventQueue), or None once the
     flow stops or the source parks. The source parks when its gap is below
     the shortest data airtime at its MPDU size, it is its station's only
     producer, and the station's event log has no ``drop`` callback
@@ -127,8 +127,8 @@ class UdpSource:
         queue = station.queue
         capacity = station.params.queue_capacity
         if len(queue) >= capacity:
-            # Station.tail_drop, inlined as a logged saturated flow runs it
-            # at most of its arrivals
+            # the tail drop of Station.enqueue_packet, inlined as a logged
+            # saturated flow runs it at most of its arrivals
             station.stats.queue_drops += 1
             if station.log_drop is not None:
                 station.log_drop(now, station.node, self.next_seq, 0,

@@ -162,6 +162,118 @@ def test_cancel_stops_a_returning_handler():
     assert ticks == [100]
 
 
+def test_a_time_before_every_pending_entry_dispatches_in_place():
+    q = EventQueue()
+    seen = []
+
+    def tick():
+        seen.append((q.clock_us, len(q._heap)))
+        return q.clock_us + 10 if q.clock_us < 40 else None
+
+    q.schedule(0, tick)
+    q.schedule(1000, lambda: None)
+    assert q.run_until(100) == 5
+    assert seen == [(0, 1), (10, 1), (20, 1), (30, 1), (40, 1)]
+    assert q.clock_us == 100
+    assert len(q._heap) == 1
+    assert q._seq() == 3   # only the two schedule calls drew a number
+
+
+def test_a_tie_with_a_pending_entry_lets_that_entry_go_first():
+    q = EventQueue()
+    order = []
+
+    def tick():
+        order.append(("tick", q.clock_us))
+        return 10 if q.clock_us == 0 else None
+
+    q.schedule(0, tick)
+    q.schedule(10, lambda: order.append(("other", q.clock_us)))
+    assert q.run_until(10) == 3
+    assert order == [("tick", 0), ("other", 10), ("tick", 10)]
+
+
+def test_a_time_past_the_run_stays_queued_in_order():
+    q = EventQueue()
+    order = []
+
+    def tick():
+        order.append(("tick", q.clock_us))
+        return 150 if q.clock_us < 150 else None
+
+    q.schedule(50, tick)
+    assert q.run_until(100) == 1
+    assert q.clock_us == 100
+    assert len(q._heap) == 1
+    q.schedule(150, lambda: order.append(("later", q.clock_us)))
+    assert q.run_until(200) == 2
+    assert order == [("tick", 50), ("tick", 150), ("later", 150)]
+
+
+@pytest.mark.parametrize("pending_us", [None, 1, 1000])
+def test_an_entry_cancelled_in_its_own_handler_does_not_run_again(pending_us):
+    # a time before the pending entry would dispatch in place, a tie with it
+    # or an empty heap aside
+    q = EventQueue()
+    ticks = []
+
+    def tick():
+        ticks.append(q.clock_us)
+        q.cancel(own)
+        return q.clock_us + 1
+
+    own = q.schedule(0, tick)
+    if pending_us is not None:
+        q.schedule(pending_us, lambda: None)
+    assert q.run_until(2000) == 1 + (pending_us is not None)
+    assert ticks == [0]
+
+
+def test_a_past_time_raises_from_the_in_place_loop():
+    q = EventQueue()
+    times = iter((7, 6))
+    q.schedule(5, lambda: next(times))
+    q.schedule(100, lambda: None)
+    with pytest.raises(SchedulingError, match="cannot schedule at 6 µs, "
+                                              "clock is 7 µs"):
+        q.run_until(10)
+
+
+def test_retarget_switches_the_next_handler_but_never_revives():
+    q = EventQueue()
+    order = []
+
+    def first():
+        order.append(("first", q.clock_us))
+        q.retarget(own, second)
+        return q.clock_us + 5
+
+    def second():
+        order.append(("second", q.clock_us))
+
+    own = q.schedule(0, first)
+    q.schedule(5, lambda: order.append(("other", q.clock_us)))
+    q.run_until(100)
+    assert order == [("first", 0), ("other", 5), ("second", 5)]
+
+    hits = []
+    pending = q.schedule(110, lambda: hits.append("a"))
+    q.retarget(pending, lambda: hits.append("b"))
+    cancelled = q.schedule(120, lambda: hits.append("c"))
+    q.cancel(cancelled)
+    q.retarget(cancelled, lambda: hits.append("revived"))
+
+    def cancel_then_retarget():
+        hits.append("d")
+        q.cancel(self_cancelled)
+        q.retarget(self_cancelled, lambda: hits.append("revived"))
+        return q.clock_us + 1
+
+    self_cancelled = q.schedule(130, cancel_then_retarget)
+    assert q.run_until(200) == 2
+    assert hits == ["b", "d"]
+
+
 def test_clock_monotone_and_insertion_order_property():
     rng = random.Random(7)
     q = EventQueue()
