@@ -39,8 +39,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--out-dir", type=Path, help="override the output directory")
 
     rec = sub.add_parser("record-trace",
-                         help="run an analytic scenario and record its "
-                              "per-frame SNR samples")
+                         help="run a scenario and record its per-frame SNR "
+                              "samples")
     rec.add_argument("config", type=Path)
     rec.add_argument("-o", "--output", type=Path, required=True,
                      help="trace file to write")

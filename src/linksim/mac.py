@@ -37,22 +37,17 @@ class DcfParams(Frozen):
     cw_min = 15
     cw_max = 1023
     ack_bytes = 14
+    # rates eligible for control responses: one low basic rate keeps ACKs
+    # robust on asymmetric links, so every ACK goes out at 6 Mbit/s
+    basic_rates_mbps = (6,)
     retry_limit: int = 7
     queue_capacity: int = 500
-    # Rates eligible for control responses; ACKs go out at the highest
-    # basic rate not above the data rate. A single low basic rate keeps
-    # ACKs robust on asymmetric links.
-    basic_rates_mbps: tuple[int, ...] = (6,)
 
     def __post_init__(self) -> None:
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if not self.basic_rates_mbps:
-            raise ValueError("at least one basic rate required")
-        for rate in self.basic_rates_mbps:
-            phy.mode_for_rate(rate)
 
 
 def ack_mode_for(data_mode: PhyMode, basic_rates_mbps: tuple[int, ...]) -> PhyMode:
@@ -67,11 +62,10 @@ class Airtime:
 
     __slots__ = ("data_us", "ack_mode", "ack_us", "expected_us")
 
-    def __init__(self, mpdu_bytes: int, mode: PhyMode,
-                 basic_rates_mbps: tuple[int, ...]):
+    def __init__(self, mpdu_bytes: int, mode: PhyMode):
         p = DcfParams
         self.data_us = frame_duration_us(mpdu_bytes, mode)
-        self.ack_mode = ack_mode_for(mode, basic_rates_mbps)
+        self.ack_mode = ack_mode_for(mode, p.basic_rates_mbps)
         self.ack_us = frame_duration_us(p.ack_bytes, self.ack_mode)
         # DIFS + mean backoff + DATA + SIFS + ACK
         self.expected_us = (p.difs_us + p.slot_us * p.cw_min / 2.0
@@ -79,11 +73,10 @@ class Airtime:
 
 
 @cache
-def airtime_rows(mpdu_bytes: int,
-                 basic_rates_mbps: tuple[int, ...]) -> tuple[Airtime, ...]:
+def airtime_rows(mpdu_bytes: int) -> tuple[Airtime, ...]:
     """Each mode's airtime at mpdu_bytes, by mode id: one tuple per process
-    for every station and rate controller with these basic rates."""
-    return tuple(Airtime(mpdu_bytes, m, basic_rates_mbps) for m in MODES)
+    for every station, rate controller and traffic source."""
+    return tuple(Airtime(mpdu_bytes, m) for m in MODES)
 
 
 class FixedRate:
@@ -114,9 +107,8 @@ class Minstrel:
     UPDATE_INTERVAL_US = 100_000
     PROBE_PERIOD = 10
 
-    def __init__(self, params: DcfParams, rng: RngStream):
+    def __init__(self, rng: RngStream):
         self.rng = rng
-        self.basic_rates_mbps = params.basic_rates_mbps
         n = len(MODES)
         self.ewma = [0.0] * n
         self.window_attempts = [0] * n
@@ -150,7 +142,7 @@ class Minstrel:
         self._next_update_us = now_us - (now_us % interval) + interval
 
     def _argmax_tput(self, mpdu_bytes: int) -> tuple[int, float]:
-        rows = airtime_rows(mpdu_bytes, self.basic_rates_mbps)
+        rows = airtime_rows(mpdu_bytes)
         bits = 8 * mpdu_bytes
         best = 0
         best_tput = -1.0
@@ -180,7 +172,7 @@ class Minstrel:
         if self.frame_count % self.PROBE_PERIOD == 0:
             r = self.rng.randint(0, len(MODES) - 2)
             cand = r if r < best else r + 1
-            rows = airtime_rows(mpdu_bytes, self.basic_rates_mbps)
+            rows = airtime_rows(mpdu_bytes)
             if (8 * mpdu_bytes / rows[cand].expected_us > best_tput
                     or not self.probed_this_interval[cand]):
                 self.probed_this_interval[cand] = True
@@ -240,8 +232,6 @@ class Station:
         # each link's SNR source, shared with the peer (Channel.source)
         self._tx_snr = channel.source(self._tx_link)
         self._rx_snr = channel.source(self._rx_link)
-        # airtime_rows of each MPDU size this station sends, by that size
-        self._rows: dict[int, tuple[Airtime, ...]] = {}
         self.rx_handlers: list[Callable] = []
         # traffic sources and apps that enqueue into this station's queue
         self.producers = 0
@@ -296,12 +286,7 @@ class Station:
         # the mode holds for every attempt, and so does its airtime row
         mode = self._mode = self.rate_control.select(frame.mpdu_bytes,
                                                      self.engine.clock_us)
-        try:
-            rows = self._rows[frame.mpdu_bytes]
-        except KeyError:
-            rows = self._rows[frame.mpdu_bytes] = airtime_rows(
-                frame.mpdu_bytes, self.params.basic_rates_mbps)
-        self._airtime = rows[mode.id]
+        self._airtime = airtime_rows(frame.mpdu_bytes)[mode.id]
         grant_us = self._arm_access(idle_floor_us,
                                     self.backoff_rng.randint(0, self.cw))
         if self.parked is not None:

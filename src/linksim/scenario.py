@@ -71,7 +71,6 @@ class ScenarioConfig(Record):
     fixed_mode_mbps: int = 54
     queue_capacity: int = 500
     retry_limit: int = 7
-    basic_rates_mbps: tuple[int, ...] = (6,)
     # provenance (filled by the parser, used by manifests)
     config_text: str | None = None
     base_dir: Path | None = None
@@ -97,9 +96,6 @@ class ScenarioConfig(Record):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             elif to is _bool and type(value) is not bool:
                 raise ConfigError(f"{name} must be a bool, got {value!r}")
-            elif to is _rates and not (isinstance(value, (tuple, list)) and
-                                       all(type(r) is int for r in value)):
-                raise ConfigError(f"{name} must be a list of rates, got {value!r}")
         if self.nodes is not None and not isinstance(self.nodes, dict):
             raise ConfigError(f"nodes must be a dict of positions, got "
                               f"{self.nodes!r}")
@@ -150,10 +146,6 @@ def _seconds_to_us(raw: str) -> int:
     return int(float(raw) * 1e6 + 0.5)
 
 
-def _rates(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
 # (section, key) -> (ScenarioConfig field, converter from the raw string).
 # [radio] keys are RadioParams fields, collected into one RadioParams.
 # [nodes] also takes free-form "name = x,y,z" positions.
@@ -186,7 +178,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("mac", "fixed_mode_mbps"): ("fixed_mode_mbps", int),
     ("mac", "queue_capacity"): ("queue_capacity", int),
     ("mac", "retry_limit"): ("retry_limit", int),
-    ("mac", "ack_basic_rates"): ("basic_rates_mbps", _rates),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
@@ -388,13 +379,12 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                 raise ConfigError(f"link {link}: mean received power "
                                   f"{rx_dbm} dBm overflows") from None
     dcf = DcfParams(queue_capacity=cfg.queue_capacity,
-                    retry_limit=cfg.retry_limit,
-                    basic_rates_mbps=tuple(cfg.basic_rates_mbps))
+                    retry_limit=cfg.retry_limit)
 
     fixed_mode = phy.mode_for_rate(cfg.fixed_mode_mbps)
     if cfg.rate_control == "minstrel":
         def rate_control(node: str):
-            return Minstrel(dcf, RngStream(cfg.seed, f"minstrel.{node}"))
+            return Minstrel(RngStream(cfg.seed, f"minstrel.{node}"))
     elif cfg.rate_control == "fixed":
         def rate_control(node: str):
             return FixedRate(fixed_mode)
@@ -561,9 +551,8 @@ def execute_run(cfg: ScenarioConfig, out_dir: str | Path,
 
 
 def execute_record(cfg: ScenarioConfig, out_file: str | Path) -> SimRun:
-    """Run an analytic scenario while recording per-reception SNR samples."""
-    if cfg.model == TRACE:
-        raise ConfigError("cannot record a trace from a trace-replay run")
+    """Run a scenario while recording per-reception SNR samples: a replay
+    records the SNRs its frames saw."""
     built = build(cfg)
     path = Path(out_file)
     with metrics.staged(path.parent) as stage:

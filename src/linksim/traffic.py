@@ -114,8 +114,7 @@ class UdpSource:
         self._next_us = cfg.start_us   # first arrival not yet accounted for
         station.producers += 1
         self._park = station.log_drop is None and self._gap_us < min(
-            row.data_us for row in airtime_rows(
-                self._mpdu_bytes, station.params.basic_rates_mbps))
+            row.data_us for row in airtime_rows(self._mpdu_bytes))
         if cfg.stop_us > cfg.start_us:
             engine.schedule(cfg.start_us, self._emit)
             if self._park:

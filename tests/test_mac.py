@@ -113,16 +113,15 @@ def test_ack_mode_rule():
 
 
 
-@pytest.mark.parametrize("basic_rates", [(6,), (6, 12, 24)])
-def test_airtime_table_equals_per_frame_airtime(basic_rates):
+def test_airtime_table_equals_per_frame_airtime():
     # stations index the rows of the default mode table by mode id
     assert [m.id for m in MODES] == list(range(len(MODES)))
     for mpdu_bytes in (14, 1528, 2328):
-        rows = airtime_rows(mpdu_bytes, basic_rates)
-        assert airtime_rows(mpdu_bytes, basic_rates) is rows
+        rows = airtime_rows(mpdu_bytes)
+        assert airtime_rows(mpdu_bytes) is rows
         assert len(rows) == len(MODES)
         for mode, row in zip(MODES, rows):
-            ack_mode = ack_mode_for(mode, basic_rates)
+            ack_mode = ack_mode_for(mode, DcfParams.basic_rates_mbps)
             assert row.data_us == frame_duration_us(mpdu_bytes, mode)
             assert row.ack_mode == ack_mode
             assert row.ack_us == frame_duration_us(DCF.ack_bytes, ack_mode)
@@ -134,9 +133,9 @@ def test_one_airtime_table_serves_both_stations_and_both_minstrels(
     readers = set()
     rows_of = mac.airtime_rows
 
-    def spy(mpdu_bytes, basic_rates_mbps):
+    def spy(mpdu_bytes):
         readers.add(sys._getframe(1).f_locals["self"])
-        rows = rows_of(mpdu_bytes, basic_rates_mbps)
+        rows = rows_of(mpdu_bytes)
         for mode_id, row in enumerate(rows):
             read[mpdu_bytes, mode_id].add(id(row))
         return rows
@@ -385,8 +384,7 @@ def test_data_starts_wait_out_every_earlier_reservation(scenario, overrides):
                   duration_s=3, **overrides)
     buf = io.StringIO()
     simulate(build(cfg), event_log=CsvEventLog(buf))
-    rows = airtime_rows(cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD,
-                        tuple(cfg.basic_rates_mbps))
+    rows = airtime_rows(cfg.payload_bytes + DEFAULT_HEADER_OVERHEAD)
     data = sorted((int(r["t_us"]), int(r["dur_us"]), int(r["mode_mbps"]))
                   for r in parse_log(buf)
                   if r["event"] == "tx" and r["kind"] == "data")
@@ -529,7 +527,7 @@ def test_phy_attempts_bounded_per_frame():
 
 
 def fresh_minstrel(seed=1):
-    return Minstrel(DCF, RngStream(seed, "minstrel.t"))
+    return Minstrel(RngStream(seed, "minstrel.t"))
 
 
 def best_mode(m, mpdu_bytes=1528):
@@ -650,8 +648,8 @@ def most_chosen(picks):
 
 
 def test_minstrel_cached_ranking_matches_per_frame_ranking():
-    cached, reference = fresh_minstrel(seed=3), UncachedMinstrel(
-        DCF, RngStream(3, "minstrel.t"))
+    cached = fresh_minstrel(seed=3)
+    reference = UncachedMinstrel(RngStream(3, "minstrel.t"))
     channel = random.Random(11)
     t_us = 0
     picks = []
@@ -678,7 +676,7 @@ def test_dcf_params_validation():
         DcfParams(difs_us=30)
     with pytest.raises(TypeError):
         DcfParams(cw_min=14)
+    with pytest.raises(TypeError):      # nor is the ACK rate
+        DcfParams(basic_rates_mbps=(6, 12))
     with pytest.raises(ValueError):
         DcfParams(retry_limit=0)
-    with pytest.raises(ValueError):
-        DcfParams(basic_rates_mbps=(11,))

@@ -167,12 +167,22 @@ def test_bundled_scenarios_and_readme_match_the_schema():
 
 def test_mac_section_round_trip():
     text = BASE + ("\n[mac]\nrate_control = fixed\nfixed_mode_mbps = 24\n"
-                   "queue_capacity = 100\nretry_limit = 4\n"
-                   "ack_basic_rates = 6, 12, 24\n")
+                   "queue_capacity = 100\nretry_limit = 4\n")
     cfg = parse_config_text(text)
     assert cfg.rate_control == "fixed" and cfg.fixed_mode_mbps == 24
     assert cfg.queue_capacity == 100 and cfg.retry_limit == 4
-    assert cfg.basic_rates_mbps == (6, 12, 24)
+
+
+def test_the_retired_ack_basic_rates_key_is_an_unknown_key(tmp_path, capsys):
+    # every ACK goes out at the one basic rate, 6 Mbit/s (DcfParams)
+    cfg_path = write_config(tmp_path, BASE + "\n[mac]\nack_basic_rates = 6\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err \
+        == "error: unknown key 'ack_basic_rates' in [mac]\n"
+    assert cli.main(["record-trace", str(cfg_path),
+                     "-o", str(out / "trace.csv")]) == 1
+    assert not out.exists()
 
 
 # -- run artifacts and reproducibility ---------------------------------------
@@ -321,10 +331,50 @@ def test_record_trace_and_replay_round_trip(tmp_path):
     assert run.stats["Master"].data_frames > 0
 
 
-def test_record_trace_rejects_replay_config(tmp_path):
-    cfg_path = trace_config(tmp_path, CONST_35)
-    with pytest.raises(ConfigError, match="cannot record"):
-        execute_record(parse_config(cfg_path), tmp_path / "x.csv")
+@pytest.mark.parametrize("scenario", ["replay_constant", "replay_asymmetric"])
+def test_a_recorded_replay_replays_to_the_same_event_log(tmp_path, scenario):
+    # a recorder on a replay writes the SNRs its frames saw
+    bundled = REPO / "scenarios" / f"{scenario}.ini"
+    trace = tmp_path / "recorded.csv"
+    assert cli.main(["record-trace", str(bundled), "-o", str(trace),
+                     "--duration", "3"]) == 0
+    copy = write_config(tmp_path, re.sub(
+        r"(?m)^trace_file = .*$", f"trace_file = {trace.name}",
+        bundled.read_text(encoding="utf-8")))
+    for cfg_path, out in ((bundled, "orig"), (copy, "copy")):
+        assert cli.main(["run", str(cfg_path), "--out-dir",
+                         str(tmp_path / out), "--duration", "3"]) == 0
+    assert (tmp_path / "copy" / "events.csv").read_bytes() \
+        == (tmp_path / "orig" / "events.csv").read_bytes()
+
+
+FAR = BASE.replace("seed = 7", "seed = 1").replace(
+    "ClientA = 6,0,0", "ClientA = 120,0,0").replace(
+    "model = friis", "model = logdist\ngamma = 3")
+
+
+@pytest.mark.xfail(strict=True, raises=ConfigError, reason="ROADMAP item 21")
+def test_a_recording_with_a_silent_link_replays(tmp_path):
+    # at 120 m every data frame fails, so no ACK is sent and the reverse
+    # link records no row, which a replay's build rejects
+    cfg_path = write_config(tmp_path, FAR)
+    trace = tmp_path / "recorded.csv"
+    assert cli.main(["record-trace", str(cfg_path), "-o", str(trace),
+                     "--duration", "3"]) == 0
+    rows = trace.read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(",Master,ClientA," in row for row in rows) == 800
+    assert not any(",ClientA,Master," in row for row in rows)
+    replay = replace(parse_config(cfg_path), model="trace", trace_file=trace,
+                     gamma=None, duration_s=3)
+    try:
+        execute_run(replay, tmp_path / "replay")
+    except ConfigError as exc:
+        assert str(exc) == "SNR trace has no samples for link ClientA->Master"
+        raise
+    execute_run(replace(parse_config(cfg_path), duration_s=3),
+                tmp_path / "orig")
+    assert (tmp_path / "replay" / "events.csv").read_bytes() \
+        == (tmp_path / "orig" / "events.csv").read_bytes()
 
 
 def test_run_scenario_with_injected_trace(tmp_path):
@@ -354,14 +404,6 @@ def test_one_built_run_simulates_the_same_twice():
     faded = {row.split(",")[9] for row in logs[0].splitlines()[1:]
              if ",rx,data," in row and not row.endswith(",collided")}
     assert len(faded) > 1000      # a fading draw per frame
-
-
-def test_basic_rates_given_as_a_list_run_as_the_tuple():
-    # the rates key the airtime table that every station shares
-    cfg = replace(parse_config(REPO / "scenarios" / "udp_unidirectional.ini"),
-                  duration_s=1)
-    assert simulate(build(replace(cfg, basic_rates_mbps=[6, 12]))) \
-        == simulate(build(replace(cfg, basic_rates_mbps=(6, 12))))
 
 
 def _config(text):
@@ -403,8 +445,6 @@ LATE_CONFIG_ERRORS = {
                     "retry_limit"),
     "queue_capacity": (_config(BASE + "\n[mac]\nqueue_capacity = 0\n"),
                        "queue_capacity"),
-    "ack_basic_rates": (_config(BASE + "\n[mac]\nack_basic_rates = 7\n"),
-                        "no 802.11a mode at 7"),
     "payload_bytes": (_config(BASE + "payload_bytes = 5000\n"),
                       "payload_bytes"),
     "start_s": (_config(BASE + "start_s = -1\n"), "0 <= start"),
@@ -597,19 +637,17 @@ def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
 
 # A number set in code must be a real number and not a bool, as the text
 # path parses each as a float: True ran as 1 (m = 1, gamma = 1, 1 bit/s). A
-# flag must be a bool and the ACK rates a list, as the text path parses
-# them: log_events = "no" ran with the log on, and a str coordinate or a
-# bare rate raised a bare TypeError.
+# flag must be a bool, as the text path parses it: log_events = "no" ran
+# with the log on, and a str coordinate raised a bare TypeError.
 @pytest.mark.parametrize("field, value", [
     ("nakagami_m", True), ("gamma", True), ("offered_load_bps", True),
     ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None),
     ("nodes", {"Master": (0, 0, 0), "ClientA": ("6", 0, 0)}),
-    ("basic_rates_mbps", 6), ("log_events", "no")])
+    ("log_events", "no")])
 def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
         tmp_path, field, value):
     cfg = replace(parse_config_text(BASE), **{field: value})
     message = {"nodes": re.escape("[nodes] ClientA x must be a real number"),
-               "basic_rates_mbps": "basic_rates_mbps must be a list of rates",
                "log_events": "log_events must be a bool"}.get(
                    field, f"{field} must be a real number")
     with pytest.raises(ConfigError, match=message):
@@ -1025,7 +1063,9 @@ def test_cli_record_trace(tmp_path):
                      "--duration", "1"]) == 0
     assert parse_snr_trace(out.read_bytes()).links()
     replay_cfg = trace_config(tmp_path, CONST_35)
-    assert cli.main(["record-trace", str(replay_cfg), "-o", str(out)]) == 1
+    assert cli.main(["record-trace", str(replay_cfg), "-o", str(out)]) == 0
+    assert {float(row.rsplit(",", 1)[1]) for row in
+            out.read_text(encoding="utf-8").splitlines()[1:]} == {35.0}
 
 
 def test_cli_compare_end_to_end(tmp_path, capsys):
