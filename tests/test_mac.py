@@ -127,6 +127,18 @@ def test_airtime_table_equals_per_frame_airtime():
             assert row.ack_us == frame_duration_us(DCF.ack_bytes, ack_mode)
 
 
+def test_every_ack_goes_out_at_6_mbps_in_44_us():
+    # one basic rate, a class constant and not a field a run can set
+    assert DcfParams.basic_rates_mbps == (6,)
+    assert "basic_rates_mbps" not in DcfParams._fields
+    with pytest.raises(TypeError, match="basic_rates_mbps"):
+        DcfParams(basic_rates_mbps=(6, 12, 24))
+    for mpdu_bytes in (14, 1528, 2328):
+        for row in airtime_rows(mpdu_bytes):
+            assert row.ack_mode.data_rate_mbps == 6
+            assert row.ack_us == T_ACK_6 == 44
+
+
 def test_one_airtime_table_serves_both_stations_and_both_minstrels(
         monkeypatch):
     read = collections.defaultdict(set)   # (mpdu, mode id) -> Airtime ids

@@ -185,6 +185,27 @@ def test_the_retired_ack_basic_rates_key_is_an_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_the_retired_basic_rates_field_is_refused_on_the_api_path():
+    cfg = parse_config_text(BASE)
+    assert "basic_rates_mbps" not in cfg._fields
+    with pytest.raises(TypeError, match="basic_rates_mbps"):
+        replace(cfg, basic_rates_mbps=(6, 12))
+
+
+def test_a_run_logs_every_ack_at_6_mbps_in_44_us(tmp_path):
+    # Minstrel sends data above 6 Mbit/s; each ACK still takes the basic rate
+    cfg = replace(parse_config(REPO / "scenarios" / "udp_bidirectional.ini"),
+                  duration_s=1)
+    execute_run(cfg, tmp_path / "out")
+    rows = (tmp_path / "out" / "events.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
+    data_rates = {int(row.split(",")[5]) for row in rows
+                  if ",tx,data," in row}
+    acks = [row.split(",") for row in rows if ",tx,ack," in row]
+    assert max(data_rates) > 6 and acks
+    assert {(f[5], f[8]) for f in acks} == {("6", "44")}
+
 # -- run artifacts and reproducibility ---------------------------------------
 
 
