@@ -167,6 +167,51 @@ def test_radio_params_bounds():
         RadioParams(bandwidth_hz=0.0)
 
 
+# (model, gamma, ref_distance_m): free space, and log-distance at two slopes
+BUDGET_MODELS = [("friis", None, None), ("logdist", 1.7, 1.0),
+                 ("logdist", 3.0, 2.5)]
+BUDGET_GAINS = [-123.456, -20.0, -7.0, -3.5, 0.0, 0.25, 10.0, 1000.0]
+BUDGET_DISTANCES = [0.5, 1.0, 2.5, 6.0, 18.0, 77.7, 1234.5, 10_000.0]
+
+
+def written_out_budget_dbm(gain, d_m, gamma, d0):
+    """Mean rx power: 17 dBm tx power, twice the per-end gain and the path
+    loss at 5.22 GHz, term by term in the channel's order."""
+    if gamma is None:
+        loss = 20.0 * math.log10(4.0 * math.pi * d_m * 5.22e9 / 299_792_458.0)
+    else:
+        loss = (20.0 * math.log10(4.0 * math.pi * d0 * 5.22e9 / 299_792_458.0)
+                + 10.0 * gamma * math.log10(d_m / d0))
+    return 17.0 + 2.0 * gain - loss
+
+
+def budget_channel(model, gamma, d0, gain, d_m, **fading):
+    analytic = {} if gamma is None else dict(gamma=gamma, ref_distance_m=d0)
+    spec = PropagationSpec(model, **analytic, **fading)
+    return Channel(spec, RadioParams(rf_gain_db_per_end=gain),
+                   static_mobility(d_m), 1)
+
+
+@pytest.mark.parametrize("model, gamma, d0", BUDGET_MODELS)
+def test_link_budget_is_the_written_out_sum_bit_for_bit(model, gamma, d0):
+    # thermal noise over 20 MHz plus the 7 dB noise figure
+    noise_dbm = -174.0 + 10.0 * math.log10(20e6) + 7.0
+    for gain in BUDGET_GAINS:
+        for d_m in BUDGET_DISTANCES:
+            if d_m < (d0 or 0.5):
+                continue
+            rx_dbm = written_out_budget_dbm(gain, d_m, gamma, d0)
+            snr = budget_channel(model, gamma, d0, gain, d_m).source(AB)(0)
+            assert snr.hex() == (rx_dbm - noise_dbm).hex(), (gain, d_m)
+            # a faded link's first draw, on its own fading stream
+            faded = budget_channel(model, gamma, d0, gain, d_m,
+                                   nakagami_m=1.25).source(AB)(0)
+            x = RngStream(1, "fading.A->B")._rng.gammavariate(
+                1.25, 10.0 ** ((rx_dbm - 30.0) / 10.0) / 1.25)
+            want = 10.0 * math.log10(max(x, 1e-300)) + 30.0 - noise_dbm
+            assert faded.hex() == want.hex(), (gain, d_m)
+
+
 def test_propagation_spec_validation():
     # which fields a model takes is the config's rule, tested in
     # test_scenario_cli.py with both paths to a run

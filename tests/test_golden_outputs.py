@@ -3,7 +3,7 @@
 Each scenario in ``scenarios/`` runs for 2 simulated seconds at its own seed,
 and the sha256 of ``events.csv``, ``summary.json`` and every series CSV must
 match the values below; each analytic scenario's ``record-trace`` file is
-pinned the same way, and so is the ``events.csv`` of six logged runs on
+pinned the same way, and so is the ``events.csv`` of seven logged runs on
 paths no bundled scenario reaches. A speed-up that changes one byte of
 output fails here. ``manifest.json`` is left out because it records the absolute
 ``base_dir`` of the config. Re-pin only for a deliberate output change, and
@@ -96,6 +96,8 @@ RECORDED = {
 
 # sha256 of the events.csv of logged 2 s runs that no bundled scenario covers
 LOGGED = {
+    "logdist_fading_gain":
+        "039d47e94c581c4cec624683bb2b6b738710e8f4cd3fb88749b4378e9269cb30",
     "udp_and_ping_one_queue":
         "7c744ee92e44af7015ab78312b63e6882257ecb22c4aa84cc06fd2f6d3bf3eff",
     "udp_bidirectional_40mbps":
@@ -157,6 +159,16 @@ def walk(out: Path, name: str = "udp_unidirectional", **overrides):
                                **overrides), out)[0]
 
 
+def gain_fading(out: Path) -> None:
+    """logdist_fading with the one link-budget setting at a non-default
+    value, set in the config text."""
+    text = (SCENARIOS / "logdist_fading.ini").read_text(encoding="utf-8")
+    path = out.parent / "gain.ini"
+    path.write_text(text + "\n[radio]\nrf_gain_db_per_end = -3.5\n",
+                    encoding="utf-8")
+    execute_run(replace(parse_config(path), duration_s=int(DURATION_S)), out)
+
+
 def lossy_walk(out: Path) -> None:
     """Two faded flows over WALK with a short retry chain and queue: the
     log holds every branch of a DATA+ACK exchange."""
@@ -175,6 +187,8 @@ def lossy_walk(out: Path) -> None:
 
 
 LOGGED_RUNS = {
+    # a faded link budget at rf_gain_db_per_end = -3.5 dB
+    "logdist_fading_gain": gain_fading,
     # both producers enqueue and meet a full queue throughout
     "udp_and_ping_one_queue": udp_and_ping_one_queue,
     # 294 µs gap: arrivals tie with 54 Mbit/s dequeues and are dropped

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 from pathlib import Path
 
@@ -396,6 +397,73 @@ def test_a_recording_with_a_silent_link_replays(tmp_path):
                 tmp_path / "orig")
     assert (tmp_path / "replay" / "events.csv").read_bytes() \
         == (tmp_path / "orig" / "events.csv").read_bytes()
+
+
+# ClientA walks from 5 m to 40 m away from Master over the 1 s run
+SWEEP_WALK = "t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n0,ClientA,5,0,0\n" \
+    "1000000,ClientA,40,0,0\n"
+
+
+def sweep_config(pick):
+    """The text of a 1 s logged config drawn from pick: node motion, path
+    loss model, fading, link-budget gain, traffic and rate control."""
+    nodes = (pick.choice(["Master = 0,0,0\nClientA = 6,0,0",
+                          "mobility_file = walk.csv"]))
+    propagation = pick.choice(["model = friis", "model = logdist\ngamma = 2.5"])
+    if pick.random() < 0.5:
+        propagation += "\nnakagami_m = 1.25"
+    kind = pick.choice(["udp_uni", "udp_bidi", "ping"])
+    rate = pick.choice(["minstrel", "fixed\nfixed_mode_mbps = 24"])
+    return f"""
+[scenario]
+duration_s = 1
+seed = {pick.randrange(1, 1000)}
+
+[nodes]
+{nodes}
+
+[radio]
+rf_gain_db_per_end = {pick.uniform(-20.0, 10.0)!r}
+
+[propagation]
+{propagation}
+
+[traffic]
+kind = {kind}
+src = Master
+dst = ClientA
+
+[mac]
+rate_control = {rate}
+"""
+
+
+def test_recordings_replay_to_the_same_event_log(tmp_path):
+    # a recording replays at its seed to the run's events.csv, byte for
+    # byte, unless a link received no frame and so recorded no row
+    (tmp_path / "walk.csv").write_text(SWEEP_WALK, encoding="utf-8")
+    pick = random.Random(1)
+    identical = silent = 0
+    for i in range(24):
+        cfg = parse_config(write_config(tmp_path, sweep_config(pick),
+                                        f"sweep_{i}.ini"))
+        trace = tmp_path / f"sweep_{i}.csv"
+        execute_record(cfg, trace)
+        replay = replace(cfg, model="trace", trace_file=trace, gamma=None,
+                         nakagami_m=None)
+        try:
+            execute_run(replay, tmp_path / f"replay_{i}")
+        except ConfigError as exc:
+            assert re.fullmatch(r"SNR trace has no samples for link "
+                                r"(Master->ClientA|ClientA->Master)",
+                                str(exc)), exc
+            silent += 1
+            continue
+        execute_run(cfg, tmp_path / f"run_{i}")
+        assert (tmp_path / f"replay_{i}" / "events.csv").read_bytes() \
+            == (tmp_path / f"run_{i}" / "events.csv").read_bytes(), i
+        identical += 1
+    assert identical + silent == 24 and identical >= 20
 
 
 def test_run_scenario_with_injected_trace(tmp_path):
