@@ -2,7 +2,8 @@
 
 Analytic mode composes tx power, per-end RF gain, a path loss model (Friis
 free space or log-distance), optional Nakagami-m fast fading on the linear
-received power, and thermal noise. Trace replay bypasses all of it and
+received power, and thermal noise. The radio is fixed, so the per-end gain
+is the link budget's one setting. Trace replay bypasses all of it and
 returns recorded values verbatim.
 """
 
@@ -20,6 +21,11 @@ from .traces import DirectedLink, MobilityTrace, SnrTrace
 
 SPEED_OF_LIGHT = 299_792_458.0
 MIN_FRIIS_DISTANCE_M = 0.5   # near-field guard
+# the fixed 802.11a radio: 20 MHz channel 44, noise floor -93.99 dBm
+TX_POWER_DBM = 17.0
+BANDWIDTH_HZ = 20e6
+CENTER_FREQ_HZ = 5.22e9
+NOISE_FIGURE_DB = 7.0
 
 
 def check_real(name: str, value) -> None:
@@ -30,44 +36,29 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-class RadioParams(Frozen):
-    tx_power_dbm: float = 17.0
-    rf_gain_db_per_end: float = -7.0   # antenna gain minus inline attenuator
-    bandwidth_hz: float = 20e6
-    center_freq_hz: float = 5.22e9
-    noise_figure_db: float = 7.0
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            check_real(name, value)
-        if not 0.0 <= self.tx_power_dbm <= 17.0:
-            raise ValueError(f"tx_power_dbm out of [0, 17]: {self.tx_power_dbm}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if not self.center_freq_hz > 0:
-            raise ValueError("center_freq_hz must be > 0")
-
-
 TRACE = "trace"
 FRIIS = "friis"
 LOGDIST = "logdist"
 
 
 class PropagationSpec(Frozen):
-    """Which SNR source drives the link: trace replay or an analytic model.
-    ``build`` checks which fields a model takes; the spec checks values."""
+    """Which SNR source drives the link: trace replay or an analytic model,
+    whose link budget has one setting, the per-end RF gain. ``build``
+    checks which fields a model takes; the spec checks values."""
 
     model: str
     trace: SnrTrace | None = None   # model = trace
     gamma: float = 2.0
     ref_distance_m: float = 1.0
     nakagami_m: float | None = None
+    rf_gain_db_per_end: float = -7.0   # antenna gain minus inline attenuator
 
     def __post_init__(self) -> None:
         check_real("gamma", self.gamma)
         check_real("ref_distance_m", self.ref_distance_m)
         if self.nakagami_m is not None:
             check_real("nakagami_m", self.nakagami_m)
+        check_real("rf_gain_db_per_end", self.rf_gain_db_per_end)
         if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.ref_distance_m > 0:
@@ -117,16 +108,15 @@ def w_to_dbm(w: float) -> float:
     return 10.0 * math.log10(max(w, 1e-300)) + 30.0
 
 
-def mean_rx_power_dbm(spec: PropagationSpec, params: RadioParams,
-                      d_m: float) -> float:
+def mean_rx_power_dbm(spec: PropagationSpec, d_m: float) -> float:
     """Received power in dBm at distance d_m before any fading draw."""
     if spec.model == FRIIS:
-        loss_db = friis_path_loss(d_m, params.center_freq_hz)
+        loss_db = friis_path_loss(d_m, CENTER_FREQ_HZ)
     else:
         loss_db = log_distance_path_loss(
-            d_m, spec.gamma, spec.ref_distance_m, params.center_freq_hz
+            d_m, spec.gamma, spec.ref_distance_m, CENTER_FREQ_HZ
         )
-    return params.tx_power_dbm + 2.0 * params.rf_gain_db_per_end - loss_db
+    return TX_POWER_DBM + 2.0 * spec.rf_gain_db_per_end - loss_db
 
 
 class Channel(Record):
@@ -145,7 +135,6 @@ class Channel(Record):
     """
 
     spec: PropagationSpec
-    params: RadioParams
     mobility: MobilityTrace
     seed: int
 
@@ -168,14 +157,14 @@ class Channel(Record):
             times, values = spec.trace.series(link)
             # SnrTrace.snr_at, inlined as this runs once per frame
             return lambda t_us: values[max(bisect_right(times, t_us) - 1, 0)]
-        params, m = self.params, spec.nakagami_m
-        noise_dbm = noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
+        m = spec.nakagami_m
+        noise_dbm = noise_power_dbm(BANDWIDTH_HZ, NOISE_FIGURE_DB)
         rng = None if m is None else RngStream(self.seed, f"fading.{link}")
 
         def budget(d_m: float) -> tuple[float | None, float | None]:
             """(SNR, None) of a link d_m meters long that takes no fading
             draw, else (None, the scale of its gamma draw)."""
-            rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+            rx_dbm = mean_rx_power_dbm(spec, d_m)
             if m is None:
                 return rx_dbm - noise_dbm, None
             power_w = dbm_to_w(rx_dbm)

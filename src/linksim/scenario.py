@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import __version__, metrics, phy, traces
 from .channel import (FRIIS, LOGDIST, TRACE, Channel, PropagationSpec,
-                      RadioParams, check_real, dbm_to_w, mean_rx_power_dbm)
+                      check_real, dbm_to_w, mean_rx_power_dbm)
 from .engine import EventQueue, RngStream, sha256
 from .mac import DcfParams, FixedRate, Minstrel, StationStats, \
     build_point_to_point
@@ -55,7 +55,7 @@ class ScenarioConfig(Record):
     gamma: float | None = None
     ref_distance_m: float | None = None   # None: 1 m
     nakagami_m: float | None = None   # None: no fading
-    radio: RadioParams = RadioParams()
+    rf_gain_db_per_end: float = -7.0   # [radio]: the link budget's one setting
     # traffic
     traffic_kind: str = UDP_UNI
     src: str = "Master"
@@ -82,11 +82,7 @@ class ScenarioConfig(Record):
             value = getattr(self, name)
             if value is None and self._defaults[name] is None:   # unset
                 continue
-            if name == "radio":   # RadioParams checks its own values
-                if not isinstance(value, RadioParams):
-                    raise ConfigError(f"radio must be a RadioParams, got "
-                                      f"{value!r}")
-            elif to is float:
+            if to is float:
                 check_real(name, value)
             elif to is str and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
@@ -147,7 +143,6 @@ def _seconds_to_us(raw: str) -> int:
 
 
 # (section, key) -> (ScenarioConfig field, converter from the raw string).
-# [radio] keys are RadioParams fields, collected into one RadioParams.
 # [nodes] also takes free-form "name = x,y,z" positions.
 _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("scenario", "duration_s"): ("duration_s", int),
@@ -155,11 +150,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, Callable[[str], object]]] = {
     ("scenario", "log_events"): ("log_events", _bool),
     ("scenario", "out_dir"): ("out_dir", str),
     ("nodes", "mobility_file"): ("mobility_file", Path),
-    ("radio", "tx_power_dbm"): ("radio", float),
-    ("radio", "rf_gain_db_per_end"): ("radio", float),
-    ("radio", "bandwidth_hz"): ("radio", float),
-    ("radio", "center_freq_hz"): ("radio", float),
-    ("radio", "noise_figure_db"): ("radio", float),
+    ("radio", "rf_gain_db_per_end"): ("rf_gain_db_per_end", float),
     ("propagation", "model"): ("model", str),
     ("propagation", "trace_file"): ("trace_file", Path),
     ("propagation", "gamma"): ("gamma", float),
@@ -217,7 +208,6 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
             raise ConfigError(f"[{section}] must set {key}")
 
     cfg = ScenarioConfig(config_text=text, base_dir=base_dir)
-    radio: dict[str, float] = {}
     positions: dict[str, tuple[float, float, float]] = {}
     for section in parser.sections():
         for key, raw in parser[section].items():
@@ -235,16 +225,9 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ScenarioConfig
             value = _convert(section, key, raw, to)
             if isinstance(value, Path) and base_dir is not None:
                 value = base_dir / value     # an absolute value stays as is
-            if name == "radio":
-                radio[key] = value
-            else:
-                setattr(cfg, name, value)
+            setattr(cfg, name, value)
 
     cfg.nodes = positions or None
-    try:
-        cfg.radio = RadioParams(**radio)
-    except ValueError as exc:
-        raise ConfigError(f"[radio]: {exc}") from None
     return cfg
 
 
@@ -356,7 +339,8 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
     analytic = {name: getattr(cfg, name)   # unset: the spec's default
                 for name in ("gamma", "ref_distance_m", "nakagami_m")
                 if getattr(cfg, name) is not None}
-    spec = PropagationSpec(cfg.model, trace, **analytic)
+    spec = PropagationSpec(cfg.model, trace, **analytic,
+                           rf_gain_db_per_end=cfg.rf_gain_db_per_end)
     run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):
@@ -368,7 +352,7 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
                 # the budget is monotone in distance, so its extremes bound it
                 for d_m in mobility.distance_range(link.tx, link.rx, 0,
                                                    run_end_us):
-                    rx_dbm = mean_rx_power_dbm(spec, cfg.radio, d_m)
+                    rx_dbm = mean_rx_power_dbm(spec, d_m)
                     if not math.isfinite(rx_dbm):
                         raise OverflowError
                     if cfg.nakagami_m is not None:   # fading draws on watts
@@ -442,7 +426,7 @@ def simulate(built: BuiltRun, event_log=None) -> SimRun:
     """Execute one built simulation instance, returning its metrics."""
     cfg = built.cfg
     # a fresh channel per run, so one built run simulates the same each time
-    channel = Channel(built.spec, cfg.radio, built.mobility, cfg.seed)
+    channel = Channel(built.spec, built.mobility, cfg.seed)
     engine = EventQueue()
     st_src, st_dst = build_point_to_point(
         engine, channel, built.dcf, cfg.seed, cfg.src, cfg.dst,

@@ -10,8 +10,8 @@ import math
 import pytest
 
 from linksim import phy
-from linksim.channel import (Channel, PropagationSpec, RadioParams,
-                             friis_path_loss, log_distance_path_loss)
+from linksim.channel import (Channel, PropagationSpec, friis_path_loss,
+                             log_distance_path_loss)
 from linksim.engine import RngStream
 from linksim.mac import DcfParams, ack_mode_for
 from linksim.metrics import (PerSecondSeries, THROUGHPUT_KBPS, RTT_MEDIAN_MS,
@@ -97,10 +97,8 @@ def test_criterion_03_nakagami_mean_preservation():
     # the SNR draws of a faded static link, as linear power over its mean
     link = DirectedLink("Master", "ClientA")
     mobility = MobilityTrace.static(NODES)
-    mean_db = Channel(PropagationSpec("friis"), RadioParams(), mobility,
-                      9).snr(link, 0)
-    channel = Channel(PropagationSpec("friis", nakagami_m=1.25), RadioParams(),
-                      mobility, 9)
+    mean_db = Channel(PropagationSpec("friis"), mobility, 9).snr(link, 0)
+    channel = Channel(PropagationSpec("friis", nakagami_m=1.25), mobility, 9)
     n = 1_000_000
     total = 0.0
     total_sq = 0.0

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from linksim import scenario, traffic
-from linksim.channel import Channel, PropagationSpec, RadioParams
+from linksim.channel import Channel, PropagationSpec
 from linksim.engine import EventQueue
 from linksim.mac import DcfParams, FixedRate, build_point_to_point
 from linksim.phy import MODES
@@ -316,7 +316,7 @@ def test_a_seeded_sweep_parks_exactly(name, start_us, stop_us, capacity,
 
 def pair(event_log):
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n0,A,B,60\n0,B,A,60\n")
-    channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
+    channel = Channel(PropagationSpec("trace", trace=trace),
                       MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}),
                       1)
     engine = EventQueue()

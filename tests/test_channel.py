@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from linksim import scenario
-from linksim.channel import (Channel, PropagationSpec, RadioParams,
-                             dbm_to_w, faded_snr, friis_path_loss,
-                             log_distance_path_loss, mean_rx_power_dbm,
-                             noise_power_dbm, w_to_dbm)
+from linksim.channel import (BANDWIDTH_HZ, NOISE_FIGURE_DB, Channel,
+                             PropagationSpec, dbm_to_w, faded_snr,
+                             friis_path_loss, log_distance_path_loss,
+                             mean_rx_power_dbm, noise_power_dbm, w_to_dbm)
 from linksim.engine import RngStream
 from linksim.record import replace
 from linksim.scenario import (UDP_BIDI, ConfigError, ScenarioConfig, build,
@@ -44,20 +44,20 @@ def apply_nakagami(power_w, m, rng):
     return rng._rng.gammavariate(m, power_w / m)
 
 
-def link_snr(spec, params, link, mobility, t_us, fading_rng=None):
+def link_snr(spec, link, mobility, t_us, fading_rng=None):
     """Receiver SNR in dB for one frame on link at t_us, of an analytic model.
 
     The per-frame SNR the channel computed before it built every analytic
     link in one place, kept verbatim as an oracle.
     """
     d_m = mobility.link_distance(link.tx, link.rx, t_us)
-    rx_dbm = mean_rx_power_dbm(spec, params, d_m)
+    rx_dbm = mean_rx_power_dbm(spec, d_m)
     if spec.nakagami_m is not None:
         if fading_rng is None:
             raise ValueError("fading configured but no fading stream supplied")
         rx_dbm = w_to_dbm(apply_nakagami(dbm_to_w(rx_dbm), spec.nakagami_m,
                                          fading_rng))
-    return rx_dbm - noise_power_dbm(params.bandwidth_hz, params.noise_figure_db)
+    return rx_dbm - noise_power_dbm(BANDWIDTH_HZ, NOISE_FIGURE_DB)
 
 
 def fading_draws(m: float, n: int, seed: int) -> list[float]:
@@ -67,10 +67,8 @@ def fading_draws(m: float, n: int, seed: int) -> list[float]:
     by the power of the same link without fading.
     """
     mobility = static_mobility(6.0)
-    mean_db = Channel(PropagationSpec("friis"), RadioParams(), mobility,
-                      seed).snr(AB, 0)
-    ch = Channel(PropagationSpec("friis", nakagami_m=m), RadioParams(),
-                 mobility, seed)
+    mean_db = Channel(PropagationSpec("friis"), mobility, seed).snr(AB, 0)
+    ch = Channel(PropagationSpec("friis", nakagami_m=m), mobility, seed)
     return [10 ** ((ch.snr(AB, t) - mean_db) / 10) for t in range(n)]
 
 
@@ -160,13 +158,6 @@ def test_faded_snr_kernel_is_gammavariate_bit_for_bit(m, moving):
     assert stream.random() == ref.random()   # the same draws consumed
 
 
-def test_radio_params_bounds():
-    with pytest.raises(ValueError):
-        RadioParams(tx_power_dbm=18.0)
-    with pytest.raises(ValueError):
-        RadioParams(bandwidth_hz=0.0)
-
-
 # (model, gamma, ref_distance_m): free space, and log-distance at two slopes
 BUDGET_MODELS = [("friis", None, None), ("logdist", 1.7, 1.0),
                  ("logdist", 3.0, 2.5)]
@@ -187,9 +178,9 @@ def written_out_budget_dbm(gain, d_m, gamma, d0):
 
 def budget_channel(model, gamma, d0, gain, d_m, **fading):
     analytic = {} if gamma is None else dict(gamma=gamma, ref_distance_m=d0)
-    spec = PropagationSpec(model, **analytic, **fading)
-    return Channel(spec, RadioParams(rf_gain_db_per_end=gain),
-                   static_mobility(d_m), 1)
+    spec = PropagationSpec(model, **analytic, **fading,
+                           rf_gain_db_per_end=gain)
+    return Channel(spec, static_mobility(d_m), 1)
 
 
 @pytest.mark.parametrize("model, gamma, d0", BUDGET_MODELS)
@@ -223,26 +214,24 @@ def test_channel_snr_trace_replay_is_verbatim():
     trace = parse_snr_trace(
         "t_us,tx,rx,snr_db\n1000000,A,B,23.5\n2000000,A,B,19.25\n"
     )
-    ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                 static_mobility(6.0), 1)
+    ch = Channel(PropagationSpec("trace", trace=trace), static_mobility(6.0),
+                 1)
     assert ch.snr(AB, 1_000_000) == 23.5
     assert ch.snr(AB, 1_500_000) == 23.5
     assert ch.snr(AB, 2_000_000) == 19.25
 
 
 def test_channel_snr_friis_composition():
-    params = RadioParams(tx_power_dbm=17.0, rf_gain_db_per_end=-7.0,
-                         noise_figure_db=7.0)
-    ch = Channel(PropagationSpec("friis"), params, static_mobility(6.0), 1)
+    spec = PropagationSpec("friis", rf_gain_db_per_end=-7.0)
+    ch = Channel(spec, static_mobility(6.0), 1)
     assert ch.snr(AB, 0) == pytest.approx(34.6255, abs=1e-3)
 
 
 def test_channel_snr_monotone_in_distance():
     spec = PropagationSpec("friis")
-    params = RadioParams()
     prev = math.inf
     for d in range(1, 120):
-        snr = Channel(spec, params, static_mobility(float(d)), 1).snr(AB, 0)
+        snr = Channel(spec, static_mobility(float(d)), 1).snr(AB, 0)
         assert snr < prev
         prev = snr
 
@@ -251,7 +240,7 @@ def test_channel_fading_stream_is_per_link_and_seeded():
     spec = PropagationSpec("friis", nakagami_m=1.25)
 
     def draws(seed):
-        ch = Channel(spec, RadioParams(), static_mobility(6.0), seed)
+        ch = Channel(spec, static_mobility(6.0), seed)
         return [ch.snr(AB, 0) for _ in range(50)]
 
     assert draws(1) == draws(1)
@@ -300,7 +289,6 @@ SOURCE_KINDS = {
 def test_static_link_snr_is_link_snr_bit_for_bit(kind):
     """Every SNR source equals link_snr (snr_at for a replay) bit for bit."""
     spec, mobility = SOURCE_KINDS[kind]()
-    params = RadioParams()
     # a link budget computed once, at the link's first frame
     budget = spec.model != "trace" and len(mobility.track("B")[0]) == 1
     lookups = []
@@ -314,8 +302,8 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
         else:
             reference = (None if spec.nakagami_m is None
                          else RngStream(5, f"fading.{link}"))
-            expected[link] = [link_snr(spec, params, link, mobility, t,
-                                       reference) for t in times]
+            expected[link] = [link_snr(spec, link, mobility, t, reference)
+                              for t in times]
     lookups.clear()
     hexes = {link: [x.hex() for x in expected[link]] for link in (AB, BA)}
     distinct = len(set(expected[AB]))
@@ -324,7 +312,7 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
     elif budget:
         assert distinct == 1
 
-    ch = Channel(spec, params, mobility, 5)
+    ch = Channel(spec, mobility, 5)
     fast = {link: [ch.snr(link, t) for t in times] for link in (AB, BA)}
     if budget:
         assert len(lookups) == 2    # one per link, no per-frame geometry
@@ -335,8 +323,8 @@ def test_static_link_snr_is_link_snr_bit_for_bit(kind):
 def test_replayed_link_snr_is_snr_at_bit_for_bit():
     trace = random_trace()
     times = trace.series(AB)[0]
-    ch = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                 static_mobility(6.0), 1)
+    ch = Channel(PropagationSpec("trace", trace=trace), static_mobility(6.0),
+                 1)
     queries = [0, 2_000_000, *times, *(t - 1 for t in times),
                *(t + 1 for t in times)]
     expected = {link: [trace.snr_at(link, t) for t in queries]
@@ -349,10 +337,10 @@ def test_replayed_link_snr_is_snr_at_bit_for_bit():
 def test_moving_node_snr_changes_over_time():
     mobility = moving_mobility()
     spec = PropagationSpec("friis")
-    ch = Channel(spec, RadioParams(), mobility, 1)
+    ch = Channel(spec, mobility, 1)
     snrs = [ch.snr(AB, t) for t in (0, 500_000, 1_000_000)]
     assert snrs[0] > snrs[1] > snrs[2]
-    assert snrs == [link_snr(spec, RadioParams(), AB, mobility, t)
+    assert snrs == [link_snr(spec, AB, mobility, t)
                     for t in (0, 500_000, 1_000_000)]
 
 

@@ -129,7 +129,7 @@ def udp_and_ping_one_queue(out: Path) -> None:
     """A saturating UDP source and a ping app feed one station's queue."""
     cfg = bundled("udp_unidirectional", queue_capacity=8)
     built = build(cfg)
-    channel = Channel(built.spec, cfg.radio, built.mobility, cfg.seed)
+    channel = Channel(built.spec, built.mobility, cfg.seed)
     engine = EventQueue()
     end_us = cfg.duration_s * 1_000_000
     out.mkdir()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from linksim import mac
-from linksim.channel import Channel, PropagationSpec, RadioParams
+from linksim.channel import Channel, PropagationSpec
 from linksim.engine import EventQueue, RngStream
 from linksim.mac import (ACCEPTED, DROPPED_FULL, DcfParams, FixedRate,
                          Minstrel, Station, ack_mode_for, airtime_rows,
@@ -36,8 +36,7 @@ def make_link(snr_ab: float, snr_ba: float, seed: int = 1,
         rows.append(f"{switch_at_us},A,B,{snr_ab_after}")
     trace = parse_snr_trace("t_us,tx,rx,snr_db\n" + "\n".join(rows) + "\n")
     mobility = MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)})
-    channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
-                      mobility, seed)
+    channel = Channel(PropagationSpec("trace", trace=trace), mobility, seed)
     engine = EventQueue()
     buf = io.StringIO()
     log = CsvEventLog(buf)

@@ -6,7 +6,7 @@ records had their own base.
 
 import pytest
 
-from linksim.channel import RadioParams
+from linksim.channel import PropagationSpec
 from linksim.mac import DcfParams, StationStats
 from linksim.metrics import RTT_MEDIAN_MS, PerSecondSeries
 from linksim.phy import MODES
@@ -19,7 +19,8 @@ def test_positional_and_keyword_construction_fill_defaults():
     assert flow == UdpFlowConfig(dst="B", offered_load_bps=1e6, src="A")
     assert (flow.payload_bytes, flow.start_us, flow.stop_us) == \
         (1472, 0, 300_000_000)
-    assert RadioParams(16.0).noise_figure_db == 7.0
+    spec = PropagationSpec("logdist", None, 3.0)
+    assert (spec.ref_distance_m, spec.rf_gain_db_per_end) == (1.0, -7.0)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -44,27 +45,27 @@ def test_a_dict_default_is_not_shared():
 
 
 def test_replace_validates_the_new_record():
-    assert replace(RadioParams(), tx_power_dbm=10.0) == RadioParams(10.0)
-    with pytest.raises(ValueError, match="noise_figure_db must be finite"):
-        replace(RadioParams(), noise_figure_db=float("nan"))
+    assert replace(PropagationSpec("friis"), rf_gain_db_per_end=-3.5) == \
+        PropagationSpec("friis", None, 2.0, 1.0, None, -3.5)
+    with pytest.raises(ValueError, match="rf_gain_db_per_end must be finite"):
+        replace(PropagationSpec("friis"), rf_gain_db_per_end=float("nan"))
 
 
 def test_a_frozen_record_refuses_assignment_and_hashes_by_value():
-    params = RadioParams()
+    spec = PropagationSpec("friis")
     with pytest.raises(AttributeError):
-        params.tx_power_dbm = 10.0
+        spec.rf_gain_db_per_end = 10.0
     with pytest.raises(AttributeError):
-        del params.tx_power_dbm
-    assert params.tx_power_dbm == 17.0
-    assert hash(RadioParams()) == hash(params)
+        del spec.rf_gain_db_per_end
+    assert spec.rf_gain_db_per_end == -7.0
+    assert hash(PropagationSpec("friis")) == hash(spec)
     assert len({MODES[0], replace(MODES[0])}) == 1
 
 
 def test_repr_has_the_dataclass_form():
-    assert repr(RadioParams()) == (
-        "RadioParams(tx_power_dbm=17.0, rf_gain_db_per_end=-7.0, "
-        "bandwidth_hz=20000000.0, center_freq_hz=5220000000.0, "
-        "noise_figure_db=7.0)")
+    assert repr(PropagationSpec("logdist", gamma=3.0)) == (
+        "PropagationSpec(model='logdist', trace=None, gamma=3.0, "
+        "ref_distance_m=1.0, nakagami_m=None, rf_gain_db_per_end=-7.0)")
 
 
 def test_station_stats_keep_field_order_and_plain_assignment():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from linksim import cli, scenario
-from linksim.channel import Channel, PropagationSpec, RadioParams
+from linksim.channel import Channel, PropagationSpec
 from linksim.metrics import PerSecondSeries
 from linksim.record import replace
 from linksim.scenario import (_MODEL_FIELDS, _SCHEMA, ConfigError,
@@ -104,7 +104,7 @@ def test_parse_defaults():
     cfg = parse_config_text(BASE)
     assert cfg.duration_s == 2 and cfg.seed == 7
     assert cfg.model == "friis" and cfg.rate_control == "minstrel"
-    assert cfg.radio.tx_power_dbm == 17.0
+    assert cfg.rf_gain_db_per_end == -7.0
     assert cfg.payload_bytes == 1472
     assert cfg.nodes == {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
 
@@ -185,6 +185,32 @@ def test_the_retired_ack_basic_rates_key_is_an_unknown_key(tmp_path, capsys):
                      "-o", str(out / "trace.csv")]) == 1
     assert not out.exists()
 
+
+# each retired [radio] key at the value the fixed radio now has
+RETIRED_RADIO_KEYS = {"tx_power_dbm": "17", "bandwidth_hz": "20e6",
+                      "center_freq_hz": "5.22e9", "noise_figure_db": "7"}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_RADIO_KEYS))
+def test_a_retired_radio_key_is_an_unknown_key(tmp_path, capsys, key):
+    # the radio is fixed, so rf_gain_db_per_end is the one [radio] key
+    cfg_path = write_config(tmp_path, BASE + f"\n[radio]\n{key} = "
+                            f"{RETIRED_RADIO_KEYS[key]}\n")
+    out = tmp_path / "out"
+    message = f"error: unknown key {key!r} in [radio]\n"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.main(["record-trace", str(cfg_path),
+                     "-o", str(out / "trace.csv")]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_the_retired_radio_field_is_refused_on_the_api_path():
+    cfg = parse_config_text(BASE)
+    assert "radio" not in cfg._fields
+    with pytest.raises(TypeError, match="'radio'"):
+        replace(cfg, radio=None)
 
 
 def test_the_retired_basic_rates_field_is_refused_on_the_api_path():
@@ -407,9 +433,10 @@ SWEEP_WALK = "t_us,node,x_m,y_m,z_m\n0,Master,0,0,0\n0,ClientA,5,0,0\n" \
 def sweep_config(pick):
     """The text of a 1 s logged config drawn from pick: node motion, path
     loss model, fading, link-budget gain, traffic and rate control."""
-    nodes = (pick.choice(["Master = 0,0,0\nClientA = 6,0,0",
-                          "mobility_file = walk.csv"]))
-    propagation = pick.choice(["model = friis", "model = logdist\ngamma = 2.5"])
+    nodes = pick.choice(["Master = 0,0,0\nClientA = 6,0,0",
+                         "mobility_file = walk.csv"])
+    propagation = pick.choice(["model = friis",
+                               "model = logdist\ngamma = 2.5"])
     if pick.random() < 0.5:
         propagation += "\nnakagami_m = 1.25"
     kind = pick.choice(["udp_uni", "udp_bidi", "ping"])
@@ -631,9 +658,8 @@ FADING = BASE.replace("model = friis", "model = logdist\ngamma = 1.7\n"
 # keys that no part of the run owns set to a value that is not finite:
 # (section, key) -> config text.
 NON_FINITE = {
-    **{("radio", key): FADING + f"\n[radio]\n{key} = nan\n"
-       for key in ("tx_power_dbm", "rf_gain_db_per_end", "bandwidth_hz",
-                   "center_freq_hz", "noise_figure_db")},
+    ("radio", "rf_gain_db_per_end"):
+        FADING + "\n[radio]\nrf_gain_db_per_end = nan\n",
     **{("propagation", key): re.sub(rf"{key} = .*", f"{key} = nan", FADING)
        for key in ("gamma", "ref_distance_m", "nakagami_m")},
     ("traffic", "offered_load_bps"): FADING + "offered_load_bps = nan\n",
@@ -666,8 +692,6 @@ def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
     if _SCHEMA.get((section, key), (key, float))[1] is not float:
         # no integer parses from nan or inf
         assert f"error: [{section}] {key}: cannot parse" in err
-    elif section == "radio":   # RadioParams is made as the text is parsed
-        assert f"error: [radio]: {key} must be finite" in err
     else:
         name = f"[nodes] {key} y" if section == "nodes" else key
         assert f"error: {name} must be finite" in err
@@ -681,16 +705,12 @@ def test_a_non_finite_config_value_exits_1_before_any_file(tmp_path, capsys,
 
 
 # NON_FINITE's twin for a config made in code: the same values, nan and inf,
-# set with RadioParams(...) for [radio] keys and with replace(cfg, ...) for
-# the rest. The error names the field, or the node, that holds the value.
+# set with replace(cfg, ...). The error names the field, or the node, that
+# holds the value.
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("section, key", sorted(NON_FINITE))
 def test_a_non_finite_value_is_rejected_on_the_api_path(tmp_path, section, key,
                                                         value):
-    if section == "radio":
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
-            RadioParams(**{key: value})
-        return
     cfg = _api_config(section, key, value)
     message = {"start_s": "start_us", "stop_s": "stop_us"}.get(key, key)
     with pytest.raises(ConfigError, match=message):
@@ -731,6 +751,8 @@ def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
 @pytest.mark.parametrize("field, value", [
     ("nakagami_m", True), ("gamma", True), ("offered_load_bps", True),
     ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None),
+    ("rf_gain_db_per_end", True), ("rf_gain_db_per_end", "17"),
+    ("rf_gain_db_per_end", None),
     ("nodes", {"Master": (0, 0, 0), "ClientA": ("6", 0, 0)}),
     ("log_events", "no")])
 def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
@@ -744,7 +766,8 @@ def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
     with pytest.raises(ConfigError, match=message):
         execute_run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
-    if field in ("gamma", "ref_distance_m", "nakagami_m"):
+    if field in ("gamma", "ref_distance_m", "nakagami_m",
+                 "rf_gain_db_per_end"):
         # PropagationSpec, the part that owns the value, checks it alike
         with pytest.raises(ValueError, match=message):
             PropagationSpec("logdist", **{field: value})
@@ -754,8 +777,6 @@ def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
 WRONG_TYPES = [
     ("nodes", [("Master", (0, 0, 0)), ("ClientA", (6, 0, 0))],
      "nodes must be a dict of positions"),
-    ("radio", None, "radio must be a RadioParams"),
-    ("radio", {"tx_power_dbm": 17.0}, "radio must be a RadioParams"),
     ("mobility_file", 5, "mobility_file must be a path"),
     ("trace_file", 5, "trace_file must be a path"),
     ("out_dir", 5, "out_dir must be a string"),
@@ -782,16 +803,6 @@ def test_a_wrong_container_path_or_string_is_a_config_error(
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("field", ["tx_power_dbm", "rf_gain_db_per_end",
-                                   "bandwidth_hz", "center_freq_hz",
-                                   "noise_figure_db"])
-@pytest.mark.parametrize("value", [True, "17"])
-def test_radio_params_reject_a_bool_or_non_real_number(field, value):
-    # a RadioParams that would run cannot be made, so no config holds one
-    with pytest.raises(ValueError, match=f"{field} must be a real number"):
-        RadioParams(**{field: value})
 
 
 # Each rule of _MODEL_FIELDS, as [propagation] keys with their values. No

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from linksim.channel import Channel, PropagationSpec, RadioParams
+from linksim.channel import Channel, PropagationSpec
 from linksim.engine import EventQueue
 from linksim.mac import DcfParams, FixedRate, build_point_to_point
 from linksim.metrics import throughput_series
@@ -27,7 +27,7 @@ def make_pair(snr_db=60.0, seed=1, rate_mbps=54):
     trace = parse_snr_trace(
         f"t_us,tx,rx,snr_db\n0,A,B,{snr_db}\n0,B,A,{snr_db}\n"
     )
-    channel = Channel(PropagationSpec("trace", trace=trace), RadioParams(),
+    channel = Channel(PropagationSpec("trace", trace=trace),
                       MobilityTrace.static({"A": (0, 0, 0), "B": (6, 0, 0)}),
                       seed)
     engine = EventQueue()
