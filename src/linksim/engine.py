@@ -78,17 +78,18 @@ def _past_timestamp(at_us: int, clock_us: int) -> SchedulingError:
 class EventQueue:
     """Time-ordered event queue with a non-decreasing integer-µs clock.
 
-    Events at equal timestamps dispatch in insertion order. A handler
+    Events at equal timestamps dispatch in insertion order, and an entry
+    runs the handler it was scheduled with for its whole life. A handler
     returns None, or the µs of its next dispatch: the queue then puts the
-    same entry back in the order that calling ``schedule`` as the
-    handler's last statement gives, and the entry stays the event id that
-    cancel() and retarget() take. A time within the run and strictly
-    before every pending entry is the one a push and pop would give next,
-    so the queue dispatches the entry again at once, with no heap push or
-    pop and no sequence number: the numbers it skips shift every later one
-    alike. A tie with a pending entry, or a time past the run, pushes the
-    entry back with the next sequence number. Cancellation is lazy:
-    cancelled entries stay in the heap and are skipped on pop.
+    same entry back in the order that calling ``schedule`` as the handler's
+    last statement gives, and the entry stays the event id that cancel()
+    takes. A time within the run and strictly before every pending entry
+    is the one a push and pop would give next, so the queue dispatches the
+    entry again at once, with no heap push or pop and no sequence number:
+    the numbers it skips shift every later one alike. A tie with a pending
+    entry, or a time past the run, pushes the entry back with the next
+    sequence number. Cancellation is lazy: cancelled entries stay in the
+    heap and are skipped on pop.
     """
 
     def __init__(self) -> None:
@@ -112,13 +113,6 @@ class EventQueue:
         does not run again, whatever it returns; cancelling an event that
         has ended is a no-op."""
         event_id[2] = None
-
-    def retarget(self, event_id: list, fn: Callable[[], int | None]) -> None:
-        """Make the event's next dispatch call fn; a handler may retarget
-        its own event before it returns a time. A cancelled event stays
-        cancelled."""
-        if event_id[2] is not None:
-            event_id[2] = fn
 
     def run_until(self, t_end_us: int) -> int:
         """Dispatch every event with timestamp <= t_end_us; clock ends at t_end_us."""

@@ -199,12 +199,13 @@ class StationStats(Record):
 class Station:
     """One 802.11 DCF endpoint: queue, contention, retransmissions, rate control.
 
-    A station with a frame in service has one live engine entry. Its access
-    grant returns the data end and retargets the entry to _on_data_end,
-    which returns the grant of the retry or of the next frame and retargets
-    it back, so a saturated station schedules nothing between frames. Only
-    enqueue_packet (a frame into an idle station) and on_medium_busy (a
-    frozen backoff re-armed) schedule a new entry.
+    A station with a frame in service has one live engine entry, whose one
+    handler, _on_entry, runs both phases of an attempt: with an access grant
+    pending it starts the data attempt and returns the data end, and with
+    none it ends the attempt in flight and returns the grant of the retry
+    or of the next frame, so a saturated station schedules nothing between
+    frames. Only enqueue_packet (a frame into an idle station) and
+    on_medium_busy (a frozen backoff re-armed) schedule a new entry.
     """
 
     def __init__(self, node: str, peer_node: str, engine: EventQueue,
@@ -239,16 +240,12 @@ class Station:
         # (traffic.UdpSource)
         self.parked = None
         self.cw = params.cw_min
-        # the station's one live engine entry: it runs _on_access_granted,
-        # then _on_data_end, and so on until the queue runs dry
-        self._entry = None
-        self._retarget = engine.retarget
+        self._entry = None   # the one live engine entry; it runs _on_entry
         self._frame = None
         self._mode: PhyMode | None = None
         self._airtime: Airtime | None = None   # of _frame at _mode
         # the attempt in flight, or the last one
         self._t_start = -1
-        self._data_end = 0
         self._reserved_until = 0   # end of its DATA+SIFS+ACK reservation
         self._collided = False
         self._attempts = 0
@@ -272,7 +269,7 @@ class Station:
         queue.append(packet)
         if self._frame is None:
             self._entry = engine.schedule(
-                self._service_next(engine.clock_us), self._on_access_granted)
+                self._service_next(engine.clock_us), self._on_entry)
         return ACCEPTED
 
     def _service_next(self, idle_floor_us: int) -> int | None:
@@ -326,10 +323,15 @@ class Station:
         else:
             remaining = self._slots
         self._entry = engine.schedule(self._arm_access(t_busy_us, remaining),
-                                      self._on_access_granted)
+                                      self._on_entry)
 
-    def _on_access_granted(self) -> int:
-        """Start a data attempt; the entry runs _on_data_end at its end."""
+    def _on_entry(self) -> int | None:
+        """With an access grant pending, start a data attempt and return its
+        end; at that end, with none, resolve it in _on_data_end. Every grant
+        the entry is scheduled or returned for is armed by _arm_access, the
+        only code that sets _grant_us, and only the grant clears it."""
+        if self._grant_us is None:
+            return self._on_data_end()
         self._grant_us = None
         now = self.engine.clock_us
         airtime = self._airtime
@@ -341,7 +343,7 @@ class Station:
         self._collided = peer._t_start == now
         if self._collided:
             peer._collided = True
-        data_end = self._data_end = now + airtime.data_us
+        data_end = now + airtime.data_us
         self._reserved_until = data_end + self.params.sifs_us + airtime.ack_us
         if peer._grant_us is not None:
             peer.on_medium_busy(now)
@@ -349,7 +351,6 @@ class Station:
             self.log_tx(now, self.node, "data", self._tx_link,
                         self._mode.data_rate_mbps, self._frame.seq,
                         self._attempts, airtime.data_us)
-        self._retarget(self._entry, self._on_data_end)
         return data_end
 
     def _on_data_end(self) -> int | None:
@@ -358,15 +359,14 @@ class Station:
         SIFS across the reverse link. A delivered frame completes; a failed
         one is retried at the ACK timeout, or dropped at the retry limit.
         Returns the access grant µs of the retry or of the next frame, at
-        which the entry runs _on_access_granted again, or None when the
-        queue is empty.
+        which the entry starts its next attempt, or None when the queue is
+        empty.
 
         The peer's rx handlers get the raw MAC delivery time; a node's
         processing delay is additive latency that applications fold into
         their own timestamps, so it never perturbs medium timing.
         """
-        self._retarget(self._entry, self._on_access_granted)
-        t = self._data_end
+        t = self.engine.clock_us   # the data end
         frame = self._frame
         mode = self._mode
         airtime = self._airtime

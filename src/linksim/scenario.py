@@ -55,7 +55,7 @@ class ScenarioConfig(Record):
     gamma: float | None = None
     ref_distance_m: float | None = None   # None: 1 m
     nakagami_m: float | None = None   # None: no fading
-    rf_gain_db_per_end: float = -7.0   # [radio]: the link budget's one setting
+    rf_gain_db_per_end: float | None = None   # [radio], analytic models
     # traffic
     traffic_kind: str = UDP_UNI
     src: str = "Master"
@@ -109,9 +109,9 @@ class ScenarioConfig(Record):
             raise ConfigError(f"[propagation] unknown model {self.model!r}")
         admitted, required = _MODEL_FIELDS[self.model]
         for (section, key), (name, _) in _SCHEMA.items():
-            if (section == "propagation" and name not in admitted
+            if (section in ("propagation", "radio") and name not in admitted
                     and getattr(self, name) is not None):
-                raise ConfigError(f"[propagation] key {key!r} not valid for "
+                raise ConfigError(f"[{section}] key {key!r} not valid for "
                                   f"model {self.model!r}")
         if required is not None and getattr(self, required) is None:
             raise ConfigError(f"[propagation] {self.model} model requires "
@@ -174,13 +174,15 @@ _SECTIONS = {section for section, _ in _SCHEMA}
 _REQUIRED = (("propagation", "model"), ("traffic", "kind"),
              ("traffic", "src"), ("traffic", "dst"))
 
-# The propagation fields each model admits, and the one it requires: the one
-# statement of these rules, which validate applies on both paths. A field is
-# named as its [propagation] key.
+# The [propagation] and [radio] fields each model admits, and the one it
+# requires: the one statement of these rules, which validate applies on both
+# paths. A field is named as its key. A replay's SNR comes from its trace,
+# so no link-budget setting applies to it.
 _MODEL_FIELDS = {
     TRACE: ({"model", "trace_file"}, "trace_file"),
-    FRIIS: ({"model", "nakagami_m"}, None),
-    LOGDIST: ({"model", "gamma", "ref_distance_m", "nakagami_m"}, "gamma"),
+    FRIIS: ({"model", "nakagami_m", "rf_gain_db_per_end"}, None),
+    LOGDIST: ({"model", "gamma", "ref_distance_m", "nakagami_m",
+               "rf_gain_db_per_end"}, "gamma"),
 }
 
 
@@ -337,10 +339,10 @@ def _construct(cfg: ScenarioConfig) -> BuiltRun:
         if node not in mobility.nodes():
             raise ConfigError(f"traffic endpoint {node!r} not in [nodes]")
     analytic = {name: getattr(cfg, name)   # unset: the spec's default
-                for name in ("gamma", "ref_distance_m", "nakagami_m")
+                for name in ("gamma", "ref_distance_m", "nakagami_m",
+                             "rf_gain_db_per_end")
                 if getattr(cfg, name) is not None}
-    spec = PropagationSpec(cfg.model, trace, **analytic,
-                           rf_gain_db_per_end=cfg.rf_gain_db_per_end)
+    spec = PropagationSpec(cfg.model, trace, **analytic)
     run_end_us = cfg.duration_s * 1_000_000
     # data goes one way and ACKs the other, so both directions are used
     for link in (DirectedLink(cfg.src, cfg.dst), DirectedLink(cfg.dst, cfg.src)):

@@ -212,8 +212,8 @@ def test_a_time_past_the_run_stays_queued_in_order():
 
 @pytest.mark.parametrize("pending_us", [None, 1, 1000])
 def test_an_entry_cancelled_in_its_own_handler_does_not_run_again(pending_us):
-    # a time before the pending entry would dispatch in place, a tie with it
-    # or an empty heap aside
+    # with no pending entry, or a later one, the returned time would
+    # dispatch in place; a tie with the pending entry would push it back
     q = EventQueue()
     ticks = []
 
@@ -237,41 +237,6 @@ def test_a_past_time_raises_from_the_in_place_loop():
     with pytest.raises(SchedulingError, match="cannot schedule at 6 µs, "
                                               "clock is 7 µs"):
         q.run_until(10)
-
-
-def test_retarget_switches_the_next_handler_but_never_revives():
-    q = EventQueue()
-    order = []
-
-    def first():
-        order.append(("first", q.clock_us))
-        q.retarget(own, second)
-        return q.clock_us + 5
-
-    def second():
-        order.append(("second", q.clock_us))
-
-    own = q.schedule(0, first)
-    q.schedule(5, lambda: order.append(("other", q.clock_us)))
-    q.run_until(100)
-    assert order == [("first", 0), ("other", 5), ("second", 5)]
-
-    hits = []
-    pending = q.schedule(110, lambda: hits.append("a"))
-    q.retarget(pending, lambda: hits.append("b"))
-    cancelled = q.schedule(120, lambda: hits.append("c"))
-    q.cancel(cancelled)
-    q.retarget(cancelled, lambda: hits.append("revived"))
-
-    def cancel_then_retarget():
-        hits.append("d")
-        q.cancel(self_cancelled)
-        q.retarget(self_cancelled, lambda: hits.append("revived"))
-        return q.clock_us + 1
-
-    self_cancelled = q.schedule(130, cancel_then_retarget)
-    assert q.run_until(200) == 2
-    assert hits == ["b", "d"]
 
 
 def test_clock_monotone_and_insertion_order_property():

@@ -20,7 +20,7 @@ from linksim.record import replace
 from linksim.scenario import (CsvEventLog, build, execute_record,
                               parse_config, simulate)
 from linksim.traces import DirectedLink, MobilityTrace, parse_snr_trace
-from linksim.traffic import DEFAULT_HEADER_OVERHEAD, Packet
+from linksim.traffic import DEFAULT_HEADER_OVERHEAD, Packet, UdpSource
 
 DCF = DcfParams()
 T_DATA_1500_54 = 244
@@ -532,6 +532,54 @@ def test_phy_attempts_bounded_per_frame():
             per_seq[r["seq"]] = max(per_seq.get(r["seq"], 0), int(r["attempt"]))
     assert per_seq
     assert all(1 <= a <= DCF.retry_limit + 1 for a in per_seq.values())
+
+
+class WrappingQueue(EventQueue):
+    """The engine with each handler wrapped where it passes through
+    schedule, as a tracer that times handlers does: a dispatch of any other
+    handler goes uncounted."""
+
+    def __init__(self):
+        super().__init__()
+        self.wrapped_calls = self.dispatched = self.cancels = 0
+
+    def schedule(self, at_us, fn):
+        def wrapped():
+            self.wrapped_calls += 1
+            return fn()
+        return super().schedule(at_us, wrapped)
+
+    def cancel(self, event_id):
+        self.cancels += 1
+        super().cancel(event_id)
+
+    def run_until(self, t_end_us):
+        n = super().run_until(t_end_us)
+        self.dispatched += n
+        return n
+
+
+@pytest.mark.parametrize("name, log", [("udp_bidirectional", True),
+                                       ("udp_unidirectional", False)])
+def test_every_dispatch_runs_the_handler_it_was_scheduled_with(
+        name, log, monkeypatch):
+    # a logged bidirectional run freezes backoffs, so it cancels entries; a
+    # log-off saturated source parks and refills at each dequeue
+    engines = []
+    dequeues = []
+    on_dequeue = UdpSource.on_dequeue
+    monkeypatch.setattr("linksim.scenario.EventQueue",
+                        lambda: engines.append(WrappingQueue()) or engines[-1])
+    monkeypatch.setattr(UdpSource, "on_dequeue", lambda self, now_us: (
+        dequeues.append(now_us), on_dequeue(self, now_us))[-1])
+    built = build(replace(parse_config(SCENARIOS / f"{name}.ini"),
+                          duration_s=1))
+    simulate(built, event_log=CsvEventLog(io.StringIO()) if log else None)
+    (engine,) = engines
+    assert engine.dispatched > 4000
+    assert engine.wrapped_calls == engine.dispatched
+    assert (engine.cancels > 0) == log
+    assert bool(dequeues) == (not log)
 
 
 # -- minstrel ------------------------------------------------------------

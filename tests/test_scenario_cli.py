@@ -104,7 +104,7 @@ def test_parse_defaults():
     cfg = parse_config_text(BASE)
     assert cfg.duration_s == 2 and cfg.seed == 7
     assert cfg.model == "friis" and cfg.rate_control == "minstrel"
-    assert cfg.rf_gain_db_per_end == -7.0
+    assert cfg.rf_gain_db_per_end is None   # unset: PropagationSpec's -7 dB
     assert cfg.payload_bytes == 1472
     assert cfg.nodes == {"Master": (0.0, 0.0, 0.0), "ClientA": (6.0, 0.0, 0.0)}
 
@@ -149,11 +149,12 @@ def test_bundled_scenarios_and_readme_match_the_schema():
         # "name = x,y,z" node positions are free-form, not schema keys
         if entry and not (section == "nodes" and "," in entry.group(2)):
             documented.add((section, entry.group(1)))
-        if entry and section == "propagation" and entry.group(1) != "model":
+        if (entry and section in ("propagation", "radio")
+                and entry.group(1) != "model"):
             notes[entry.group(1)] = line.rsplit(";", 1)[1].strip()
     assert documented == set(_SCHEMA)
-    # each propagation key's note names the models that _MODEL_FIELDS admits
-    # it in, and says when one requires it
+    # each propagation and radio key's note names the models that
+    # _MODEL_FIELDS admits it in, and says when one requires it
     analytic = sorted(set(_MODEL_FIELDS) - {"trace"})
     for key, note in notes.items():
         models = sorted(model for model, (admitted, _) in _MODEL_FIELDS.items()
@@ -477,7 +478,7 @@ def test_recordings_replay_to_the_same_event_log(tmp_path):
         trace = tmp_path / f"sweep_{i}.csv"
         execute_record(cfg, trace)
         replay = replace(cfg, model="trace", trace_file=trace, gamma=None,
-                         nakagami_m=None)
+                         nakagami_m=None, rf_gain_db_per_end=None)
         try:
             execute_run(replay, tmp_path / f"replay_{i}")
         except ConfigError as exc:
@@ -752,7 +753,6 @@ def test_a_non_integer_time_or_seed_is_rejected_on_the_api_path(
     ("nakagami_m", True), ("gamma", True), ("offered_load_bps", True),
     ("ref_distance_m", False), ("gamma", "2"), ("offered_load_bps", None),
     ("rf_gain_db_per_end", True), ("rf_gain_db_per_end", "17"),
-    ("rf_gain_db_per_end", None),
     ("nodes", {"Master": (0, 0, 0), "ClientA": ("6", 0, 0)}),
     ("log_events", "no")])
 def test_a_bool_or_non_real_number_is_rejected_on_the_api_path(
@@ -848,6 +848,30 @@ def test_a_propagation_rule_gives_one_message_on_both_paths(tmp_path, rule):
     with pytest.raises(ConfigError, match=re.escape(message)):
         execute_run(api, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_replay_that_sets_the_link_budget_gain_is_refused(tmp_path,
+                                                             capsys):
+    # a replay's SNR comes from its trace, so a gain would go unused; the
+    # rule fires before the trace file, missing here, is read
+    message = "[radio] key 'rf_gain_db_per_end' not valid for model 'trace'"
+    cfg_path = write_config(tmp_path, (
+        REPO / "scenarios" / "replay_constant.ini").read_text(
+            encoding="utf-8") + "\n[radio]\nrf_gain_db_per_end = -3\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cli.main(["record-trace", str(cfg_path),
+                     "-o", str(out / "trace.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    api = replace(parse_config(REPO / "scenarios" / "replay_constant.ini"),
+                  rf_gain_db_per_end=-3.0)
+    with pytest.raises(ConfigError) as exc:
+        build(api)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        execute_run(api, out)
+    assert not out.exists()
 
 
 @pytest.fixture
